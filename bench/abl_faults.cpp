@@ -72,9 +72,8 @@ FaultCell run_cell(const core::LppaConfig& config,
   bus.set_fault_injector(&injector);
   core::LppaConfig observed = config;
   observed.metrics = metrics;
-  Rng rng(5 + seed);
-  const auto faulty = proto::run_hardened_wire_auction(
-      observed, ttp, locations, bids, bus, rng);
+  const auto faulty = proto::run_recoverable_wire_auction(
+      observed, ttp, locations, bids, bus, 5 + seed);
   cell.report = faulty.report;
 
   std::vector<std::size_t> lost;
@@ -83,9 +82,9 @@ FaultCell run_cell(const core::LppaConfig& config,
 
   core::TrustedThirdParty clean_ttp(config.bid, 77 + seed);
   proto::MessageBus clean_bus;
-  Rng clean_rng(5 + seed);
-  const auto clean = proto::run_hardened_wire_auction(
-      config, clean_ttp, locations, bids, clean_bus, clean_rng, {}, lost);
+  const auto clean = proto::run_recoverable_wire_auction(
+      config, clean_ttp, locations, bids, clean_bus, 5 + seed, {},
+      /*crashes=*/nullptr, lost);
   cell.awards_match_restricted =
       faulty.report.completed && clean.awards == faulty.awards;
   return cell;

@@ -149,20 +149,9 @@ int main(int argc, char** argv) {
 
     // SU envelopes, built exactly once under the canonical RNG
     // discipline (one boot fork, per-SU forks in index order).
-    std::vector<net::SuEnvelopes> sus;
-    {
-      Rng boot(kSeed);
-      Rng su_master = boot.fork();
-      for (std::size_t u = 0; u < conns; ++u) {
-        Rng su_rng = su_master.fork();
-        const proto::SuClient client(u, config, ttp.su_keys());
-        net::SuEnvelopes e;
-        e.su = u;
-        e.location = client.location_envelope(locations[u], su_rng);
-        e.bid = client.bid_envelope(bids[u], su_rng);
-        sus.push_back(std::move(e));
-      }
-    }
+    std::vector<proto::SuEnvelopes> sus = proto::mask_submissions(
+        config, ttp.su_keys(), locations, bids, kSeed,
+        std::vector<bool>(conns, true));
 
     net::ClientPoolConfig client_config;
     client_config.endpoint = server.endpoint();

@@ -31,9 +31,8 @@ int main(int argc, char** argv) {
 
     core::TrustedThirdParty ttp(lcfg.bid, 21);
     proto::MessageBus bus;
-    Rng rng(5);
-    const auto result = proto::run_wire_auction(
-        lcfg, ttp, scenario.locations(), scenario.bids(), bus, rng);
+    const auto result = proto::run_recoverable_wire_auction(
+        lcfg, ttp, scenario.locations(), scenario.bids(), bus, /*seed=*/5);
 
     const auto to_ttp =
         bus.link(proto::Address::auctioneer(), proto::Address::ttp());
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
     const std::size_t max_latency =
         std::min(batch, result.awards.size());
     table.add_row({Table::cell(batch), Table::cell(result.awards.size()),
-                   Table::cell(result.ttp_batches), Table::cell(to_ttp.bytes),
+                   Table::cell(ttp.batches_processed()), Table::cell(to_ttp.bytes),
                    Table::cell(from_ttp.bytes), Table::cell(max_latency)});
   }
   bench::emit(table, args,

@@ -62,12 +62,16 @@ int main(int argc, char** argv) {
   ttp.set_metrics(metrics);
   proto::MessageBus bus;
   bus.set_metrics(metrics);
-  Rng rng(9);
-  const auto result = proto::run_wire_auction(
-      cfg, ttp, scenario.locations(), scenario.bids(), bus, rng);
+  const auto result = proto::run_recoverable_wire_auction(
+      cfg, ttp, scenario.locations(), scenario.bids(), bus, /*seed=*/9);
 
   std::cout << "=== link traffic =============================================\n";
-  const auto su_to_auc = result.submission_traffic;
+  proto::LinkStats su_to_auc;
+  for (std::size_t u = 0; u < world.num_users; ++u) {
+    const auto link = bus.link(proto::Address::su(u), proto::Address::auctioneer());
+    su_to_auc.messages += link.messages;
+    su_to_auc.bytes += link.bytes;
+  }
   std::cout << "  SUs -> auctioneer : " << su_to_auc.messages
             << " messages, " << su_to_auc.bytes / 1024 << " KiB\n";
   const auto to_ttp =
@@ -95,7 +99,7 @@ int main(int argc, char** argv) {
   std::size_t valid = 0;
   for (const auto& a : result.awards) valid += a.valid ? 1 : 0;
   std::cout << "  " << result.awards.size() << " awards (" << valid
-            << " validly charged) across " << result.ttp_batches
+            << " validly charged) across " << ttp.batches_processed()
             << " TTP batches\n"
             << "  every byte of this auction crossed the bus as a\n"
                "  serialized message and was parsed back on arrival.\n";

@@ -31,14 +31,15 @@ struct ClientPool::SuPeer {
   Bytes announcement;
 };
 
-ClientPool::ClientPool(ClientPoolConfig config, std::vector<SuEnvelopes> sus)
+ClientPool::ClientPool(ClientPoolConfig config,
+                       std::vector<proto::SuEnvelopes> sus)
     : config_(std::move(config)) {
   LPPA_REQUIRE(!sus.empty(), "client pool needs at least one SU");
   std::size_t max_su = 0;
-  for (const SuEnvelopes& e : sus) max_su = std::max(max_su, e.su);
+  for (const proto::SuEnvelopes& e : sus) max_su = std::max(max_su, e.su);
   su_to_peer_.assign(max_su + 1, static_cast<std::size_t>(-1));
   peers_.reserve(sus.size());
-  for (SuEnvelopes& e : sus) {
+  for (proto::SuEnvelopes& e : sus) {
     LPPA_REQUIRE(su_to_peer_[e.su] == static_cast<std::size_t>(-1),
                  "duplicate SU in client pool");
     auto peer = std::make_unique<SuPeer>();
@@ -126,13 +127,18 @@ bool ClientPool::send_with_faults(SuPeer& peer, const Bytes& envelope_bytes,
       peer.conn->enqueue(Bytes(frame));
       peer.conn->enqueue(std::move(frame));
       break;
-    case Kind::kFragment:
-      // One byte per send buffer: the server's decoder sees every
-      // possible partial-read boundary of this frame.
-      for (const std::uint8_t b : frame) {
-        peer.conn->enqueue(Bytes(1, b));
+    case Kind::kFragment: {
+      // One send buffer per piece: the server's decoder sees the frame
+      // arrive split at the seeded cut points.
+      d.fragment_cuts.push_back(frame.size());
+      auto from = frame.begin();
+      for (const std::size_t cut : d.fragment_cuts) {
+        const auto to = frame.begin() + static_cast<std::ptrdiff_t>(cut);
+        peer.conn->enqueue(Bytes(from, to));
+        from = to;
       }
       break;
+    }
     case Kind::kMute:
       // Swallowed before the socket: the SU simply never arrives, the
       // connection stays healthy.  The wire twin of a drop=1.0 party

@@ -28,7 +28,7 @@
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/socket_fault.h"
-#include "proto/session.h"
+#include "proto/round_driver.h"
 
 namespace lppa::net {
 
@@ -46,16 +46,9 @@ struct ClientPoolConfig {
   obs::MetricsRegistry* metrics = nullptr;   ///< not owned; may be null
 };
 
-/// One SU's cached wire bytes (built once, resent verbatim forever).
-struct SuEnvelopes {
-  std::size_t su = 0;
-  Bytes location;
-  Bytes bid;
-};
-
 class ClientPool {
  public:
-  ClientPool(ClientPoolConfig config, std::vector<SuEnvelopes> sus);
+  ClientPool(ClientPoolConfig config, std::vector<proto::SuEnvelopes> sus);
   ~ClientPool();
 
   ClientPool(const ClientPool&) = delete;

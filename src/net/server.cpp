@@ -3,29 +3,12 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "proto/journal.h"
 
 namespace lppa::net {
 
 namespace {
 
 constexpr std::uint64_t kListenerToken = 0;
-
-std::uint8_t missing_mask(const proto::AuctioneerSession& session,
-                          std::size_t u) {
-  return static_cast<std::uint8_t>(
-      (session.has_location(u) ? 0 : proto::RetransmitRequest::kLocation) |
-      (session.has_bid(u) ? 0 : proto::RetransmitRequest::kBid));
-}
-
-Bytes make_nack_frame(std::uint8_t mask) {
-  proto::Envelope nack;
-  nack.type = proto::MessageType::kRetransmitRequest;
-  proto::RetransmitRequest request;
-  request.mask = mask;
-  nack.payload = request.serialize();
-  return encode_frame(nack.serialize());
-}
 
 Bytes make_ack_frame(std::uint64_t su, std::uint8_t mask) {
   proto::Envelope ack;
@@ -35,6 +18,12 @@ Bytes make_ack_frame(std::uint64_t su, std::uint8_t mask) {
   body.mask = mask;
   ack.payload = body.serialize();
   return encode_frame(ack.serialize());
+}
+
+template <typename T>
+T& required(T* p) {
+  LPPA_REQUIRE(p != nullptr, "server needs a journal and a report");
+  return *p;
 }
 
 }  // namespace
@@ -54,31 +43,14 @@ AuctioneerServer::AuctioneerServer(
     std::vector<bool> participating, core::TrustedThirdParty& ttp,
     std::uint64_t seed, proto::RoundJournal* journal,
     proto::RoundReport* report, proto::CrashInjector* crashes,
-    std::size_t start_ticks)
-    : config_(config), num_users_(num_users), server_config_(server_config),
-      round_(round), participating_(std::move(participating)), seed_(seed),
-      journal_(journal), report_(report), crashes_(crashes),
+    std::size_t start_ticks, const obs::Span* round_span)
+    : num_users_(num_users), server_config_(server_config),
       start_ticks_(start_ticks), ttp_service_(ttp),
-      session_(config, num_users), endpoint_(server_config.endpoint),
-      pool_(1) {
-  LPPA_REQUIRE(journal_ != nullptr && report_ != nullptr,
-               "server needs a journal and a report");
-  LPPA_REQUIRE(participating_.size() == num_users_,
-               "participating mask must cover every SU");
-  LPPA_REQUIRE(round_.min_quorum >= 1,
-               "a round needs a quorum of at least 1");
+      driver_(config, num_users, std::move(round), std::move(participating),
+              seed, required(journal), required(report), crashes,
+              server_config.metrics, round_span),
+      endpoint_(server_config.endpoint), pool_(1) {
   LPPA_REQUIRE(server_config_.tick.count() > 0, "tick must be positive");
-
-  // Crash recovery: rebuild the session from the journal, then attach it
-  // (replay must not re-journal what is already durable).
-  wave_ = proto::replay_session_journal(*journal_, session_, num_users_,
-                                        *report_);
-  // Journaled churn operations have already been re-applied by replay;
-  // the scripted schedule resumes right after them.
-  churn_next_ = std::min(session_.churn_ops_applied(), round_.churn.size());
-  session_.attach_journal(journal_);
-  if (journal_->empty()) journal_->append_round_start(num_users_);
-
   listener_ = listen_on(endpoint_, server_config_.listen_backlog);
   server_config.endpoint = endpoint_;  // ephemeral port resolved
   loop_.add(listener_.get(), kListenerToken, /*want_read=*/true,
@@ -164,38 +136,13 @@ void AuctioneerServer::run_loop() {
 void AuctioneerServer::loop_body() {
   obs::MetricsRegistry* const m = server_config_.metrics;
   started_at_ = SteadyClock::now();
+  // Churn is applied before any submission is ingested; a restart whose
+  // journal already closed admission commits straight away (reconnecting
+  // peers only ever redeliver, which dedupes).
+  driver_.start();
+  if (!driver_.admission_open()) publish_round(started_at_);
   next_wave_at_ =
-      started_at_ + 2 * round_.hardened.backoff_ticks(wave_) *
-                        server_config_.tick;
-
-  // A restart that already committed admission (or allocation) goes
-  // straight back to the protocol tail; reconnecting peers only ever
-  // redeliver, which dedupes.
-  if (session_.admission_closed()) {
-    admission_open_ = false;
-    commit_round();
-  }
-
-  // Scripted churn: apply the remaining departure/return schedule before
-  // any submission is ingested.  Each operation is write-ahead journaled
-  // inside the session call, so the kMidChurn checkpoint that follows it
-  // models a crash with the operation durable but the round unfinished —
-  // the restarted server replays the journal and resumes the schedule at
-  // churn_next_.
-  if (!session_.admission_closed()) {
-    while (churn_next_ < round_.churn.size()) {
-      const SocketChurnOp& op = round_.churn[churn_next_];
-      if (op.depart) {
-        session_.churn_depart(op.user);
-      } else {
-        session_.churn_return(op.user);
-      }
-      ++churn_next_;
-      if (crashes_ != nullptr) {
-        crashes_->checkpoint(proto::CrashPoint::kMidChurn);
-      }
-    }
-  }
+      started_at_ + 2 * driver_.backoff_ticks() * server_config_.tick;
 
   std::vector<EventLoop::Event> events;
   std::vector<Bytes> frames;
@@ -204,7 +151,7 @@ void AuctioneerServer::loop_body() {
 
   while (!stop_requested_.load()) {
     int timeout_ms = 20;
-    if (admission_open_) {
+    if (driver_.admission_open()) {
       const auto now = SteadyClock::now();
       const auto until_wave = std::chrono::duration_cast<
           std::chrono::milliseconds>(next_wave_at_ - now).count();
@@ -279,7 +226,7 @@ void AuctioneerServer::loop_body() {
         }
         if (io == Connection::Io::kProtocolError) {
           if (m != nullptr) m->counter("net.protocol_errors").inc();
-          ++report_->rejected_messages;
+          driver_.note_rejected();
           evict(ev.token, /*abortive=*/false, "protocol");
           continue;
         }
@@ -298,23 +245,12 @@ void AuctioneerServer::loop_body() {
                 peer.conn.wants_write());
     }
 
-    // Completing the submission set closes admission without waiting for
-    // the next wave timer.
-    if (admission_open_ && accepted_any) {
-      bool any_missing = false;
-      for (const std::size_t u : session_.missing_users()) {
-        if (participating_[u]) {
-          any_missing = true;
-          break;
-        }
-      }
-      if (!any_missing) {
-        admission_open_ = false;
-        commit_round();
-      }
+    // Completing the submission set runs the next wave now, which closes
+    // admission without waiting for the timer.
+    if (driver_.admission_open()) {
+      if (accepted_any && driver_.submissions_complete()) next_wave_at_ = now;
+      run_wave(now);
     }
-
-    if (admission_open_) drive_admission_timers(now);
 
     // Slow-loris / slow-reader sweep, amortised to 20 Hz.
     if (now - last_deadline_scan > std::chrono::milliseconds(50)) {
@@ -351,18 +287,12 @@ void AuctioneerServer::handle_frame(Peer& peer, const Bytes& frame,
       (env->type == proto::MessageType::kLocationSubmission ||
        env->type == proto::MessageType::kBidSubmission);
 
-  switch (session_.try_ingest(frame)) {
+  switch (driver_.on_submission(frame)) {
     case proto::AuctioneerSession::IngestResult::kAccepted:
-      if (crashes_ != nullptr) {
-        crashes_->checkpoint(proto::CrashPoint::kAfterIngest);
-      }
-      break;
     case proto::AuctioneerSession::IngestResult::kDuplicateRedelivery:
-      ++report_->duplicate_redeliveries;
       break;
     case proto::AuctioneerSession::IngestResult::kRejected:
     case proto::AuctioneerSession::IngestResult::kEquivocation:
-      ++report_->rejected_messages;
       return;  // no binding, no ack for garbage
   }
 
@@ -427,45 +357,22 @@ void AuctioneerServer::close_all_abortive() {
   listener_ = Fd();  // stop accepting; the driver rebinds on restart
 }
 
-void AuctioneerServer::drive_admission_timers(SteadyClock::time_point now) {
+void AuctioneerServer::run_wave(SteadyClock::time_point now) {
   if (now < next_wave_at_) return;
-  obs::MetricsRegistry* const m = server_config_.metrics;
-
-  std::vector<std::size_t> missing;
-  for (const std::size_t u : session_.missing_users()) {
-    if (participating_[u]) missing.push_back(u);
-  }
-  if (missing.empty()) {
-    admission_open_ = false;
-    commit_round();
+  const std::size_t backoff = driver_.backoff_ticks();
+  const std::vector<proto::RoundDriver::Nack> nacks =
+      driver_.wave(ticks_now(now));
+  if (!driver_.admission_open()) {
+    publish_round(now);
     return;
   }
-  const std::size_t ticks = ticks_now(now);
-  if (round_.deadline_ticks > 0 && ticks >= round_.deadline_ticks) {
-    // Deadline gone (typically eaten by recoveries): commit with the
-    // quorum of journaled submissions instead of waiting out the waves.
-    report_->degraded = true;
-    admission_open_ = false;
-    commit_round();
-    return;
-  }
-  if (wave_ >= round_.hardened.max_retries) {
-    admission_open_ = false;
-    commit_round();
-    return;
-  }
-
-  report_->retry_waves = std::max(report_->retry_waves, wave_ + 1);
-  for (const std::size_t u : missing) {
-    const std::uint8_t mask = missing_mask(session_, u);
-    journal_->append_nack(u, mask, wave_);
-    if (m != nullptr) m->counter("net.nacks").inc();
-    const auto bound = su_conn_.find(u);
+  for (const proto::RoundDriver::Nack& nack : nacks) {
+    const auto bound = su_conn_.find(nack.su);
     if (bound == su_conn_.end()) continue;  // not (re)connected yet
     const auto it = peers_.find(bound->second);
     if (it == peers_.end()) continue;
     Peer& peer = *it->second;
-    send_to_peer(peer, make_nack_frame(mask), now);
+    send_to_peer(peer, encode_frame(nack.envelope), now);
     if (peer.doomed) {
       evict(bound->second, /*abortive=*/false, "backpressure");
     } else {
@@ -473,63 +380,19 @@ void AuctioneerServer::drive_admission_timers(SteadyClock::time_point now) {
                 peer.conn.wants_write());
     }
   }
-  next_wave_at_ =
-      now + 2 * round_.hardened.backoff_ticks(wave_) * server_config_.tick;
-  ++wave_;
+  next_wave_at_ = now + 2 * backoff * server_config_.tick;
 }
 
-void AuctioneerServer::commit_round() {
-  obs::MetricsRegistry* const m = server_config_.metrics;
-
-  if (!session_.allocation_done()) {
-    session_.finalize_participants(*report_);
-    LPPA_PROTOCOL_CHECK(
-        session_.participants().size() >= round_.min_quorum,
-        "round below quorum: " + std::to_string(round_.min_quorum) +
-            " participants required");
-    if (crashes_ != nullptr) {
-      crashes_->checkpoint(proto::CrashPoint::kAfterFinalize);
-    }
-
-    // Same allocation stream as every bus attempt: rebuild the generator
-    // from the seed and discard the SU-side fork the driver spent.
-    Rng master(seed_);
-    (void)master.fork();
-    session_.run_allocation(master);
-    if (crashes_ != nullptr) {
-      crashes_->checkpoint(proto::CrashPoint::kAfterAllocation);
-    }
-  }
-
-  // Charging against the co-located TTP service.  The budget check stays
-  // (parity with the bus driver's loop shape) even though the in-process
-  // call cannot lose batches.
-  const std::vector<Bytes> queries = session_.charge_query_envelopes();
-  while (!session_.charging_complete()) {
-    LPPA_PROTOCOL_CHECK(
-        report_->charge_attempts < round_.hardened.max_charge_attempts,
-        "TTP unreachable: charging incomplete after retry budget");
-    ++report_->charge_attempts;
+void AuctioneerServer::publish_round(SteadyClock::time_point now) {
+  // The TTP is co-located: every query is answered in-process.
+  for (std::vector<Bytes> queries = driver_.charge_queries(); !queries.empty();
+       queries = driver_.charge_queries()) {
     for (const Bytes& query : queries) {
-      session_.ingest_charge_results(ttp_service_.handle(query));
-      if (crashes_ != nullptr) {
-        crashes_->checkpoint(proto::CrashPoint::kAfterChargeCommit);
-      }
+      driver_.on_charge_result(ttp_service_.handle(query));
     }
   }
-
-  if (crashes_ != nullptr) {
-    crashes_->checkpoint(proto::CrashPoint::kBeforePublish);
-  }
-  journal_->append(proto::JournalRecordType::kCommitted);
-
-  announcement_ = session_.winner_announcement();
-  report_->completed = true;
-  report_->journal_records = journal_->num_records();
-  report_->journal_bytes = journal_->data().size();
-  const auto now = SteadyClock::now();
+  announcement_ = driver_.publish();
   ticks_used_ = ticks_now(now);
-  if (m != nullptr) m->counter("net.published_rounds").inc();
   set_status(Status::kPublished);
 
   // Push the announcement to every open connection — it is the public

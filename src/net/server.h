@@ -1,14 +1,15 @@
 // AuctioneerServer: the auctioneer side of the LPPA round over real
 // sockets.
 //
-// One epoll thread multiplexes every SU connection into a single
-// AuctioneerSession — the session code is unchanged from the in-process
-// bus path; this layer only moves bytes.  The round logic mirrors
-// proto::run_recoverable_wire_auction wave for wave, with the bus's
-// logical clock mapped onto wall time (one tick = ServerConfig::tick),
-// so a socket round at seed S commits byte-identical awards, charges
-// and announcement to a bus round at seed S (net_session_test pins
-// this, including under crash and fault injection).
+// One epoll thread multiplexes every SU connection into one
+// proto::RoundDriver — the same sans-IO round state machine the
+// in-process bus adapter runs, with its ticks mapped onto wall time (one
+// tick = ServerConfig::tick).  This layer only does transport work:
+// accept, framing, parallel envelope parsing, binding SUs to their
+// latest connection, eviction and broadcast.  A socket round at seed S
+// therefore commits byte-identical awards, charges and announcement to
+// a bus round at seed S (net_session_test pins this, including under
+// crash and fault injection).
 //
 // Robustness posture (docs/robustness.md has the full state machine):
 //   * admission control — at most max_connections peers; excess accepts
@@ -20,7 +21,7 @@
 //   * slow-loris — read/write progress deadlines (TransportLimits);
 //   * crashes — a CrashInjector checkpoint firing anywhere in the round
 //     tears the server down abortively (RST to every peer), exactly like
-//     a process death; the driver rebuilds a new server from the
+//     a process death; the caller rebuilds a new server from the
 //     journal, and reconnecting clients redeliver already-sent bytes
 //     which dedupe as benign.
 #pragma once
@@ -38,13 +39,12 @@
 #include "common/thread_pool.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
-#include "proto/parties.h"
-#include "proto/session.h"
+#include "proto/round_driver.h"
 
 namespace lppa::net {
 
-/// Transport-side server policy; the round-side policy (retries,
-/// deadline, quorum) lives in SocketRoundOptions.
+/// Transport-side server policy; the round policy (retries, deadline,
+/// quorum, churn) is SocketRoundOptions.
 struct ServerConfig {
   Endpoint endpoint = Endpoint::tcp_loopback();
   /// Admission control: peers accepted concurrently; everyone past the
@@ -59,7 +59,7 @@ struct ServerConfig {
   /// The kernel clamps this to net.core.somaxconn.
   int listen_backlog = 256;
   TransportLimits limits;
-  /// Wall-clock duration of one logical bus tick: backoff waves, round
+  /// Wall-clock duration of one logical tick: backoff waves, round
   /// deadlines and fault delays are all specified in ticks and scheduled
   /// on this clock (see the mapping note in proto/fault.h).
   std::chrono::microseconds tick{1000};
@@ -67,31 +67,13 @@ struct ServerConfig {
   /// submission with a kSubmissionAck frame — bench/loadgen uses it to
   /// measure end-to-end submit latency.
   bool ack_submissions = false;
-  obs::MetricsRegistry* metrics = nullptr;  ///< not owned; may be null
+  /// Transport counters (`net.*`) and the round's `wire.*` counters and
+  /// spans.  Not owned; may be null.
+  obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// One scripted churn operation the server applies while admission is
-/// still open: SU `user` departs the round (true) or returns to it
-/// (false).  See SocketRoundOptions::churn.
-struct SocketChurnOp {
-  bool depart = true;
-  std::size_t user = 0;
-};
-
-/// Round policy, mirroring proto::RecoverableSessionConfig field for
-/// field (ticks mean wall ticks here, bus ticks there).
-struct SocketRoundOptions {
-  proto::HardenedSessionConfig hardened;
-  std::size_t deadline_ticks = 0;  ///< 0 disables the round deadline
-  std::size_t min_quorum = 1;
-  std::size_t recovery_cost_ticks = 1;
-  /// Scripted churn schedule, applied in order before admission closes.
-  /// Each operation is journaled write-ahead by the session and followed
-  /// by a CrashPoint::kMidChurn checkpoint; a restarted server resumes
-  /// the schedule from AuctioneerSession::churn_ops_applied(), so every
-  /// operation lands exactly once across crash/recovery attempts.
-  std::vector<SocketChurnOp> churn;
-};
+/// The round policy is the transport-independent one.
+using SocketRoundOptions = proto::RecoverableSessionConfig;
 
 class AuctioneerServer {
  public:
@@ -102,23 +84,25 @@ class AuctioneerServer {
     kFailed,     ///< unrecoverable error (quorum, bind, ...) — rethrown
   };
 
-  /// Builds the auctioneer for one round attempt.  Replays `journal`
-  /// into a fresh session (crash recovery; an empty journal starts the
-  /// round), binds the listen socket (rewriting an ephemeral TCP port
-  /// into `server_config.endpoint` — pass the same resolved endpoint to
-  /// every restart so clients can reconnect), and spawns the epoll
-  /// thread.  `participating[u]` == false marks SU u as a known
-  /// non-participant (never nacked, never awaited).  `start_ticks` seeds
-  /// the round clock — the driver accumulates recovery costs there.
-  /// None of the pointer parameters are owned; journal/report/crashes
-  /// must outlive the server, and `report` is only driver-readable after
-  /// a terminal status.
+  /// Builds the auctioneer for one round attempt: a proto::RoundDriver
+  /// over `journal` (replayed into a fresh session — crash recovery; an
+  /// empty journal starts the round), a listen socket bound to
+  /// `server_config.endpoint` (an ephemeral TCP port is rewritten into
+  /// it — pass the same resolved endpoint to every restart so clients
+  /// can reconnect), and the epoll thread.  `participating[u]` == false
+  /// marks SU u as a known non-participant (never nacked, never
+  /// awaited).  `start_ticks` seeds the round clock — the caller
+  /// accumulates recovery costs there — and the attempt's spans hang
+  /// under `round_span`.  None of the pointer parameters are owned;
+  /// journal/report/crashes/round_span must outlive the server, and
+  /// `report` is only caller-readable after a terminal status.
   AuctioneerServer(const core::LppaConfig& config, std::size_t num_users,
                    ServerConfig& server_config, SocketRoundOptions round,
                    std::vector<bool> participating,
                    core::TrustedThirdParty& ttp, std::uint64_t seed,
                    proto::RoundJournal* journal, proto::RoundReport* report,
-                   proto::CrashInjector* crashes, std::size_t start_ticks);
+                   proto::CrashInjector* crashes, std::size_t start_ticks,
+                   const obs::Span* round_span = nullptr);
 
   /// Stops the loop (if still running) and joins.  Deterministic with
   /// frames still queued: the loop thread is stopped FIRST (so nothing
@@ -157,29 +141,20 @@ class AuctioneerServer {
   void send_to_peer(Peer& peer, Bytes frame, SteadyClock::time_point now);
   void evict(std::uint64_t id, bool abortive, const char* why);
   void close_all_abortive();
-  void drive_admission_timers(SteadyClock::time_point now);
-  void commit_round();  ///< finalize → allocate → charge → publish
+  void run_wave(SteadyClock::time_point now);
+  void publish_round(SteadyClock::time_point now);  ///< charge → publish
   std::size_t ticks_now(SteadyClock::time_point now) const;
   void set_status(Status s);
 
   // --- immutable configuration ------------------------------------------
-  core::LppaConfig config_;
   std::size_t num_users_;
   ServerConfig server_config_;
-  SocketRoundOptions round_;
-  std::vector<bool> participating_;
-  std::uint64_t seed_;
-  proto::RoundJournal* journal_;
-  proto::RoundReport* report_;
-  proto::CrashInjector* crashes_;
   std::size_t start_ticks_;
   proto::TtpService ttp_service_;
 
   // --- loop-thread state (only touched by the epoll thread after
   // construction) ---------------------------------------------------------
-  proto::AuctioneerSession session_;
-  std::size_t wave_ = 0;
-  std::size_t churn_next_ = 0;  ///< cursor into round_.churn
+  proto::RoundDriver driver_;
   Endpoint endpoint_;
   Fd listener_;
   EventLoop loop_;
@@ -190,7 +165,6 @@ class AuctioneerServer {
   std::uint64_t next_conn_id_ = 1;
   SteadyClock::time_point started_at_;
   SteadyClock::time_point next_wave_at_;
-  bool admission_open_ = true;
   Bytes announcement_;
   std::size_t ticks_used_ = 0;
 

@@ -2,7 +2,7 @@
 
 #include <optional>
 
-#include "common/thread_pool.h"
+#include "obs/span.h"
 
 namespace lppa::net {
 
@@ -13,61 +13,24 @@ SocketAuctionResult run_recoverable_socket_auction(
     ServerConfig server_config, SocketRoundOptions round,
     proto::CrashInjector* crashes, SocketFaultInjector* faults,
     const std::vector<std::size_t>& exclude) {
-  LPPA_REQUIRE(locations.size() == bids.size(),
-               "one location per bid vector required");
-  LPPA_REQUIRE(!bids.empty(), "auction requires at least one bidder");
   const std::size_t n = bids.size();
-
-  std::vector<bool> participating(n, true);
-  for (const std::size_t u : exclude) {
-    LPPA_REQUIRE(u < n, "excluded SU index out of range");
-    participating[u] = false;
-  }
+  const std::vector<bool> participating = proto::participation_mask(n, exclude);
   if (faults != nullptr) {
     faults->require_within_deadline(round.deadline_ticks);
   }
 
   SocketAuctionResult result;
   proto::RoundReport& report = result.report;
-  report.num_users = n;
-  report.deadline_ticks = round.deadline_ticks;
-
-  // --- SU side: mask exactly once, cache the bytes forever ---------------
-  // Identical RNG discipline to the bus drivers: one boot fork for all
-  // SU-side randomness, per-SU forks in index order whether or not the
-  // SU participates, so socket and bus runs (and runs excluding the
-  // other path's losses) regenerate byte-identical submissions.
-  const core::SuKeyBundle keys = ttp.su_keys();
-  std::vector<SuEnvelopes> endpoints;
-  {
-    Rng boot(seed);
-    Rng su_master = boot.fork();
-    std::vector<Rng> su_rngs;
-    su_rngs.reserve(n);
-    for (std::size_t u = 0; u < n; ++u) su_rngs.push_back(su_master.fork());
-
-    std::vector<std::optional<SuEnvelopes>> built(n);
-    parallel_for(n, 0, [&](std::size_t u) {
-      if (!participating[u]) return;
-      const proto::SuClient client(u, config, keys);
-      SuEnvelopes e;
-      e.su = u;
-      e.location = client.location_envelope(locations[u], su_rngs[u]);
-      e.bid = client.bid_envelope(bids[u], su_rngs[u]);
-      built[u] = std::move(e);
-    });
-    for (std::size_t u = 0; u < n; ++u) {
-      if (!built[u].has_value()) continue;
-      result.envelopes_built += 2;
-      endpoints.push_back(std::move(*built[u]));
-    }
-  }
+  std::vector<proto::SuEnvelopes> endpoints = proto::mask_submissions(
+      config, ttp.su_keys(), locations, bids, seed, participating);
   LPPA_REQUIRE(!endpoints.empty(), "every SU is excluded from the round");
+  result.envelopes_built = 2 * endpoints.size();
 
   // --- Durable state: what a crash cannot erase --------------------------
   proto::RoundJournal journal;
   std::size_t ticks = 0;
   std::optional<ClientPool> pool;
+  obs::Span round_span(server_config.metrics, "wire.round");
 
   // Generous wall ceiling so a wedged round fails loudly instead of
   // hanging the caller; sized for the slowest sanitized crash-matrix
@@ -82,7 +45,8 @@ SocketAuctionResult run_recoverable_socket_auction(
   for (;;) {
     check_wall();
     AuctioneerServer server(config, n, server_config, round, participating,
-                            ttp, seed, &journal, &report, crashes, ticks);
+                            ttp, seed, &journal, &report, crashes, ticks,
+                            &round_span);
     if (!pool.has_value()) {
       // First server bound the endpoint (ephemeral port now resolved);
       // every restart rebinds the same address.
@@ -107,7 +71,6 @@ SocketAuctionResult run_recoverable_socket_auction(
       // The auctioneer died; the journal and the SUs (their sockets got
       // an RST) survive.  Restarting costs ticks, which is how crashes
       // erode the deadline.
-      ++report.crash_recoveries;
       ticks = server.ticks_used() + round.recovery_cost_ticks;
       continue;  // ~server closes the listener; loop rebinds
     }
@@ -131,22 +94,7 @@ SocketAuctionResult run_recoverable_socket_auction(
   result.reconnects = pool->reconnects();
   if (faults != nullptr) result.socket_faults = faults->counters();
   report.ticks_used = ticks;
-  report.journal_records = journal.num_records();
-  report.journal_bytes = journal.data().size();
   return result;
-}
-
-SocketAuctionResult run_hardened_socket_auction(
-    const core::LppaConfig& config, core::TrustedThirdParty& ttp,
-    const std::vector<auction::SuLocation>& locations,
-    const std::vector<auction::BidVector>& bids, std::uint64_t seed,
-    ServerConfig server_config, const proto::HardenedSessionConfig& hardened,
-    SocketFaultInjector* faults, const std::vector<std::size_t>& exclude) {
-  SocketRoundOptions round;
-  round.hardened = hardened;
-  return run_recoverable_socket_auction(config, ttp, locations, bids, seed,
-                                        std::move(server_config), round,
-                                        /*crashes=*/nullptr, faults, exclude);
 }
 
 }  // namespace lppa::net

@@ -1,12 +1,12 @@
-// Socket ports of the hardened / recoverable wire-auction drivers.
+// The LPPA round over sockets: the socket adapter of proto::RoundDriver.
 //
-// These are the src/net twins of proto::run_hardened_wire_auction and
-// proto::run_recoverable_wire_auction: the same round semantics — nack
-// waves under exponential backoff, strike/equivocation bookkeeping,
-// deadline-quorum degradation, write-ahead journal recovery after a
-// mid-round auctioneer crash — but with every SU↔auctioneer message
-// travelling through a real nonblocking socket (TCP loopback or
-// Unix-domain) instead of the in-process MessageBus.
+// The same round as proto::run_recoverable_wire_auction — nack waves
+// under exponential backoff, strike/equivocation bookkeeping,
+// deadline-quorum degradation, scripted churn, write-ahead journal
+// recovery after a mid-round auctioneer crash — because both run the
+// one RoundDriver; here every SU↔auctioneer message travels through a
+// real nonblocking socket (TCP loopback or Unix-domain) instead of the
+// in-process MessageBus.
 //
 // The invariant the tests pin: at the same seed, the socket round
 // commits byte-identical awards, charges and announcement to the bus
@@ -47,26 +47,15 @@ struct SocketAuctionResult {
 /// CrashInjector to kill the auctioneer at its checkpoints, a
 /// SocketFaultInjector to mangle client traffic, and `exclude` for SUs
 /// that sit the round out (their RNG streams are still consumed — same
-/// contract as the bus drivers).
+/// contract as the bus adapter).  With ServerConfig::metrics set the
+/// round records the same `wire.*` counters and `wire.round` span tree
+/// as the bus.
 SocketAuctionResult run_recoverable_socket_auction(
     const core::LppaConfig& config, core::TrustedThirdParty& ttp,
     const std::vector<auction::SuLocation>& locations,
     const std::vector<auction::BidVector>& bids, std::uint64_t seed,
     ServerConfig server_config, SocketRoundOptions round = {},
     proto::CrashInjector* crashes = nullptr,
-    SocketFaultInjector* faults = nullptr,
-    const std::vector<std::size_t>& exclude = {});
-
-/// The hardened (crash-free) socket round: exactly
-/// run_recoverable_socket_auction with no crash injector and no
-/// deadline by default — the same byte-equivalence the bus drivers
-/// guarantee between their hardened and recoverable paths.
-SocketAuctionResult run_hardened_socket_auction(
-    const core::LppaConfig& config, core::TrustedThirdParty& ttp,
-    const std::vector<auction::SuLocation>& locations,
-    const std::vector<auction::BidVector>& bids, std::uint64_t seed,
-    ServerConfig server_config,
-    const proto::HardenedSessionConfig& hardened = {},
     SocketFaultInjector* faults = nullptr,
     const std::vector<std::size_t>& exclude = {});
 

@@ -1,5 +1,7 @@
 #include "net/socket_fault.h"
 
+#include <algorithm>
+
 namespace lppa::net {
 
 SocketFaultInjector::SocketFaultInjector(std::uint64_t seed,
@@ -61,6 +63,17 @@ SocketFaultDecision SocketFaultInjector::decide(std::size_t su,
     ++counters_.duplicates;
   } else if (u < (edge += spec_.fragment)) {
     d.kind = SocketFaultDecision::Kind::kFragment;
+    // A few cuts strictly inside the frame, drawn like kTruncate's, so
+    // the fault costs a handful of sends whatever the frame size.
+    for (std::size_t i = 0;
+         i < SocketFaultDecision::kMaxFragmentCuts && frame_bytes > 1; ++i) {
+      d.fragment_cuts.push_back(
+          1 + static_cast<std::size_t>(rng.below(frame_bytes - 1)));
+    }
+    std::sort(d.fragment_cuts.begin(), d.fragment_cuts.end());
+    d.fragment_cuts.erase(
+        std::unique(d.fragment_cuts.begin(), d.fragment_cuts.end()),
+        d.fragment_cuts.end());
     ++counters_.fragments;
   }
   if (d.kind != SocketFaultDecision::Kind::kNone) ++charged_[su];

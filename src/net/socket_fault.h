@@ -15,9 +15,12 @@
 //                hitting the socket;
 //   kDuplicate — the frame bytes are written twice back to back (the
 //                session's redelivery classification must absorb it);
-//   kFragment  — the frame is written in 1-byte chunks with the socket
-//                flushed between them, exercising every partial-read
-//                boundary of the server's FrameDecoder.
+//   kFragment  — the frame is written in a few pieces, split at seeded
+//                cut points, with one send() per piece, so the server's
+//                FrameDecoder sees partial reads inside the frame.  (The
+//                decoder's every-split-point coverage is net_frame_test's
+//                job; over loopback, per-byte sends would not even
+//                guarantee per-byte reads.)
 //
 // Plus one targeted, non-probabilistic class: SocketFaultSpec::mute_su
 // names an SU whose every frame is silently swallowed (kMute) — the
@@ -48,7 +51,7 @@ struct SocketFaultSpec {
   double reset = 0.0;      ///< abortive close before sending
   double delay = 0.0;      ///< held 1..max_delay_ticks ticks
   double duplicate = 0.0;  ///< frame bytes sent twice
-  double fragment = 0.0;   ///< sent one byte at a time
+  double fragment = 0.0;   ///< sent in pieces split at seeded cut points
   std::size_t max_delay_ticks = 2;
   /// Faults charged per SU before its traffic goes clean; bounds the
   /// retry storm so every faulted round converges.
@@ -85,9 +88,14 @@ struct SocketFaultDecision {
     kFragment,
     kMute,
   };
+  /// Most cut points a kFragment verdict splits a frame at.
+  static constexpr std::size_t kMaxFragmentCuts = 3;
+
   Kind kind = Kind::kNone;
   std::size_t cut_at = 0;      ///< kTruncate: bytes delivered before the cut
   std::size_t delay_ticks = 0; ///< kDelay: hold duration
+  /// kFragment: strictly increasing cut offsets inside the frame.
+  std::vector<std::size_t> fragment_cuts;
 };
 
 class SocketFaultInjector {

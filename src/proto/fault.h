@@ -39,8 +39,8 @@ struct Address;  // proto/bus.h
 /// Tick-based delays vs wall-clock transports: `delay` holds a message
 /// for 1..max_delay_ticks *bus ticks*, and a tick is whatever the
 /// session driver says it is.  On the in-process MessageBus a tick is
-/// one MessageBus::advance() call — the hardened/recoverable sessions
-/// spend ticks explicitly (HardenedSessionConfig::backoff_ticks,
+/// one MessageBus::advance() call — the bus adapter of the round driver
+/// spends ticks explicitly (HardenedSessionConfig::backoff_ticks,
 /// RecoverableSessionConfig::deadline_ticks), so delays and deadlines
 /// share one logical clock by construction.  The socket transport
 /// (src/net) has no advance(): it maps one tick to one wall-clock
@@ -136,7 +136,7 @@ class FaultInjector {
   obs::MetricsRegistry* metrics_ = nullptr;  ///< not owned; may be null
 };
 
-/// Where the recoverable session (proto/session.h) may lose the
+/// Where the round driver (proto/round_driver.h) may lose the
 /// auctioneer process.  Each point sits just after the matching journal
 /// record is durable, so a crash there loses all in-memory state but
 /// never the log — the atomicity contract of a write-ahead design.

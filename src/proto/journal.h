@@ -11,8 +11,8 @@
 // the wave counter), phase commits (the allocation commit carries a full
 // AuctioneerSession::snapshot()), and accepted charge-result batches.
 // Replaying the journal into a fresh session reproduces the crashed
-// session's state byte-for-byte; proto::run_recoverable_wire_auction
-// (session.h) drives that recovery loop.
+// session's state byte-for-byte; proto::RoundDriver (round_driver.h)
+// recovers that way.
 //
 // The record framing deliberately mirrors the Envelope discipline: any
 // truncation or byte flip of the log surfaces as LppaError(kProtocol) at

@@ -43,8 +43,8 @@ struct Envelope {
 };
 
 /// Auctioneer -> SU nack: which of the SU's submissions never arrived
-/// (or arrived damaged) and should be resent.  Sent during the hardened
-/// session's retry waves (proto/session.h).
+/// (or arrived damaged) and should be resent.  Sent during the round
+/// driver's retry waves (proto/round_driver.h).
 struct RetransmitRequest {
   static constexpr std::uint8_t kLocation = 1;
   static constexpr std::uint8_t kBid = 2;

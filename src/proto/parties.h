@@ -1,7 +1,8 @@
 // The three protocol roles as wire-level state machines.
 //
-// Each party only ever consumes and produces Envelope bytes; the session
-// driver (proto/session.h) moves those bytes over a MessageBus.  The
+// Each party only ever consumes and produces Envelope bytes; the round
+// driver (proto/round_driver.h) runs the auctioneer, and its transport
+// adapters move the bytes over a MessageBus or sockets.  The
 // information separation of the paper is structural here: SuClient holds
 // the TTP-issued keys, AuctioneerSession holds none, TtpService wraps
 // the TrustedThirdParty.
@@ -52,7 +53,7 @@ class SuClient {
 /// the EncryptedBidTable.  Two ingestion modes share that validation:
 /// the strict ingest() throws on any problem (the classic lock-step
 /// session), while try_ingest() classifies the problem and keeps the
-/// session usable — the hardened session uses it to survive Byzantine
+/// session usable — the round driver uses it to survive Byzantine
 /// senders, corrupted links, and benign redeliveries, then finalizes the
 /// round over whichever users delivered valid submissions.
 class AuctioneerSession {

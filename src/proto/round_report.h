@@ -1,10 +1,10 @@
-// RoundReport: the per-round log of a hardened auction round.
+// RoundReport: the per-round log of a wire auction round.
 //
 // Graceful degradation is only useful if it is observable: when the
 // auctioneer completes a round without some parties, operators (and the
 // fault-injection tests) need to see exactly who was excluded, why, how
 // many retry waves it took, and what the network did.  One RoundReport
-// is produced per hardened round (proto/session.h) and accumulated per
+// is produced per round (proto::RoundDriver) and accumulated per
 // experiment (sim/multi_round.h).
 #pragma once
 
@@ -41,7 +41,7 @@ struct RoundReport {
   std::size_t rejected_messages = 0;  ///< unparseable or invalid messages seen
   std::size_t duplicate_redeliveries = 0;  ///< benign identical re-arrivals
 
-  // --- Crash recovery (proto::run_recoverable_wire_auction) -------------
+  // --- Crash recovery (proto::RoundDriver) ------------------------------
   std::size_t crash_recoveries = 0;  ///< auctioneer restarts this round
   std::size_t journal_records = 0;   ///< journal records written by round end
   std::size_t journal_bytes = 0;     ///< durable journal size in bytes

@@ -1,358 +1,10 @@
 #include "proto/session.h"
 
-#include <algorithm>
-#include <limits>
-
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "proto/fault.h"
 #include "proto/journal.h"
 
 namespace lppa::proto {
-
-std::size_t HardenedSessionConfig::backoff_ticks(
-    std::size_t wave) const noexcept {
-  if (backoff_base_ticks == 0) return 0;
-  // base * 2^wave overflows exactly when base > max >> wave; comparing
-  // that way never shifts by more than the word size and never wraps.
-  if (wave >= static_cast<std::size_t>(
-                  std::numeric_limits<std::size_t>::digits) ||
-      backoff_base_ticks > (max_backoff_ticks >> wave)) {
-    return max_backoff_ticks;
-  }
-  return backoff_base_ticks << wave;
-}
-
-WireAuctionResult run_wire_auction(
-    const core::LppaConfig& config, core::TrustedThirdParty& ttp,
-    const std::vector<auction::SuLocation>& locations,
-    const std::vector<auction::BidVector>& bids, MessageBus& bus, Rng& rng) {
-  LPPA_REQUIRE(locations.size() == bids.size(),
-               "one location per bid vector required");
-  LPPA_REQUIRE(!bids.empty(), "auction requires at least one bidder");
-
-  const std::size_t n = bids.size();
-  const Address auctioneer = Address::auctioneer();
-  const Address ttp_addr = Address::ttp();
-
-  // --- SU side: mask and transmit (same RNG discipline as LppaAuction) ---
-  const core::SuKeyBundle keys = ttp.su_keys();
-  Rng su_master = rng.fork();
-  for (std::size_t u = 0; u < n; ++u) {
-    Rng su_rng = su_master.fork();
-    const SuClient client(u, config, keys);
-    bus.send(Address::su(u), auctioneer,
-             client.location_envelope(locations[u], su_rng));
-    bus.send(Address::su(u), auctioneer,
-             client.bid_envelope(bids[u], su_rng));
-  }
-
-  // --- Auctioneer: drain the queue, allocate, query the TTP --------------
-  AuctioneerSession session(config, n);
-  while (auto message = bus.receive(auctioneer)) {
-    session.ingest(*message);
-  }
-  LPPA_PROTOCOL_CHECK(session.ready(), "missing submissions on the bus");
-  session.run_allocation(rng);
-
-  WireAuctionResult result;
-  TtpService service(ttp);
-  for (const auto& query_envelope : session.charge_query_envelopes()) {
-    bus.send(auctioneer, ttp_addr, query_envelope);
-    const auto delivered = bus.receive(ttp_addr);
-    LPPA_PROTOCOL_CHECK(delivered.has_value(), "charge query lost on the bus");
-    bus.send(ttp_addr, auctioneer, service.handle(*delivered));
-    const auto response = bus.receive(auctioneer);
-    LPPA_PROTOCOL_CHECK(response.has_value(), "charge result lost on the bus");
-    session.ingest_charge_results(*response);
-    ++result.ttp_batches;
-  }
-
-  // --- Publication ---------------------------------------------------------
-  const Bytes announcement = session.winner_announcement();
-  const Envelope e = Envelope::deserialize(announcement);
-  result.awards = WinnerAnnouncement::deserialize(e.payload).awards;
-
-  result.submission_traffic = bus.total_into(Address::Kind::kAuctioneer);
-  // Subtract the TTP->auctioneer leg to isolate SU submissions.
-  const LinkStats ttp_to_auctioneer = bus.link(ttp_addr, auctioneer);
-  result.submission_traffic.messages -= ttp_to_auctioneer.messages;
-  result.submission_traffic.bytes -= ttp_to_auctioneer.bytes;
-
-  const LinkStats to_ttp = bus.link(auctioneer, ttp_addr);
-  result.charging_traffic.messages =
-      to_ttp.messages + ttp_to_auctioneer.messages;
-  result.charging_traffic.bytes = to_ttp.bytes + ttp_to_auctioneer.bytes;
-  return result;
-}
-
-HardenedWireResult run_hardened_wire_auction(
-    const core::LppaConfig& config, core::TrustedThirdParty& ttp,
-    const std::vector<auction::SuLocation>& locations,
-    const std::vector<auction::BidVector>& bids, MessageBus& bus, Rng& rng,
-    const HardenedSessionConfig& hardened,
-    const std::vector<std::size_t>& exclude) {
-  LPPA_REQUIRE(locations.size() == bids.size(),
-               "one location per bid vector required");
-  LPPA_REQUIRE(!bids.empty(), "auction requires at least one bidder");
-
-  const std::size_t n = bids.size();
-  const Address auctioneer = Address::auctioneer();
-  const Address ttp_addr = Address::ttp();
-
-  std::vector<bool> participating(n, true);
-  for (const std::size_t u : exclude) {
-    LPPA_REQUIRE(u < n, "excluded SU index out of range");
-    participating[u] = false;
-  }
-
-  HardenedWireResult result;
-  RoundReport& report = result.report;
-  report.num_users = n;
-
-  obs::MetricsRegistry* const m = config.metrics;
-  obs::Span round_span(m, "wire.round");
-  if (m != nullptr) m->counter("wire.rounds").inc();
-
-  // --- SU side: mask once, cache the envelopes for retransmission --------
-  // Every SU's stream is forked in index order whether or not it
-  // participates, so a run restricted to the survivors of a faulty run
-  // regenerates byte-identical submissions for them.
-  const core::SuKeyBundle keys = ttp.su_keys();
-  Rng su_master = rng.fork();
-  struct SuEndpoint {
-    Bytes location;
-    Bytes bid;
-  };
-  std::vector<SuEndpoint> endpoints(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    Rng su_rng = su_master.fork();
-    if (!participating[u]) continue;
-    const SuClient client(u, config, keys);
-    endpoints[u].location = client.location_envelope(locations[u], su_rng);
-    endpoints[u].bid = client.bid_envelope(bids[u], su_rng);
-    bus.send(Address::su(u), auctioneer, endpoints[u].location);
-    bus.send(Address::su(u), auctioneer, endpoints[u].bid);
-  }
-
-  // --- Auctioneer: drain / nack / backoff until complete or give up ------
-  AuctioneerSession session(config, n);
-  const auto drain_auctioneer = [&] {
-    while (auto message = bus.receive(auctioneer)) {
-      switch (session.try_ingest(*message)) {
-        case AuctioneerSession::IngestResult::kAccepted:
-          break;
-        case AuctioneerSession::IngestResult::kDuplicateRedelivery:
-          ++report.duplicate_redeliveries;
-          break;
-        case AuctioneerSession::IngestResult::kRejected:
-        case AuctioneerSession::IngestResult::kEquivocation:
-          ++report.rejected_messages;
-          break;
-      }
-    }
-  };
-
-  obs::Span admission_span(m, "wire.admission", &round_span);
-  for (std::size_t wave = 0;; ++wave) {
-    drain_auctioneer();
-    std::vector<std::size_t> missing;
-    for (const std::size_t u : session.missing_users()) {
-      if (participating[u]) missing.push_back(u);
-    }
-    if (missing.empty() || wave >= hardened.max_retries) break;
-    report.retry_waves = wave + 1;
-
-    // Nack exactly what is missing; resends of already-accepted halves
-    // dedupe harmlessly at the auctioneer.
-    for (const std::size_t u : missing) {
-      Envelope nack;
-      nack.type = MessageType::kRetransmitRequest;
-      RetransmitRequest request;
-      request.mask = static_cast<std::uint8_t>(
-          (session.has_location(u) ? 0 : RetransmitRequest::kLocation) |
-          (session.has_bid(u) ? 0 : RetransmitRequest::kBid));
-      nack.payload = request.serialize();
-      if (m != nullptr) m->counter("wire.nacks").inc();
-      bus.send(auctioneer, Address::su(u), nack.serialize());
-    }
-    // Exponential backoff: waiting also flushes delay-faulted messages.
-    bus.advance(hardened.backoff_ticks(wave));
-
-    // SU endpoints answer nacks with their cached envelope bytes.  A
-    // damaged nack still triggers a full resend — over-answering is safe,
-    // under-answering would stall the round.
-    for (std::size_t u = 0; u < n; ++u) {
-      if (!participating[u]) continue;
-      while (auto message = bus.receive(Address::su(u))) {
-        std::uint8_t mask = RetransmitRequest::kLocation | RetransmitRequest::kBid;
-        try {
-          const Envelope e = Envelope::deserialize(*message);
-          if (e.type != MessageType::kRetransmitRequest) continue;
-          mask = RetransmitRequest::deserialize(e.payload).mask;
-        } catch (const LppaError&) {
-        }
-        if (mask & RetransmitRequest::kLocation) {
-          bus.send(Address::su(u), auctioneer, endpoints[u].location);
-        }
-        if (mask & RetransmitRequest::kBid) {
-          bus.send(Address::su(u), auctioneer, endpoints[u].bid);
-        }
-      }
-    }
-    bus.advance(hardened.backoff_ticks(wave));
-  }
-  admission_span.end();
-
-  {
-    obs::Span allocation_span(m, "wire.allocation", &round_span);
-    session.finalize_participants(report);
-    session.run_allocation(rng);
-  }
-
-  // --- Charging: resend the full query set until every award is priced ---
-  // The TTP itself is trusted but the link to it is not: queries and
-  // results can be dropped or corrupted, so the batches are re-sent
-  // wholesale (the TTP is stateless per batch and results are idempotent)
-  // until charging_complete() or the attempt budget runs out.
-  TtpService service(ttp);
-  obs::Span charging_span(m, "wire.charging", &round_span);
-  const std::vector<Bytes> query_envelopes = session.charge_query_envelopes();
-  while (!session.charging_complete()) {
-    LPPA_PROTOCOL_CHECK(
-        report.charge_attempts < hardened.max_charge_attempts,
-        "TTP unreachable: charging incomplete after retry budget");
-    ++report.charge_attempts;
-    for (const auto& query_envelope : query_envelopes) {
-      bus.send(auctioneer, ttp_addr, query_envelope);
-    }
-    bus.advance(hardened.backoff_base_ticks);
-    while (auto message = bus.receive(ttp_addr)) {
-      try {
-        bus.send(ttp_addr, auctioneer, service.handle(*message));
-      } catch (const LppaError&) {
-        ++report.rejected_messages;  // damaged query; the resend covers it
-      }
-    }
-    bus.advance(hardened.backoff_base_ticks);
-    while (auto message = bus.receive(auctioneer)) {
-      try {
-        session.ingest_charge_results(*message);
-      } catch (const LppaError&) {
-        ++report.rejected_messages;  // damaged result batch
-      }
-    }
-  }
-  charging_span.end();
-
-  // --- Publication --------------------------------------------------------
-  const Bytes announcement = session.winner_announcement();
-  const Envelope e = Envelope::deserialize(announcement);
-  result.awards = WinnerAnnouncement::deserialize(e.payload).awards;
-  report.completed = true;
-  if (const FaultInjector* injector = bus.fault_injector()) {
-    report.faults = injector->counters();
-  }
-  if (m != nullptr) {
-    m->counter("wire.completed_rounds").inc();
-    m->counter("wire.retry_waves").inc(report.retry_waves);
-    m->counter("wire.charge_attempts").inc(report.charge_attempts);
-    m->counter("wire.rejected_messages").inc(report.rejected_messages);
-    m->counter("wire.duplicate_redeliveries")
-        .inc(report.duplicate_redeliveries);
-  }
-  return result;
-}
-
-namespace {
-
-/// Rebuilds a crashed auctioneer's state from the journal.  Post-
-/// allocation crashes restore the snapshot in the last kAllocated commit
-/// and re-apply later charge batches; earlier crashes replay the record
-/// stream through the same ingest path the bytes originally took.
-/// Returns the wave the retry schedule should resume at.  The journal is
-/// NOT attached to the session yet — replay must not re-journal what is
-/// already durable.
-std::size_t replay_journal(const RoundJournal& journal,
-                           AuctioneerSession& session, std::size_t num_users,
-                           RoundReport& report) {
-  const std::vector<JournalRecord> records = RoundJournal::read(journal.data());
-  if (records.empty()) return 0;
-  LPPA_PROTOCOL_CHECK(records.front().type == JournalRecordType::kRoundStart &&
-                          records.front().round_start_users() == num_users,
-                      "journal does not open this round");
-
-  std::size_t last_alloc = records.size();
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (records[i].type == JournalRecordType::kAllocated) last_alloc = i;
-  }
-
-  if (last_alloc != records.size()) {
-    session.restore_from(records[last_alloc].payload);
-    ++report.replayed_records;
-    for (std::size_t i = last_alloc + 1; i < records.size(); ++i) {
-      const JournalRecord& rec = records[i];
-      LPPA_PROTOCOL_CHECK(rec.type == JournalRecordType::kChargeCommit,
-                          "unexpected journal record after allocation commit");
-      session.ingest_charge_results(rec.payload);
-      ++report.replayed_records;
-    }
-    session.finalize_participants(report);  // rebuild the exclusion section
-    return 0;  // admission is long closed; the wave counter is moot
-  }
-
-  std::size_t resume_wave = 0;
-  for (const JournalRecord& rec : records) {
-    switch (rec.type) {
-      case JournalRecordType::kRoundStart:
-        break;
-      case JournalRecordType::kAccepted: {
-        std::string error;
-        const auto outcome = session.try_ingest(rec.payload, &error);
-        LPPA_PROTOCOL_CHECK(
-            outcome == AuctioneerSession::IngestResult::kAccepted,
-            "journaled submission failed re-ingest: " + error);
-        break;
-      }
-      case JournalRecordType::kStrike: {
-        const auto note = rec.user_note();
-        session.replay_strike(note.user, note.detail);
-        break;
-      }
-      case JournalRecordType::kEquivocation: {
-        const auto note = rec.user_note();
-        session.replay_equivocation(note.user, note.detail);
-        break;
-      }
-      case JournalRecordType::kNackSent:
-        resume_wave = std::max(resume_wave,
-                               static_cast<std::size_t>(rec.nack().wave) + 1);
-        break;
-      case JournalRecordType::kFinalized:
-        session.finalize_participants(report);
-        break;
-      case JournalRecordType::kChurnDeparture:
-        session.churn_depart(rec.churn_user());
-        break;
-      case JournalRecordType::kChurnArrival:
-        session.churn_return(rec.churn_user());
-        break;
-      default:
-        LPPA_PROTOCOL_CHECK(false,
-                            "journal record out of phase before allocation");
-    }
-    ++report.replayed_records;
-  }
-  return resume_wave;
-}
-
-}  // namespace
-
-std::size_t replay_session_journal(const RoundJournal& journal,
-                                   AuctioneerSession& session,
-                                   std::size_t num_users, RoundReport& report) {
-  return replay_journal(journal, session, num_users, report);
-}
 
 RecoverableWireResult run_recoverable_wire_auction(
     const core::LppaConfig& config, core::TrustedThirdParty& ttp,
@@ -360,58 +12,23 @@ RecoverableWireResult run_recoverable_wire_auction(
     const std::vector<auction::BidVector>& bids, MessageBus& bus,
     std::uint64_t seed, const RecoverableSessionConfig& recov,
     CrashInjector* crashes, const std::vector<std::size_t>& exclude) {
-  LPPA_REQUIRE(locations.size() == bids.size(),
-               "one location per bid vector required");
-  LPPA_REQUIRE(!bids.empty(), "auction requires at least one bidder");
-  LPPA_REQUIRE(recov.min_quorum >= 1, "a round needs a quorum of at least 1");
-
-  const std::size_t n = bids.size();
-  const HardenedSessionConfig& hardened = recov.hardened;
+  const std::vector<bool> participating =
+      participation_mask(bids.size(), exclude);
   const Address auctioneer = Address::auctioneer();
   const Address ttp_addr = Address::ttp();
+  obs::Span round_span(config.metrics, "wire.round");
 
-  std::vector<bool> participating(n, true);
-  for (const std::size_t u : exclude) {
-    LPPA_REQUIRE(u < n, "excluded SU index out of range");
-    participating[u] = false;
+  // SU endpoints survive auctioneer crashes: they send once, before any
+  // attempt, and afterwards only answer nacks with the same bytes.
+  const std::vector<SuEnvelopes> sus = mask_submissions(
+      config, ttp.su_keys(), locations, bids, seed, participating);
+  for (const SuEnvelopes& su : sus) {
+    bus.send(Address::su(su.su), auctioneer, su.location);
+    bus.send(Address::su(su.su), auctioneer, su.bid);
   }
 
+  // Durable state: what a crash cannot erase.
   RecoverableWireResult result;
-  RoundReport& report = result.report;
-  report.num_users = n;
-  report.deadline_ticks = recov.deadline_ticks;
-
-  obs::MetricsRegistry* const m = config.metrics;
-  obs::Span round_span(m, "wire.round");
-  if (m != nullptr) m->counter("wire.rounds").inc();
-
-  // --- SU side: mask and transmit exactly once ---------------------------
-  // The SU endpoints survive auctioneer crashes; their envelopes are
-  // built and sent once, before any attempt, and only ever leave the
-  // endpoint again as nack-answering retransmissions of the SAME bytes.
-  // Same RNG discipline as the hardened session, so a crash-free run is
-  // byte-equivalent to run_hardened_wire_auction over Rng(seed).
-  const core::SuKeyBundle keys = ttp.su_keys();
-  struct SuEndpoint {
-    Bytes location;
-    Bytes bid;
-  };
-  std::vector<SuEndpoint> endpoints(n);
-  {
-    Rng boot(seed);
-    Rng su_master = boot.fork();
-    for (std::size_t u = 0; u < n; ++u) {
-      Rng su_rng = su_master.fork();
-      if (!participating[u]) continue;
-      const SuClient client(u, config, keys);
-      endpoints[u].location = client.location_envelope(locations[u], su_rng);
-      endpoints[u].bid = client.bid_envelope(bids[u], su_rng);
-      bus.send(Address::su(u), auctioneer, endpoints[u].location);
-      bus.send(Address::su(u), auctioneer, endpoints[u].bid);
-    }
-  }
-
-  // --- Durable state: what a crash cannot erase --------------------------
   RoundJournal journal;
   TtpService service(ttp);
   std::size_t ticks = 0;
@@ -419,188 +36,87 @@ RecoverableWireResult run_recoverable_wire_auction(
     bus.advance(t);
     ticks += t;
   };
-  const auto deadline_expired = [&] {
-    return recov.deadline_ticks > 0 && ticks >= recov.deadline_ticks;
-  };
 
   for (;;) {
     try {
-      obs::Span attempt_span(m, "wire.attempt", &round_span);
-      // Each attempt reconstructs the full generator from the seed (the
-      // SU-side fork is spent above and discarded here) so the
-      // allocation stream is identical no matter how many attempts died.
-      Rng master(seed);
-      (void)master.fork();
-
-      AuctioneerSession session(config, n);
-      const std::size_t resume_wave =
-          replay_journal(journal, session, n, report);
-      session.attach_journal(&journal);
-      if (journal.empty()) journal.append_round_start(n);
-
-      const auto drain_auctioneer = [&] {
+      RoundDriver driver(config, bids.size(), recov, participating, seed,
+                         journal, result.report, crashes, config.metrics,
+                         &round_span);
+      driver.start();
+      for (;;) {
         while (auto message = bus.receive(auctioneer)) {
-          switch (session.try_ingest(*message)) {
-            case AuctioneerSession::IngestResult::kAccepted:
-              if (crashes != nullptr) {
-                crashes->checkpoint(CrashPoint::kAfterIngest);
-              }
-              break;
-            case AuctioneerSession::IngestResult::kDuplicateRedelivery:
-              ++report.duplicate_redeliveries;
-              break;
-            case AuctioneerSession::IngestResult::kRejected:
-            case AuctioneerSession::IngestResult::kEquivocation:
-              ++report.rejected_messages;
-              break;
+          driver.on_submission(*message);
+        }
+        if (!driver.admission_open()) break;
+        const std::size_t wait = driver.backoff_ticks();
+        for (const RoundDriver::Nack& nack : driver.wave(ticks)) {
+          bus.send(auctioneer, Address::su(nack.su),
+                   Bytes(nack.envelope.begin(), nack.envelope.end()));
+        }
+        if (!driver.admission_open()) break;
+        advance(wait);
+
+        // SU endpoints answer nacks with their cached bytes.  A damaged
+        // nack still triggers a full resend — over-answering is safe,
+        // under-answering would stall the round.
+        for (const SuEnvelopes& su : sus) {
+          while (auto message = bus.receive(Address::su(su.su))) {
+            std::uint8_t mask =
+                RetransmitRequest::kLocation | RetransmitRequest::kBid;
+            try {
+              const Envelope e = Envelope::deserialize(*message);
+              if (e.type != MessageType::kRetransmitRequest) continue;
+              mask = RetransmitRequest::deserialize(e.payload).mask;
+            } catch (const LppaError&) {
+            }
+            if (mask & RetransmitRequest::kLocation) {
+              bus.send(Address::su(su.su), auctioneer, su.location);
+            }
+            if (mask & RetransmitRequest::kBid) {
+              bus.send(Address::su(su.su), auctioneer, su.bid);
+            }
           }
         }
-      };
-
-      if (!session.allocation_done()) {
-        if (!session.admission_closed()) {
-          for (std::size_t wave = resume_wave;; ++wave) {
-            drain_auctioneer();
-            std::vector<std::size_t> missing;
-            for (const std::size_t u : session.missing_users()) {
-              if (participating[u]) missing.push_back(u);
-            }
-            if (missing.empty()) break;
-            if (deadline_expired()) {
-              // Deadline gone (typically eaten by recoveries): commit
-              // with the quorum of journaled submissions instead of
-              // waiting out the remaining waves.
-              report.degraded = true;
-              break;
-            }
-            if (wave >= hardened.max_retries) break;
-            report.retry_waves = std::max(report.retry_waves, wave + 1);
-
-            for (const std::size_t u : missing) {
-              Envelope nack;
-              nack.type = MessageType::kRetransmitRequest;
-              RetransmitRequest request;
-              request.mask = static_cast<std::uint8_t>(
-                  (session.has_location(u) ? 0 : RetransmitRequest::kLocation) |
-                  (session.has_bid(u) ? 0 : RetransmitRequest::kBid));
-              nack.payload = request.serialize();
-              journal.append_nack(u, request.mask, wave);
-              if (m != nullptr) m->counter("wire.nacks").inc();
-              bus.send(auctioneer, Address::su(u), nack.serialize());
-            }
-            advance(hardened.backoff_ticks(wave));
-
-            for (std::size_t u = 0; u < n; ++u) {
-              if (!participating[u]) continue;
-              while (auto message = bus.receive(Address::su(u))) {
-                std::uint8_t mask =
-                    RetransmitRequest::kLocation | RetransmitRequest::kBid;
-                try {
-                  const Envelope e = Envelope::deserialize(*message);
-                  if (e.type != MessageType::kRetransmitRequest) continue;
-                  mask = RetransmitRequest::deserialize(e.payload).mask;
-                } catch (const LppaError&) {
-                }
-                if (mask & RetransmitRequest::kLocation) {
-                  bus.send(Address::su(u), auctioneer, endpoints[u].location);
-                }
-                if (mask & RetransmitRequest::kBid) {
-                  bus.send(Address::su(u), auctioneer, endpoints[u].bid);
-                }
-              }
-            }
-            advance(hardened.backoff_ticks(wave));
-          }
-        } else {
-          // Admission was already committed before the crash; whatever
-          // is still on the bus can only be a redelivery.
-          drain_auctioneer();
-        }
-
-        session.finalize_participants(report);
-        LPPA_PROTOCOL_CHECK(
-            session.participants().size() >= recov.min_quorum,
-            "round below quorum: " + std::to_string(recov.min_quorum) +
-                " participants required");
-        if (crashes != nullptr) crashes->checkpoint(CrashPoint::kAfterFinalize);
-
-        session.run_allocation(master);
-        if (crashes != nullptr) {
-          crashes->checkpoint(CrashPoint::kAfterAllocation);
-        }
+        advance(wait);
       }
 
-      // --- Charging: identical discipline to the hardened session ------
-      const std::vector<Bytes> query_envelopes =
-          session.charge_query_envelopes();
-      while (!session.charging_complete()) {
-        LPPA_PROTOCOL_CHECK(
-            report.charge_attempts < hardened.max_charge_attempts,
-            "TTP unreachable: charging incomplete after retry budget");
-        ++report.charge_attempts;
-        for (const auto& query_envelope : query_envelopes) {
-          bus.send(auctioneer, ttp_addr, query_envelope);
-        }
-        advance(hardened.backoff_base_ticks);
+      // Charging: the TTP is trusted but the link to it is not, so each
+      // attempt re-sends the whole query set (results are idempotent).
+      for (std::vector<Bytes> queries = driver.charge_queries();
+           !queries.empty(); queries = driver.charge_queries()) {
+        for (const Bytes& query : queries) bus.send(auctioneer, ttp_addr, query);
+        advance(recov.hardened.backoff_base_ticks);
         while (auto message = bus.receive(ttp_addr)) {
           try {
             bus.send(ttp_addr, auctioneer, service.handle(*message));
           } catch (const LppaError&) {
-            ++report.rejected_messages;
+            driver.note_rejected();  // damaged query; the resend covers it
           }
         }
-        advance(hardened.backoff_base_ticks);
+        advance(recov.hardened.backoff_base_ticks);
         while (auto message = bus.receive(auctioneer)) {
-          try {
-            session.ingest_charge_results(*message);
-            // CrashSignal is not an LppaError, so a crash here tears
-            // through this handler like a real process death.
-            if (crashes != nullptr) {
-              crashes->checkpoint(CrashPoint::kAfterChargeCommit);
-            }
-          } catch (const LppaError&) {
-            ++report.rejected_messages;
-          }
+          driver.on_charge_result(*message);
         }
       }
 
-      if (crashes != nullptr) crashes->checkpoint(CrashPoint::kBeforePublish);
-      journal.append(JournalRecordType::kCommitted);
-
-      const Bytes announcement = session.winner_announcement();
-      const Envelope e = Envelope::deserialize(announcement);
-      result.awards = WinnerAnnouncement::deserialize(e.payload).awards;
-      result.announcement = announcement;
-      result.journal = journal.data();
-      report.completed = true;
-      report.journal_records = journal.num_records();
-      report.journal_bytes = journal.data().size();
-      report.ticks_used = ticks;
-      if (const FaultInjector* injector = bus.fault_injector()) {
-        report.faults = injector->counters();
-      }
-      if (m != nullptr) {
-        m->counter("wire.completed_rounds").inc();
-        m->counter("wire.retry_waves").inc(report.retry_waves);
-        m->counter("wire.charge_attempts").inc(report.charge_attempts);
-        m->counter("wire.rejected_messages").inc(report.rejected_messages);
-        m->counter("wire.duplicate_redeliveries")
-            .inc(report.duplicate_redeliveries);
-        m->counter("wire.replayed_records").inc(report.replayed_records);
-        if (report.degraded) m->counter("wire.degraded_rounds").inc();
-        m->gauge("wire.journal_bytes")
-            .set(static_cast<double>(report.journal_bytes));
-      }
-      return result;
+      result.announcement = driver.publish();
+      break;
     } catch (const CrashSignal&) {
-      // The auctioneer process died.  Its in-memory session is gone; the
-      // journal and the bus (the outside world) survive.  Restarting
-      // costs ticks, which is how crashes erode the deadline.
-      ++report.crash_recoveries;
-      if (m != nullptr) m->counter("wire.crash_recoveries").inc();
+      // The auctioneer died: its driver is gone, the journal and the bus
+      // (the outside world) survive.  Restarting costs ticks, which is
+      // how crashes erode the deadline.
       ticks += recov.recovery_cost_ticks;
     }
   }
+
+  const Envelope e = Envelope::deserialize(result.announcement);
+  result.awards = WinnerAnnouncement::deserialize(e.payload).awards;
+  result.journal = journal.data();
+  result.report.ticks_used = ticks;
+  if (const FaultInjector* injector = bus.fault_injector()) {
+    result.report.faults = injector->counters();
+  }
+  return result;
 }
 
 }  // namespace lppa::proto

@@ -1,104 +1,14 @@
-// Wire-level auction session: the complete LPPA round with every message
-// travelling through a MessageBus as bytes.
-//
-// run_wire_auction follows exactly the RNG discipline of
-// core::LppaAuction::run (one fork for all SU-side randomness, then the
-// caller's stream for allocation), so under identical seeds both paths
-// produce identical awards — a property the integration tests assert.
+// The LPPA round over the in-process MessageBus: every message travels
+// as bytes, and the auctioneer side is the one RoundDriver
+// (proto/round_driver.h) that the socket transport also runs.
 #pragma once
 
 #include "core/lppa_auction.h"
 #include "proto/bus.h"
 #include "proto/parties.h"
-#include "proto/round_report.h"
+#include "proto/round_driver.h"
 
 namespace lppa::proto {
-
-struct WireAuctionResult {
-  std::vector<auction::Award> awards;
-  /// Total SU -> auctioneer submission traffic.
-  LinkStats submission_traffic;
-  /// Auctioneer <-> TTP charging traffic (both directions summed).
-  LinkStats charging_traffic;
-  /// Number of charge-query batches the TTP served.
-  std::size_t ttp_batches = 0;
-};
-
-/// Runs one full auction over the bus.  `ttp` provides the keys and the
-/// charging service (it outlives the call); `bus` accumulates traffic
-/// stats across calls if reused.
-WireAuctionResult run_wire_auction(
-    const core::LppaConfig& config, core::TrustedThirdParty& ttp,
-    const std::vector<auction::SuLocation>& locations,
-    const std::vector<auction::BidVector>& bids, MessageBus& bus, Rng& rng);
-
-/// Retry / timeout policy of the hardened session.  "Time" is bus ticks
-/// (MessageBus::advance), so the whole schedule is deterministic.
-struct HardenedSessionConfig {
-  /// Retransmission waves before a silent SU is declared unresponsive.
-  std::size_t max_retries = 6;
-  /// Ticks waited before the first retry wave; doubles every wave
-  /// (exponential backoff), which gives delayed messages time to land.
-  std::size_t backoff_base_ticks = 1;
-  /// Ceiling on any single backoff wait.  Doubling per wave would
-  /// overflow (and shift past the word size, which is undefined) for
-  /// large retry budgets; the schedule therefore plateaus here.
-  std::size_t max_backoff_ticks = 4096;
-  /// Send attempts per charge-query batch before the TTP is declared
-  /// unreachable (which aborts the round — charging has no graceful
-  /// fallback, the TTP is the round's root of trust).
-  std::size_t max_charge_attempts = 8;
-
-  /// The backoff wait for retry wave `wave`:
-  /// min(backoff_base_ticks * 2^wave, max_backoff_ticks), computed
-  /// without ever shifting past the word size — well-defined for any
-  /// wave, however large.
-  std::size_t backoff_ticks(std::size_t wave) const noexcept;
-};
-
-struct HardenedWireResult {
-  /// TTP-validated awards over the surviving SUs; Award::user carries
-  /// original SU ids.
-  std::vector<auction::Award> awards;
-  RoundReport report;
-};
-
-/// Runs one auction round that tolerates faults: every submission is
-/// validated (core::SubmissionValidator), missing or damaged submissions
-/// are nacked with kRetransmitRequest under exponential backoff, and SUs
-/// that never deliver a valid pair are excluded so the round completes
-/// with the survivors.  With a fault-free bus and an empty `exclude` the
-/// awards match run_wire_auction exactly.
-///
-/// `exclude` lists SUs that do not participate at all (their RNG streams
-/// are still consumed, so a run excluding exactly the parties a faulty
-/// run lost produces byte-identical submissions for the survivors — the
-/// equivalence the fault tests assert).  Attach a FaultInjector to `bus`
-/// before calling to inject faults.
-HardenedWireResult run_hardened_wire_auction(
-    const core::LppaConfig& config, core::TrustedThirdParty& ttp,
-    const std::vector<auction::SuLocation>& locations,
-    const std::vector<auction::BidVector>& bids, MessageBus& bus, Rng& rng,
-    const HardenedSessionConfig& hardened = {},
-    const std::vector<std::size_t>& exclude = {});
-
-/// Policy of the crash-tolerant session (hardened policy + round deadline
-/// and recovery accounting).
-struct RecoverableSessionConfig {
-  HardenedSessionConfig hardened;
-  /// Round deadline in bus ticks; 0 disables it.  When the deadline
-  /// expires while submissions are still missing (typically because
-  /// recoveries consumed the tick budget), the round degrades: it commits
-  /// with the quorum of journaled submissions instead of waiting out the
-  /// remaining retry waves, and the report records the degradation.
-  std::size_t deadline_ticks = 0;
-  /// Minimum number of participants a (possibly degraded) commit needs;
-  /// below it the round aborts with LppaError(kProtocol).
-  std::size_t min_quorum = 1;
-  /// Bus ticks each auctioneer restart costs (journal re-read, state
-  /// rebuild) — this is what makes crashes eat into the deadline.
-  std::size_t recovery_cost_ticks = 1;
-};
 
 struct RecoverableWireResult {
   /// TTP-validated awards; Award::user carries original SU ids.
@@ -107,26 +17,29 @@ struct RecoverableWireResult {
   /// The durable journal as it stands at round commit.
   Bytes journal;
   /// The published kWinnerAnnouncement envelope, for byte-identity
-  /// assertions across crashy and crash-free runs.
+  /// assertions across transports and crashy and crash-free runs.
   Bytes announcement;
 };
 
-/// Runs one crash-tolerant auction round: every AuctioneerSession state
-/// transition is write-ahead journaled, and when `crashes` fires a
-/// CrashSignal at one of its checkpoints the auctioneer is rebuilt from
-/// the journal alone — accepted envelopes re-ingested, exclusion
-/// verdicts replayed, the allocation snapshot restored — and the round
-/// continues.  Recovery is deterministic: the same `seed` produces the
-/// same awards and the same announcement bytes whether the round crashed
-/// zero times or at every checkpoint, and the SUs never resubmit (only
+/// Runs one auction round over `bus`, the bus adapter of RoundDriver.
+///
+/// The SUs mask once (mask_submissions — the RNG discipline of
+/// core::LppaAuction::run, so a clean round at seed S awards exactly
+/// what LppaAuction::run awards under Rng(S)) and afterwards only answer
+/// nacks with the same cached bytes.  The TTP answers charge queries the
+/// bus carries to it.  Faults: attach a FaultInjector to `bus` first;
+/// damaged or missing submissions are nacked in waves, and SUs that
+/// never deliver a valid pair are excluded so the round completes with
+/// the survivors.  Crashes: when `crashes` fires a CrashSignal, a new
+/// driver is rebuilt from the journal alone and the round continues, to
+/// the same awards and announcement bytes (the SUs never resubmit; only
 /// already-sent bytes are redelivered, deduped as benign).
 ///
-/// Takes a seed rather than an Rng& deliberately: every restart must
-/// reconstruct the identical allocation stream, which a caller-owned
-/// generator (partially consumed by the dead attempt) could not provide.
-///
-/// With no injector and recov.deadline_ticks == 0 this is byte-equivalent
-/// to run_hardened_wire_auction over Rng(seed).
+/// `exclude` lists SUs that sit the round out (their RNG streams are
+/// still consumed, so a run excluding exactly the parties a faulty run
+/// lost masks the survivors byte-identically).  Takes a seed rather
+/// than an Rng& because every restart must reconstruct the identical
+/// allocation stream.  `bus` accumulates traffic stats across calls.
 RecoverableWireResult run_recoverable_wire_auction(
     const core::LppaConfig& config, core::TrustedThirdParty& ttp,
     const std::vector<auction::SuLocation>& locations,
@@ -134,18 +47,5 @@ RecoverableWireResult run_recoverable_wire_auction(
     std::uint64_t seed, const RecoverableSessionConfig& recov = {},
     CrashInjector* crashes = nullptr,
     const std::vector<std::size_t>& exclude = {});
-
-/// Rebuilds a crashed auctioneer's state from its write-ahead journal:
-/// accepted envelopes are re-ingested through the normal path, strike /
-/// equivocation verdicts and churn departures/arrivals are replayed, and
-/// a post-allocation crash restores the last kAllocated snapshot plus
-/// later charge batches.  Returns the retry wave to resume at.  The
-/// journal must be attached to the session only AFTER replaying (replay
-/// must not re-journal what is already durable).  This is the exact
-/// helper run_recoverable_wire_auction recovers with, exposed so churn
-/// harnesses can crash and rebuild sessions mid-churn.
-std::size_t replay_session_journal(const RoundJournal& journal,
-                                   AuctioneerSession& session,
-                                   std::size_t num_users, RoundReport& report);
 
 }  // namespace lppa::proto

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "core/bcm.h"
 #include "sim/experiments.h"
@@ -59,33 +60,26 @@ MultiRoundResult run_multi_round(Scenario& scenario,
       lppa.coord_width = scenario.coord_width();
       lppa.bid = bid_config;
 
-      const std::uint64_t wire_seed = seed + 4242 * (round + 1);
-      if (config.faults.crashes.enabled) {
-        // Crash-tolerant round: the auctioneer dies at seeded checkpoints
-        // and recovers from its journal; a crash-free schedule leaves the
-        // outcome byte-identical to the hardened path under Rng(wire_seed).
-        const MultiRoundCrashes& cr = config.faults.crashes;
-        proto::CrashInjector crash_injector = proto::CrashInjector::seeded(
+      // Crash layer: the auctioneer dies at seeded checkpoints and
+      // recovers from its journal; a crash-free schedule leaves the
+      // outcome byte-identical to the round without the layer.
+      const MultiRoundCrashes& cr = config.faults.crashes;
+      proto::RecoverableSessionConfig recov;
+      recov.hardened = config.faults.session;
+      std::optional<proto::CrashInjector> crash_injector;
+      if (cr.enabled) {
+        crash_injector = proto::CrashInjector::seeded(
             cr.seed + round, cr.crash_prob, cr.max_per_round);
-        proto::RecoverableSessionConfig recov;
-        recov.hardened = config.faults.session;
         recov.deadline_ticks = cr.deadline_ticks;
         recov.min_quorum = cr.min_quorum;
         recov.recovery_cost_ticks = cr.recovery_cost_ticks;
-        auto wire = proto::run_recoverable_wire_auction(
-            lppa, ttp, scenario.locations(), scenario.bids(), bus, wire_seed,
-            recov, &crash_injector);
-        wire.report.round = round;
-        reports.push_back(std::move(wire.report));
-      } else {
-        Rng wire_rng(wire_seed);
-        auto wire =
-            proto::run_hardened_wire_auction(lppa, ttp, scenario.locations(),
-                                             scenario.bids(), bus, wire_rng,
-                                             config.faults.session);
-        wire.report.round = round;
-        reports.push_back(std::move(wire.report));
       }
+      auto wire = proto::run_recoverable_wire_auction(
+          lppa, ttp, scenario.locations(), scenario.bids(), bus,
+          seed + 4242 * (round + 1), recov,
+          crash_injector ? &*crash_injector : nullptr);
+      wire.report.round = round;
+      reports.push_back(std::move(wire.report));
     }
 
     const auto ranks = adversary.rank_columns(submissions);

@@ -22,15 +22,15 @@
 namespace lppa::sim {
 
 /// Optional fault layer: when enabled, every round additionally runs as
-/// a hardened wire auction (proto::run_hardened_wire_auction) over a
+/// a wire auction (proto::run_recoverable_wire_auction) over a
 /// per-round MessageBus with a seeded FaultInjector attached, and the
 /// resulting RoundReports land in MultiRoundResult::reports.  A fresh
 /// bus per round models session-scoped channels — stale delayed traffic
 /// from round k cannot masquerade as a round-k+1 submission.
 /// Optional crash layer on top of the fault layer: when enabled, each
-/// wire round runs the crash-tolerant session
-/// (proto::run_recoverable_wire_auction) with a per-round seeded
-/// CrashInjector, so the auctioneer dies and recovers mid-round on a
+/// wire round runs with a per-round seeded CrashInjector and the
+/// deadline / quorum policy below, so the auctioneer dies and recovers
+/// mid-round on a
 /// reproducible schedule.  Per-round recovery counts, journal sizes and
 /// degradations land in the round's RoundReport.
 struct MultiRoundCrashes {

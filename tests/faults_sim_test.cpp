@@ -49,19 +49,17 @@ std::vector<std::size_t> excluded_users(const RoundReport& report) {
 TEST(FaultsSession, FaultFreeMatchesLegacyWire) {
   const WireWorld w = make_world(12, 3, 21);
 
-  core::TrustedThirdParty ttp_a(w.config.bid, 77);
-  MessageBus bus_a;
+  // The fault-free reference is the in-memory engine under Rng(seed).
+  core::LppaAuction engine(w.config, 77);
   Rng rng_a(5);
-  const auto legacy =
-      run_wire_auction(w.config, ttp_a, w.locations, w.bids, bus_a, rng_a);
+  const auto legacy = engine.run(w.locations, w.bids, rng_a);
 
   core::TrustedThirdParty ttp_b(w.config.bid, 77);
   MessageBus bus_b;
-  Rng rng_b(5);
-  const auto hardened = run_hardened_wire_auction(
-      w.config, ttp_b, w.locations, w.bids, bus_b, rng_b);
+  const auto hardened = run_recoverable_wire_auction(
+      w.config, ttp_b, w.locations, w.bids, bus_b, /*seed=*/5);
 
-  EXPECT_EQ(hardened.awards, legacy.awards);
+  EXPECT_EQ(hardened.awards, legacy.outcome.awards);
   EXPECT_TRUE(hardened.report.completed);
   EXPECT_EQ(hardened.report.survivors.size(), 12u);
   EXPECT_TRUE(hardened.report.excluded.empty());
@@ -88,9 +86,8 @@ TEST(FaultsSession, AcceptanceDropPlusByzantine) {
   core::TrustedThirdParty ttp_faulty(w.config.bid, 77);
   MessageBus bus_faulty;
   bus_faulty.set_fault_injector(&injector);
-  Rng rng_faulty(5);
-  const auto faulty = run_hardened_wire_auction(
-      w.config, ttp_faulty, w.locations, w.bids, bus_faulty, rng_faulty);
+  const auto faulty = run_recoverable_wire_auction(
+      w.config, ttp_faulty, w.locations, w.bids, bus_faulty, /*seed=*/5);
 
   ASSERT_TRUE(faulty.report.completed);
   EXPECT_EQ(excluded_users(faulty.report), byzantine);
@@ -103,10 +100,9 @@ TEST(FaultsSession, AcceptanceDropPlusByzantine) {
   // still consumed, so the survivors mask identically).
   core::TrustedThirdParty ttp_clean(w.config.bid, 77);
   MessageBus bus_clean;
-  Rng rng_clean(5);
-  const auto clean = run_hardened_wire_auction(
-      w.config, ttp_clean, w.locations, w.bids, bus_clean, rng_clean, {},
-      byzantine);
+  const auto clean = run_recoverable_wire_auction(
+      w.config, ttp_clean, w.locations, w.bids, bus_clean, /*seed=*/5, {},
+      /*crashes=*/nullptr, byzantine);
 
   ASSERT_TRUE(clean.report.completed);
   EXPECT_EQ(clean.report.survivors, faulty.report.survivors);
@@ -118,9 +114,8 @@ TEST(FaultsSession, DuplicateEverythingIsBenign) {
 
   core::TrustedThirdParty ttp_a(w.config.bid, 9);
   MessageBus bus_a;
-  Rng rng_a(3);
-  const auto clean = run_hardened_wire_auction(w.config, ttp_a, w.locations,
-                                               w.bids, bus_a, rng_a);
+  const auto clean = run_recoverable_wire_auction(
+      w.config, ttp_a, w.locations, w.bids, bus_a, /*seed=*/3);
 
   FaultSpec spec;
   spec.duplicate = 1.0;
@@ -128,9 +123,8 @@ TEST(FaultsSession, DuplicateEverythingIsBenign) {
   core::TrustedThirdParty ttp_b(w.config.bid, 9);
   MessageBus bus_b;
   bus_b.set_fault_injector(&injector);
-  Rng rng_b(3);
-  const auto doubled = run_hardened_wire_auction(w.config, ttp_b, w.locations,
-                                                 w.bids, bus_b, rng_b);
+  const auto doubled = run_recoverable_wire_auction(
+      w.config, ttp_b, w.locations, w.bids, bus_b, /*seed=*/3);
 
   EXPECT_TRUE(doubled.report.completed);
   EXPECT_EQ(doubled.report.survivors.size(), 8u);
@@ -143,9 +137,8 @@ TEST(FaultsSession, ReorderAndDelayAreAbsorbed) {
 
   core::TrustedThirdParty ttp_a(w.config.bid, 9);
   MessageBus bus_a;
-  Rng rng_a(3);
-  const auto clean = run_hardened_wire_auction(w.config, ttp_a, w.locations,
-                                               w.bids, bus_a, rng_a);
+  const auto clean = run_recoverable_wire_auction(
+      w.config, ttp_a, w.locations, w.bids, bus_a, /*seed=*/3);
 
   FaultSpec spec;
   spec.reorder = 0.4;
@@ -155,9 +148,8 @@ TEST(FaultsSession, ReorderAndDelayAreAbsorbed) {
   core::TrustedThirdParty ttp_b(w.config.bid, 9);
   MessageBus bus_b;
   bus_b.set_fault_injector(&injector);
-  Rng rng_b(3);
-  const auto shaken = run_hardened_wire_auction(w.config, ttp_b, w.locations,
-                                                w.bids, bus_b, rng_b);
+  const auto shaken = run_recoverable_wire_auction(
+      w.config, ttp_b, w.locations, w.bids, bus_b, /*seed=*/3);
 
   EXPECT_TRUE(shaken.report.completed);
   EXPECT_EQ(shaken.report.survivors.size(), 8u);
@@ -176,9 +168,8 @@ TEST(FaultsSession, DeterministicPerSeed) {
     core::TrustedThirdParty ttp(w.config.bid, 5);
     MessageBus bus;
     bus.set_fault_injector(&injector);
-    Rng rng(13);
-    return run_hardened_wire_auction(w.config, ttp, w.locations, w.bids, bus,
-                                     rng);
+    return run_recoverable_wire_auction(w.config, ttp, w.locations, w.bids,
+                                        bus, /*seed=*/13);
   };
   const auto a = run();
   const auto b = run();

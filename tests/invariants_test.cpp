@@ -115,9 +115,8 @@ TEST_P(EndToEndInvariants, WireHarnessAlwaysMatchesInMemory) {
     core::TrustedThirdParty ttp(w.config.bid, ttp_seed,
                                 w.config.charging_rule);
     proto::MessageBus bus;
-    Rng rng_wire(GetParam() + round);
-    const auto wire = proto::run_wire_auction(w.config, ttp, w.locations,
-                                              w.bids, bus, rng_wire);
+    const auto wire = proto::run_recoverable_wire_auction(
+        w.config, ttp, w.locations, w.bids, bus, GetParam() + round);
     EXPECT_EQ(wire.awards, in_memory.outcome.awards)
         << "seed " << GetParam() << " round " << round;
   }

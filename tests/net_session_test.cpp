@@ -83,9 +83,10 @@ TEST(SocketAuction, CleanRunMatchesBusByteIdentically) {
   EXPECT_EQ(socket.envelopes_built, 2 * w.bids.size());
   EXPECT_EQ(socket.reconnects, 0u);
 
-  // The hardened entry point is the same round without a crash layer.
+  // A second round over a fresh TTP, without a crash injector, is the
+  // same round again.
   core::TrustedThirdParty ttp(w.config.bid, kTtpSeed);
-  const auto hardened = run_hardened_socket_auction(
+  const auto hardened = run_recoverable_socket_auction(
       w.config, ttp, w.locations, w.bids, kWireSeed, ServerConfig{});
   EXPECT_EQ(hardened.awards, bus.awards);
   EXPECT_EQ(hardened.announcement, bus.announcement);
@@ -248,6 +249,37 @@ TEST(SocketCrashMatrix, EveryCrashPointRecoversByteIdentically) {
   // 6 SUs x 2 submissions + finalize + allocation + charge batches +
   // publish: a real matrix, not a spot check.
   EXPECT_GE(runs, 16u);
+}
+
+// Scripted churn is applied by the one round driver, so the bus honours
+// the socket crash matrix's schedule too: same announcement, clean and
+// with the auctioneer crashing at every kMidChurn checkpoint.
+TEST(SocketAuction, ChurnScheduleMatchesTheBus) {
+  const WireWorld w = make_world(6, 2, 31);
+  SocketRoundOptions round;
+  round.churn = {{/*depart=*/true, 1},
+                 {/*depart=*/true, 4},
+                 {/*depart=*/false, 1},
+                 {/*depart=*/true, 2}};
+
+  const auto socket = run_socket(w, {}, round);
+  ASSERT_TRUE(socket.report.completed) << socket.report.summary();
+  const auto bus = run_bus(w, round);
+  EXPECT_EQ(bus.announcement, socket.announcement);
+  EXPECT_EQ(bus.report.survivors, socket.report.survivors);
+
+  for (std::size_t nth = 0; nth < round.churn.size(); ++nth) {
+    proto::CrashInjector crashes;
+    crashes.arm(proto::CrashPoint::kMidChurn, nth);
+    core::TrustedThirdParty ttp(w.config.bid, kTtpSeed);
+    proto::MessageBus bus_crashy;
+    const auto crashed = proto::run_recoverable_wire_auction(
+        w.config, ttp, w.locations, w.bids, bus_crashy, kWireSeed, round,
+        &crashes);
+    ASSERT_EQ(crashes.crashes_fired(), 1u) << "churn op " << nth;
+    EXPECT_EQ(crashed.report.crash_recoveries, 1u);
+    EXPECT_EQ(crashed.announcement, socket.announcement) << "churn op " << nth;
+  }
 }
 
 TEST(SocketDeadline, MutedSuDegradesToQuorumDeterministically) {

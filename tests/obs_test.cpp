@@ -10,14 +10,17 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
+#include "net/session_port.h"
 #include "obs/export.h"
 #include "obs/span.h"
+#include "proto/session.h"
 #include "strict_json.h"
 
 namespace lppa {
@@ -260,6 +263,105 @@ TEST(WriteMetricsFile, FormatFollowsExtension) {
   std::stringstream prom_buf;
   prom_buf << prom_in.rdbuf();
   EXPECT_NE(prom_buf.str().find("fmt_events 1"), std::string::npos);
+}
+
+/// Span names of the `wire.*` tree in `reg`, after checking that it is
+/// one connected tree: a single `wire.round` root, and every other
+/// `wire.*` span's parent recorded in the same tree.
+std::set<std::string> wire_span_tree(const obs::MetricsRegistry& reg) {
+  std::set<std::uint64_t> ids;
+  std::vector<obs::SpanRecord> wire;
+  for (const obs::SpanRecord& span : reg.spans()) {
+    if (span.name.rfind("wire.", 0) != 0) continue;
+    ids.insert(span.id);
+    wire.push_back(span);
+  }
+  std::size_t roots = 0;
+  std::set<std::string> names;
+  for (const obs::SpanRecord& span : wire) {
+    names.insert(span.name);
+    if (span.parent == 0) {
+      ++roots;
+      EXPECT_EQ(span.name, "wire.round");
+    } else {
+      EXPECT_TRUE(ids.count(span.parent)) << span.name << " is detached";
+    }
+  }
+  EXPECT_EQ(roots, 1u);
+  return names;
+}
+
+// The socket round records the same `wire.*` counters and span tree as
+// the bus round, because both run the one proto::RoundDriver; `net.*`
+// keeps only transport counters.
+TEST(SocketSpanTree, MatchesTheBusRoundTree) {
+  core::LppaConfig config;
+  config.num_channels = 2;
+  config.lambda = 100;
+  config.coord_width = 14;
+  config.bid = core::PpbsBidConfig::advanced(
+      15, 3, 4, core::ZeroDisguisePolicy::none(15));
+  config.ttp_batch_size = 4;
+  Rng rng(91);
+  std::vector<auction::SuLocation> locations;
+  std::vector<auction::BidVector> bids;
+  for (std::size_t i = 0; i < 6; ++i) {
+    locations.push_back({rng.below(5000), rng.below(5000)});
+    bids.push_back({rng.below(16), rng.below(16)});
+  }
+  // SU 3 stays silent on both transports, so both rounds send nacks.
+  constexpr std::size_t kSilent = 3;
+  proto::RecoverableSessionConfig policy;
+  policy.hardened.max_retries = 3;
+
+  obs::MetricsRegistry bus_reg;
+  {
+    core::LppaConfig observed = config;
+    observed.metrics = &bus_reg;
+    core::TrustedThirdParty ttp(config.bid, 77);
+    proto::FaultSpec mute;
+    mute.drop = 1.0;
+    proto::FaultInjector faults(/*seed=*/1);
+    faults.set_party_spec(proto::Address::su(kSilent), mute);
+    proto::MessageBus bus;
+    bus.set_fault_injector(&faults);
+    const auto result = proto::run_recoverable_wire_auction(
+        observed, ttp, locations, bids, bus, /*seed=*/5, policy);
+    ASSERT_TRUE(result.report.completed);
+  }
+
+  obs::MetricsRegistry socket_reg;
+  net::ServerConfig server_config;
+  server_config.metrics = &socket_reg;
+  net::SocketFaultSpec mute;
+  mute.mute_su = kSilent;
+  net::SocketFaultInjector faults(/*seed=*/1, mute);
+  core::TrustedThirdParty ttp(config.bid, 77);
+  const auto socket = net::run_recoverable_socket_auction(
+      config, ttp, locations, bids, /*seed=*/5, server_config, policy,
+      /*crashes=*/nullptr, &faults);
+  ASSERT_TRUE(socket.report.completed);
+
+  const std::set<std::string> expected = {"wire.round", "wire.attempt",
+                                          "wire.admission", "wire.allocation",
+                                          "wire.charging"};
+  EXPECT_EQ(wire_span_tree(bus_reg), expected);
+  EXPECT_EQ(wire_span_tree(socket_reg), expected);
+
+  std::size_t journaled_nacks = 0;
+  for (const auto& rec : proto::RoundJournal::read(socket.journal)) {
+    if (rec.type == proto::JournalRecordType::kNackSent) ++journaled_nacks;
+  }
+  EXPECT_GT(journaled_nacks, 0u);
+  EXPECT_EQ(socket_reg.counter("wire.nacks").value(), journaled_nacks);
+  EXPECT_EQ(socket_reg.counter("wire.rounds").value(), 1u);
+  EXPECT_EQ(socket_reg.counter("wire.completed_rounds").value(), 1u);
+  EXPECT_EQ(socket_reg.counter("wire.retry_waves").value(),
+            bus_reg.counter("wire.retry_waves").value());
+  const std::string snapshot = socket_reg.json();
+  EXPECT_EQ(snapshot.find("net.nacks"), std::string::npos);
+  EXPECT_EQ(snapshot.find("net.published_rounds"), std::string::npos);
+  EXPECT_NE(snapshot.find("net.frames_in"), std::string::npos);
 }
 
 }  // namespace

@@ -29,6 +29,17 @@ WireWorld make_world(std::size_t n, std::size_t k, std::uint64_t seed) {
   return w;
 }
 
+/// SU -> auctioneer traffic on `bus` so far (every SU link summed).
+LinkStats submission_traffic(const MessageBus& bus, std::size_t num_users) {
+  LinkStats total;
+  for (std::size_t u = 0; u < num_users; ++u) {
+    const LinkStats link = bus.link(Address::su(u), Address::auctioneer());
+    total.messages += link.messages;
+    total.bytes += link.bytes;
+  }
+  return total;
+}
+
 TEST(WireAuction, MatchesInMemoryEngineExactly) {
   const WireWorld w = make_world(14, 3, 21);
 
@@ -38,9 +49,8 @@ TEST(WireAuction, MatchesInMemoryEngineExactly) {
 
   core::TrustedThirdParty ttp(w.config.bid, 777);
   MessageBus bus;
-  Rng rng_wire(5);
-  const auto wire =
-      run_wire_auction(w.config, ttp, w.locations, w.bids, bus, rng_wire);
+  const auto wire = run_recoverable_wire_auction(w.config, ttp, w.locations,
+                                                 w.bids, bus, /*seed=*/5);
 
   EXPECT_EQ(wire.awards, in_memory.outcome.awards);
 }
@@ -49,15 +59,17 @@ TEST(WireAuction, SubmissionTrafficMatchesWireSizes) {
   const WireWorld w = make_world(6, 2, 31);
   core::TrustedThirdParty ttp(w.config.bid, 3);
   MessageBus bus;
-  Rng rng(9);
-  const auto result =
-      run_wire_auction(w.config, ttp, w.locations, w.bids, bus, rng);
+  run_recoverable_wire_auction(w.config, ttp, w.locations, w.bids, bus,
+                               /*seed=*/9);
   // Two messages per SU (location + bids).
-  EXPECT_EQ(result.submission_traffic.messages, 12u);
-  EXPECT_GT(result.submission_traffic.bytes, 0u);
+  const LinkStats submissions = submission_traffic(bus, w.bids.size());
+  EXPECT_EQ(submissions.messages, 12u);
+  EXPECT_GT(submissions.bytes, 0u);
   // Charging traffic: at least one batch each way.
-  EXPECT_GE(result.charging_traffic.messages, 2u);
-  EXPECT_EQ(result.ttp_batches, ttp.batches_processed());
+  const LinkStats to_ttp = bus.link(Address::auctioneer(), Address::ttp());
+  const LinkStats from_ttp = bus.link(Address::ttp(), Address::auctioneer());
+  EXPECT_GE(to_ttp.messages + from_ttp.messages, 2u);
+  EXPECT_EQ(to_ttp.messages, ttp.batches_processed());
 }
 
 TEST(WireAuction, BatchSizeControlsTtpBatches) {
@@ -65,11 +77,10 @@ TEST(WireAuction, BatchSizeControlsTtpBatches) {
   w.config.ttp_batch_size = 3;
   core::TrustedThirdParty ttp(w.config.bid, 5);
   MessageBus bus;
-  Rng rng(11);
-  const auto result =
-      run_wire_auction(w.config, ttp, w.locations, w.bids, bus, rng);
+  const auto result = run_recoverable_wire_auction(
+      w.config, ttp, w.locations, w.bids, bus, /*seed=*/11);
   const std::size_t awards = result.awards.size();
-  EXPECT_EQ(result.ttp_batches, (awards + 2) / 3);
+  EXPECT_EQ(ttp.batches_processed(), (awards + 2) / 3);
 }
 
 TEST(WireAuction, SecondPriceRunsOverTheWire) {
@@ -78,9 +89,8 @@ TEST(WireAuction, SecondPriceRunsOverTheWire) {
   core::TrustedThirdParty ttp(w.config.bid, 7,
                               core::ChargingRule::kSecondPrice);
   MessageBus bus;
-  Rng rng(13);
-  const auto result =
-      run_wire_auction(w.config, ttp, w.locations, w.bids, bus, rng);
+  const auto result = run_recoverable_wire_auction(
+      w.config, ttp, w.locations, w.bids, bus, /*seed=*/13);
   for (const auto& award : result.awards) {
     if (award.valid) {
       EXPECT_LE(award.charge, w.bids[award.user][award.channel]);
@@ -253,15 +263,15 @@ TEST(WireAuction, ReusedBusAccumulatesRounds) {
   const WireWorld w = make_world(5, 2, 101);
   core::TrustedThirdParty ttp(w.config.bid, 15);
   MessageBus bus;
-  Rng rng(17);
-  const auto first =
-      run_wire_auction(w.config, ttp, w.locations, w.bids, bus, rng);
+  run_recoverable_wire_auction(w.config, ttp, w.locations, w.bids, bus,
+                               /*seed=*/17);
+  const LinkStats first = submission_traffic(bus, w.bids.size());
   core::TrustedThirdParty ttp2(w.config.bid, 16);
-  const auto second =
-      run_wire_auction(w.config, ttp2, w.locations, w.bids, bus, rng);
+  run_recoverable_wire_auction(w.config, ttp2, w.locations, w.bids, bus,
+                               /*seed=*/18);
+  const LinkStats second = submission_traffic(bus, w.bids.size());
   // Stats accumulate across rounds on a reused bus.
-  EXPECT_EQ(second.submission_traffic.messages,
-            2 * first.submission_traffic.messages);
+  EXPECT_EQ(second.messages, 2 * first.messages);
 }
 
 }  // namespace

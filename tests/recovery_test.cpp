@@ -60,16 +60,15 @@ RecoverableWireResult run_recoverable(const WireWorld& w, MessageBus& bus,
 TEST(RecoverySession, FaultFreeMatchesHardened) {
   const WireWorld w = make_world(12, 3, 21);
 
-  core::TrustedThirdParty ttp_a(w.config.bid, kTtpSeed);
-  MessageBus bus_a;
+  // The fault-free reference is the in-memory engine under Rng(seed).
+  core::LppaAuction engine(w.config, kTtpSeed);
   Rng rng_a(kWireSeed);
-  const auto hardened = run_hardened_wire_auction(w.config, ttp_a, w.locations,
-                                                  w.bids, bus_a, rng_a);
+  const auto in_memory = engine.run(w.locations, w.bids, rng_a);
 
   MessageBus bus_b;
   const auto recoverable = run_recoverable(w, bus_b, {}, nullptr);
 
-  EXPECT_EQ(recoverable.awards, hardened.awards);
+  EXPECT_EQ(recoverable.awards, in_memory.outcome.awards);
   EXPECT_TRUE(recoverable.report.completed);
   EXPECT_FALSE(recoverable.report.degraded);
   EXPECT_EQ(recoverable.report.crash_recoveries, 0u);
