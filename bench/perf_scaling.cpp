@@ -361,6 +361,10 @@ int main(int argc, char** argv) {
     std::cout << "indexed vs pairwise speedup at n=" << big << ": "
               << pair_ms / idx_ms << "x\n";
   }
+  // A failed scaling gate still writes --json and --metrics first: the
+  // sweep's samples are the evidence for the verdict, so they are never
+  // thrown away.
+  int gate_verdict = 0;
   if (thread_counts.size() > 1) {
     const double s1 = wall_of(samples, "submit", big, 1);
     const double st = wall_of(samples, "submit", big, multi);
@@ -384,7 +388,7 @@ int main(int argc, char** argv) {
         std::cerr << "FATAL: submit speedup " << speedup << "x with " << multi
                   << " threads on " << ThreadPool::hardware_threads()
                   << " cores is below the 1.5x floor\n";
-        return 1;
+        gate_verdict = 1;
       }
       if (!gate_armed) {
         std::cout << "(scaling gate not armed: "
@@ -425,7 +429,7 @@ int main(int argc, char** argv) {
                   << "x with " << multi << " threads on "
                   << ThreadPool::hardware_threads()
                   << " cores is below the 1.2x floor\n";
-        return 1;
+        gate_verdict = 1;
       }
     }
   }
@@ -444,5 +448,5 @@ int main(int argc, char** argv) {
                          /*parent=*/0, s.wall_ms * 1000.0);
   }
   bench::dump_metrics(registry, args);
-  return 0;
+  return gate_verdict;
 }

@@ -23,6 +23,10 @@ ChurnState::ChurnState(const LppaConfig& config,
       graph_(locations_.size()) {
   const std::size_t n = locations_.size();
   LPPA_REQUIRE(n >= 1, "churn roster requires at least one slot");
+  LPPA_REQUIRE(crypto::resolve_backend(config_.backend).id() ==
+                   config_.bid.backend,
+               "ChurnState needs config.backend set to the TTP's backend "
+               "for a non-HMAC bid config");
   LPPA_REQUIRE(loc_subs_.size() == n && bid_subs_.size() == n &&
                    live_.size() == n,
                "roster vectors must have equal size");
@@ -69,7 +73,7 @@ ChurnState::ChurnState(const LppaConfig& config,
   table_shard_of_ = assignment_.shard_of;
   table_.emplace(bid_subs_, channels_, table_shard_of_, plan_.num_shards(),
                  config_.argmax_strategy, config_.num_threads,
-                 config_.metrics);
+                 config_.metrics, config_.backend);
   for (std::size_t u = 0; u < n; ++u) {
     if (!live_[u]) table_->remove_user(u);
   }
@@ -251,7 +255,7 @@ shard::ShardAssignment ChurnState::rebuild_assignment() const {
 ShardedBidTable ChurnState::rebuild_table() const {
   ShardedBidTable fresh(bid_subs_, channels_, table_shard_of_,
                         plan_.num_shards(), config_.argmax_strategy,
-                        config_.num_threads, nullptr);
+                        config_.num_threads, nullptr, config_.backend);
   for (std::size_t u = 0; u < capacity(); ++u) {
     if (!live_[u]) fresh.remove_user(u);
   }

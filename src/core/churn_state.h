@@ -5,7 +5,9 @@
 // graph, and the encrypted bid table from all n submissions every round
 // — O(n·w) digest work even when only Δ ≪ n users changed.  ChurnState
 // keeps all three structures live across rounds and applies per-SU delta
-// updates in O(Δ·w) expected:
+// updates: O(Δ·w) expected digest work for the graph and indexes, and
+// for the k-column table O(Δ·k·log n) masked compares plus an O(Δ·k·n)
+// id memmove:
 //
 //   * the roster is a fixed slot universe of `capacity` SUs.  A dead
 //     slot holds an empty LocationSubmission (no digests — it can never
@@ -29,7 +31,11 @@
 //     ShardedBidTable::insert_user — its column orders stay the exact
 //     (value-descending, id-ascending) canonical order a fresh sort
 //     produces, because entries only ever leave or enter at their
-//     canonical position and no in-place value mutation occurs.
+//     canonical position (found by binary search) and no in-place value
+//     mutation occurs;
+//   * every masked comparison — the splice's binary search included —
+//     runs through config.backend, so a Paillier roster is ordered by
+//     the Paillier test exactly as its rebuild is.
 //
 // Allocation consumes a table, so a churn round clones the pristine
 // maintained table (ShardedBidTable::clone) and allocates on the copy.
@@ -60,6 +66,8 @@ class ChurnState {
   /// needs the shape, but the values are never consulted while dead.
   /// The slot→shard partition of the bid table is frozen here (answers
   /// and images are partition-independent; see core/sharded_bid_table.h).
+  /// config.backend must resolve to config.bid.backend (null is the HMAC
+  /// backend; a Paillier roster passes the TTP's bid_backend()).
   ChurnState(const LppaConfig& config,
              std::vector<auction::SuLocation> locations,
              std::vector<LocationSubmission> loc_subs,

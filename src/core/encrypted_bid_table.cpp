@@ -137,7 +137,7 @@ void EncryptedBidTable::remove_user(UserId u) {
   }
 }
 
-void EncryptedBidTable::insert_user(UserId u) {
+std::size_t EncryptedBidTable::insert_user(UserId u) {
   LPPA_REQUIRE(u < users_, "bid table index out of range");
   for (std::size_t r = 0; r < channels_; ++r) {
     LPPA_REQUIRE(!present_[u * channels_ + r],
@@ -147,8 +147,9 @@ void EncryptedBidTable::insert_user(UserId u) {
     present_[u * channels_ + r] = true;
   }
   live_ += channels_;
-  if (strategy_ != ArgmaxStrategy::kSortedColumns) return;
+  if (strategy_ != ArgmaxStrategy::kSortedColumns) return 0;
   const auto uid = static_cast<std::uint32_t>(u);
+  std::size_t compares = 0;
   for (std::size_t r = 0; r < channels_; ++r) {
     auto& ord = order_[r];
     std::size_t& h = head_[r];
@@ -161,19 +162,34 @@ void EncryptedBidTable::insert_user(UserId u) {
     ord.erase(stale);
     // Canonical position: descending masked bid, ties in increasing id —
     // exactly where the stable merge sort of a full rebuild places u.
+    // "u goes before v" is monotone along a column the merge sort built
+    // (false, then true), so the first such entry is a lower bound found
+    // in O(log n) probes of at most two masked tests each.  On a column a
+    // Byzantine submission scrambled, the search still lands somewhere in
+    // [0, size]: the order stays a permutation of the slot ids.
     const auto& su = sub(u).channels[r];
-    std::size_t p = 0;
-    while (p < ord.size()) {
-      const auto& sv = sub(ord[p]).channels[r];
-      if (!backend_->ge(sv, su)) break;  // u strictly greater than ord[p]
-      if (backend_->ge(su, sv) && uid < ord[p]) break;  // masked tie
-      ++p;
+    const auto goes_before = [&](std::uint32_t v) {
+      const auto& sv = sub(v).channels[r];
+      ++compares;
+      if (!backend_->ge(sv, su)) return true;  // u strictly greater than v
+      ++compares;
+      return backend_->ge(su, sv) && uid < v;  // masked tie
+    };
+    std::size_t lo = 0, hi = ord.size();
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (goes_before(ord[mid])) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
     }
-    ord.insert(ord.begin() + static_cast<std::ptrdiff_t>(p), uid);
+    ord.insert(ord.begin() + static_cast<std::ptrdiff_t>(lo), uid);
     // Resurrection: a live entry may now sit before the cursor; pull the
     // cursor back so the tombstone-skip memoisation stays sound.
-    if (p < h) h = p;
+    if (lo < h) h = lo;
   }
+  return compares;
 }
 
 std::optional<auction::UserId> EncryptedBidTable::argmax_in_column(

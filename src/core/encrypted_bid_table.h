@@ -81,8 +81,11 @@ class EncryptedBidTable final : public auction::BidTableView {
   /// kSortedColumns, u is re-positioned in every column order exactly
   /// where a from-scratch stable sort of the current submissions would
   /// put it — so an incrementally maintained table stays bit-equal to a
-  /// rebuilt one.  Cost O(n) per column vs O(n log n) for a rebuild.
-  void insert_user(UserId u);
+  /// rebuilt one.  Cost per column: a binary search of at most
+  /// 2·(⌈log₂ n⌉ + 1) masked compares plus an O(n) uint32 memmove, vs
+  /// O(n log n) compares for a rebuild.  Returns the masked compares it
+  /// spent (0 under kTournamentScan, which keeps no orders).
+  std::size_t insert_user(UserId u);
 
   /// Column maximum under the masked order; ties break to the lowest
   /// user id on both strategies (the sort is stable, the scan keeps the

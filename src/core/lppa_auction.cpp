@@ -155,27 +155,30 @@ MaintainedRoundOutcome LppaAuction::allocate_and_charge(
   std::vector<auction::Award>& awards = result.awards;
 
   // --- Charging through the periodically-available TTP --------------------
+  // pending_award[i] is the index of the award pending[i] charges (the
+  // TTP answers a batch in query order), so a flush is O(batch).
   std::vector<ChargeQuery> pending;
+  std::vector<std::size_t> pending_award;
   auto flush = [&] {
     if (pending.empty()) return;
     const auto results = ttp_.process_batch(pending);
-    for (const auto& res : results) {
-      for (auto& award : awards) {
-        if (award.user == res.user && award.channel == res.channel) {
-          if (res.manipulated) {
-            ++result.manipulations_detected;
-            award.valid = false;
-            award.charge = 0;
-          } else {
-            award.valid = res.valid;
-            award.charge = res.charge;
-          }
-        }
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const ChargeResult& res = results[i];
+      auction::Award& award = awards[pending_award[i]];
+      if (res.manipulated) {
+        ++result.manipulations_detected;
+        award.valid = false;
+        award.charge = 0;
+      } else {
+        award.valid = res.valid;
+        award.charge = res.charge;
       }
     }
     pending.clear();
+    pending_award.clear();
   };
-  for (const auto& award : awards) {
+  for (std::size_t a = 0; a < awards.size(); ++a) {
+    const auction::Award& award = awards[a];
     const ChannelBidSubmission& entry = bids[award.user].channels[award.channel];
     ChargeQuery query{award.user,         award.channel, entry.sealed,
                       entry.value_family, entry.paillier_ct,
@@ -202,6 +205,7 @@ MaintainedRoundOutcome LppaAuction::allocate_and_charge(
       }
     }
     pending.push_back(std::move(query));
+    pending_award.push_back(a);
     if (pending.size() >= config_.ttp_batch_size) flush();
   }
   flush();

@@ -138,7 +138,11 @@ void ShardedBidTable::insert_user(UserId u) {
   live_ += channels_;
   // u was a member of its shard at construction, so the shard table
   // exists and holds u's (tombstoned) local slot.
-  shards_[shard_of_[u]]->insert_user(local_index_[u]);
+  const std::size_t compares =
+      shards_[shard_of_[u]]->insert_user(local_index_[u]);
+  if (metrics_ != nullptr) {
+    metrics_->counter("churn.splice_compares").inc(compares);
+  }
 }
 
 ShardedBidTable ShardedBidTable::clone() const {

@@ -95,7 +95,8 @@ class ShardedBidTable final : public auction::BidTableView {
   /// EncryptedBidTable::insert_user).  The global mirror and the owning
   /// shard's subset table update together; the slot→shard assignment is
   /// fixed at construction, so the re-activated SU re-enters the same
-  /// shard it left.
+  /// shard it left.  With `metrics` set, the masked compares the splice
+  /// spent are added to the "churn.splice_compares" counter.
   void insert_user(UserId u);
 
   /// Deep copy (the per-shard tables live behind unique_ptr, so the

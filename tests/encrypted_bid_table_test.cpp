@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "auction/bid_matrix.h"
 #include "core/lppa_auction.h"
+#include "counting_backend.h"
 #include "crypto/sealed_box.h"
 
 namespace lppa::core {
@@ -550,6 +553,64 @@ TEST_F(EncryptedTableTest, SerializeImageMatchesMemberSerialize) {
   // Dimension mismatch between bitmap and submissions is rejected.
   EXPECT_THROW(EncryptedBidTable::serialize_image(subs, 2, {true}, 1),
                LppaError);
+}
+
+/// Every column's full order, read by popping argmax and removing the
+/// winner until the column is empty (on a copy: the table is consumed).
+std::vector<std::vector<auction::UserId>> drain_columns(
+    EncryptedBidTable table) {
+  std::vector<std::vector<auction::UserId>> columns(table.num_channels());
+  for (std::size_t r = 0; r < table.num_channels(); ++r) {
+    while (const auto top = table.argmax_in_column(r)) {
+      columns[r].push_back(*top);
+      table.remove(*top, r);
+    }
+  }
+  return columns;
+}
+
+TEST_F(EncryptedTableTest, InsertUserSpendsLogarithmicMaskedCompares) {
+  // The splice is a binary search: at most ⌈log₂ n⌉ + 1 probes per
+  // column, each at most two masked tests.  A counting backend measures
+  // the tests actually issued and reconciles them with insert_user's own
+  // count; a drain of every column checks the slot it picked is the one
+  // a rebuild's stable sort gives.
+  constexpr std::size_t kChannels = 3;
+  const testing_support::CountingBackend counting(crypto::hmac_backend());
+  Rng sweep(6021);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{5},
+                              std::size_t{64}, std::size_t{300}}) {
+    const auto random_bids = [&] {
+      auction::BidVector bv(kChannels);
+      for (auto& b : bv) b = sweep.below(16);
+      return bv;
+    };
+    std::vector<BidSubmission> subs;
+    for (std::size_t u = 0; u < n; ++u) {
+      subs.push_back(submitter.submit(random_bids(), sweep));
+    }
+    EncryptedBidTable table(subs, kChannels, ArgmaxStrategy::kSortedColumns,
+                            /*sort_threads=*/1, &counting);
+    const std::size_t ceil_log2 = n <= 1 ? 0 : std::bit_width(n - 1);
+    const std::size_t budget = 2 * kChannels * (ceil_log2 + 1);
+    for (int event = 0; event < 12; ++event) {
+      const std::size_t u = sweep.below(n);
+      table.remove_user(u);
+      subs[u] = submitter.submit(random_bids(), sweep);
+      const std::size_t before = counting.ges();
+      const std::size_t spent = table.insert_user(u);
+      ASSERT_EQ(counting.ges() - before, spent) << "n=" << n;
+      ASSERT_LE(spent, budget) << "n=" << n << " event " << event;
+      const EncryptedBidTable rebuilt(subs, kChannels);
+      ASSERT_EQ(drain_columns(table), drain_columns(rebuilt))
+          << "n=" << n << " event " << event;
+    }
+  }
+  // The tournament scan keeps no orders, so it spends nothing.
+  std::vector<BidSubmission> subs = make({{3, 1}, {2, 2}});
+  EncryptedBidTable scan(subs, 2, ArgmaxStrategy::kTournamentScan);
+  scan.remove_user(0);
+  EXPECT_EQ(scan.insert_user(0), 0u);
 }
 
 }  // namespace
