@@ -74,6 +74,20 @@ Bytes ByteReader::raw(std::size_t n) {
   return out;
 }
 
+std::uint32_t ByteReader::count(std::size_t min_item_bytes) {
+  const std::uint32_t n = u32();
+  expect_items(n, min_item_bytes);
+  return n;
+}
+
+void ByteReader::expect_items(std::size_t items,
+                              std::size_t min_item_bytes) const {
+  LPPA_REQUIRE(min_item_bytes > 0, "element size bound must be positive");
+  // Divide rather than multiply: items * min_item_bytes can overflow.
+  LPPA_PROTOCOL_CHECK(items <= remaining() / min_item_bytes,
+                      "element count exceeds the remaining input");
+}
+
 bool ct_equal(std::span<const std::uint8_t> a,
               std::span<const std::uint8_t> b) noexcept {
   if (a.size() != b.size()) return false;

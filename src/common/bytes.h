@@ -58,6 +58,18 @@ class ByteReader {
   /// Exactly n raw bytes (mirrors ByteWriter::raw).
   Bytes raw(std::size_t n);
 
+  /// A u32 element count for a sequence whose every element encodes to
+  /// at least `min_item_bytes` bytes.  Throws LppaError(kProtocol) when
+  /// the remaining input cannot hold that many elements, so a decoder may
+  /// size a container from the count before reading a single element —
+  /// a hostile count costs a typed error, never a huge allocation.
+  std::uint32_t count(std::size_t min_item_bytes);
+
+  /// The check behind count(), for a count read some other way: throws
+  /// LppaError(kProtocol) unless `items` elements of at least
+  /// `min_item_bytes` bytes each fit in the remaining input.
+  void expect_items(std::size_t items, std::size_t min_item_bytes) const;
+
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
   bool at_end() const noexcept { return remaining() == 0; }
 

@@ -1,6 +1,12 @@
 #include "core/encrypted_bid_table.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <numeric>
+#include <optional>
+#include <span>
+#include <utility>
 
 #include "common/thread_pool.h"
 
@@ -39,6 +45,145 @@ void stable_merge_sort(std::vector<std::uint32_t>& items,
                 items.begin() + static_cast<std::ptrdiff_t>(lo));
     }
   }
+}
+
+/// A strict total order on equal-type sequences: shorter first, then
+/// bytewise.  It only ever orders (sorting and searching the scratch
+/// arrays below); equality of digests is confirmed with ct_equal, as in
+/// HashedPrefixSet::intersects.
+template <typename T>
+bool bytes_less(std::span<const T> a, std::span<const T> b) noexcept {
+  if (a.size() != b.size()) return a.size() < b.size();
+  return std::memcmp(a.data(), b.data(), a.size_bytes()) < 0;
+}
+
+bool digest_less(const crypto::Digest& a, const crypto::Digest& b) noexcept {
+  return bytes_less<std::uint8_t>(a.bytes, b.bytes);
+}
+
+std::span<const std::uint8_t> raw_bytes(
+    std::span<const crypto::Digest> s) noexcept {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size_bytes()};
+}
+
+/// Users of one column grouped by a per-user key: users with equal keys
+/// share a class id.
+struct Classes {
+  std::vector<std::uint32_t> of;   ///< user -> class id
+  std::vector<std::uint32_t> rep;  ///< class id -> one member
+};
+
+/// Per-user lists in CSR form: user u's list is items[at[u] .. at[u + 1]).
+/// Lists are built in user order: push items, then close() the list.
+template <typename T>
+struct FlatLists {
+  std::vector<T> items;
+  std::vector<std::uint32_t> at{0};
+
+  explicit FlatLists(std::size_t users) { at.reserve(users + 1); }
+
+  void close() { at.push_back(static_cast<std::uint32_t>(items.size())); }
+  void append(std::span<const T> list) {
+    items.insert(items.end(), list.begin(), list.end());
+    close();
+  }
+  std::span<const T> operator[](std::uint32_t u) const {
+    return {items.data() + at[u], at[u + 1] - at[u]};
+  }
+};
+
+/// Sorts the users by key(u) under `less` (a strict total order) and
+/// opens a new class wherever `equal` tells neighbours apart.
+template <typename Key, typename Less, typename Equal>
+Classes group_users(std::size_t users, const Key& key, const Less& less,
+                    const Equal& equal) {
+  std::vector<std::uint32_t> by_key(users);
+  std::iota(by_key.begin(), by_key.end(), 0u);
+  std::sort(by_key.begin(), by_key.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return less(key(a), key(b));
+            });
+  Classes c;
+  c.of.resize(users);
+  for (std::size_t i = 0; i < users; ++i) {
+    const std::uint32_t u = by_key[i];
+    if (i == 0 || !equal(key(by_key[i - 1]), key(u))) c.rep.push_back(u);
+    c.of[u] = static_cast<std::uint32_t>(c.rep.size() - 1);
+  }
+  return c;
+}
+
+/// The HMAC order test is ge(a, b) = F(a) ∩ R(b) ≠ ∅, with F the value
+/// family and R the range set.  Let U be the union of the column's
+/// families.  Every F(a) ⊆ U, so ge(a, b) = F(a) ∩ (R(b) ∩ U) ≠ ∅: the
+/// answer depends on a only through F(a) (its left class) and on b only
+/// through R(b) ∩ U (its right class).  ge on one representative per
+/// class therefore answers every pair exactly — forged or inconsistent
+/// digests included.  Nullopt when g_left · g_right exceeds `max_pairs`,
+/// i.e. the classes would save nothing over per-pair tests.
+template <typename Cell>
+std::optional<std::pair<Classes, Classes>> hmac_column_classes(
+    std::size_t users, const Cell& cell, std::uint64_t max_pairs) {
+  using Digests = std::span<const crypto::Digest>;
+  // One pass copies every family and range set into flat CSR arrays:
+  // the steps below read them several times, and the copies stay in
+  // cache where the submissions' scattered heap blocks do not.
+  FlatLists<crypto::Digest> families(users), ranges(users);
+  for (std::uint32_t u = 0; u < users; ++u) {
+    families.append(cell(u).value_family.digests());
+    ranges.append(cell(u).range_set.digests());
+  }
+  // Left classes: users with byte-identical families (the same digests
+  // in the same sorted order, so the same set).
+  Classes left = group_users(
+      users, [&](std::uint32_t u) { return families[u]; },
+      bytes_less<crypto::Digest>,
+      [](Digests a, Digests b) {
+        return ct_equal(raw_bytes(a), raw_bytes(b));
+      });
+  if (left.rep.size() > max_pairs) return std::nullopt;
+  // U, sorted and unique: one family per left class covers it.
+  std::vector<crypto::Digest> universe;
+  for (const std::uint32_t u : left.rep) {
+    const Digests family = families[u];
+    universe.insert(universe.end(), family.begin(), family.end());
+  }
+  std::sort(universe.begin(), universe.end(), digest_less);
+  universe.erase(std::unique(universe.begin(), universe.end(),
+                             [](const crypto::Digest& a,
+                                const crypto::Digest& b) {
+                               return ct_equal(a.bytes, b.bytes);
+                             }),
+                 universe.end());
+  // Right keys: R(u) ∩ U as ascending positions in U (R is sorted, so a
+  // repeated digest is a repeated position and is dropped) — equal
+  // position lists mean equal sets.
+  FlatLists<std::uint32_t> traces(users);
+  for (std::uint32_t u = 0; u < users; ++u) {
+    for (const auto& d : ranges[u]) {
+      const auto it =
+          std::lower_bound(universe.begin(), universe.end(), d, digest_less);
+      if (it == universe.end() || digest_less(d, *it) ||
+          !ct_equal(it->bytes, d.bytes)) {
+        continue;
+      }
+      const auto pos = static_cast<std::uint32_t>(it - universe.begin());
+      if (traces.items.size() == traces.at.back() ||
+          traces.items.back() != pos) {
+        traces.items.push_back(pos);
+      }
+    }
+    traces.close();
+  }
+  using Positions = std::span<const std::uint32_t>;
+  Classes right = group_users(
+      users, [&](std::uint32_t u) { return traces[u]; },
+      bytes_less<std::uint32_t>,
+      [](Positions a, Positions b) { return std::ranges::equal(a, b); });
+  if (std::uint64_t{left.rep.size()} * right.rep.size() > max_pairs) {
+    return std::nullopt;
+  }
+  return std::pair{std::move(left), std::move(right)};
 }
 
 }  // namespace
@@ -95,19 +240,52 @@ EncryptedBidTable EncryptedBidTable::subset_view(
 void EncryptedBidTable::build_column_orders(std::size_t sort_threads) {
   order_.assign(channels_, {});
   head_.assign(channels_, 0);
+  std::vector<std::size_t> tests(channels_, 0);
+  // The class memo pays off only while it holds fewer pairs than a
+  // per-pair merge sort would test: n·(⌈log₂ n⌉ + 1).
+  const std::uint64_t max_pairs =
+      std::uint64_t{users_} * (std::bit_width(users_ - 1) + 1);
+  const bool hmac = backend_->id() == crypto::BidBackendId::kHmacPrefix;
   // Columns are fully independent, so the per-column sorts parallelise
   // with no shared mutable state and a thread-count-independent result.
   parallel_for(channels_, sort_threads, [&](std::size_t r) {
     auto& ord = order_[r];
     ord.resize(users_);
-    for (std::size_t u = 0; u < users_; ++u) {
-      ord[u] = static_cast<std::uint32_t>(u);
+    std::iota(ord.begin(), ord.end(), 0u);
+    const auto cell = [&](std::uint32_t u) -> const ChannelBidSubmission& {
+      return sub(u).channels[r];
+    };
+    std::size_t& spent = tests[r];
+    const auto classes = hmac && users_ > 1
+                             ? hmac_column_classes(users_, cell, max_pairs)
+                             : std::nullopt;
+    if (!classes) {
+      stable_merge_sort(ord, [&](std::uint32_t u, std::uint32_t v) {
+        // u strictly greater than v in the masked order:  NOT (v >= u).
+        ++spent;
+        return !backend_->ge(cell(v), cell(u));
+      });
+      return;
     }
+    // Same comparator, answered per (left class of v, right class of u)
+    // and filled lazily: 0 = unasked, 1 = v >= u, 2 = u > v.  The merge
+    // sort sees the answers the per-pair test would give, so it produces
+    // the same permutation.
+    const auto& [left, right] = *classes;
+    std::vector<std::uint8_t> memo(left.rep.size() * right.rep.size(), 0);
     stable_merge_sort(ord, [&](std::uint32_t u, std::uint32_t v) {
-      // u strictly greater than v in the masked order:  NOT (v >= u).
-      return !backend_->ge(sub(v).channels[r], sub(u).channels[r]);
+      std::uint8_t& m = memo[left.of[v] * right.rep.size() + right.of[u]];
+      if (m == 0) {
+        ++spent;
+        m = backend_->ge(cell(left.rep[left.of[v]]),
+                         cell(right.rep[right.of[u]]))
+                ? 1
+                : 2;
+      }
+      return m == 2;
     });
   });
+  order_tests_ = std::accumulate(tests.begin(), tests.end(), std::size_t{0});
 }
 
 std::size_t EncryptedBidTable::idx(UserId u, ChannelId r) const {
@@ -295,6 +473,10 @@ EncryptedBidTable EncryptedBidTable::deserialize(
   table.channels_ = r.u32();
   LPPA_PROTOCOL_CHECK(table.users_ > 0 && table.channels_ > 0,
                       "bid table image has no users or channels");
+  // Each user is a length-prefixed BidSubmission: 4 + 4 bytes of
+  // prefixes plus at least kMinWireSize per channel.
+  r.expect_items(table.users_,
+                 8 + table.channels_ * ChannelBidSubmission::kMinWireSize);
   auto submissions = std::make_shared<std::vector<BidSubmission>>();
   submissions->reserve(table.users_);
   for (std::size_t u = 0; u < table.users_; ++u) {

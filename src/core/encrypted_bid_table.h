@@ -8,10 +8,22 @@
 // The masked encoding is order-preserving (a >= b iff a's value family
 // intersects b's range cover), so the pairwise test induces a total
 // preorder on each column.  The default strategy exploits that: each
-// column's descending order is built ONCE with O(n log n) masked
-// comparisons, and argmax_in_column becomes an amortised O(1) pop that
-// skips tombstoned (removed) entries — instead of the seed's O(n)
-// tournament re-run every Algorithm-3 iteration (O(n² · w) per round).
+// column's descending order is built ONCE by a stable merge sort, and
+// argmax_in_column becomes an amortised O(1) pop that skips tombstoned
+// (removed) entries — instead of the seed's O(n) tournament re-run every
+// Algorithm-3 iteration (O(n² · w) per round).
+//
+// Build cost per column.  On the HMAC backend the sort's comparisons are
+// answered from a class memo: users with the same value family F share a
+// left class, users with the same R ∩ U (range set R, U the union of the
+// column's families) share a right class, and ge(a, b) = F(a) ∩ R(b) ≠ ∅
+// = F(a) ∩ (R(b) ∩ U) ≠ ∅ depends on nothing else — so one backend test
+// per (left, right) class pair answers every pair exactly, Byzantine
+// cells included.  That is O(n·w) digest lookups plus at most g_F·g_R
+// backend tests (≤ 2^w · 2^w for w-bit scaled bids) instead of
+// O(n log n).  Columns where g_F·g_R > n·(⌈log₂ n⌉ + 1), and every
+// column of a non-HMAC backend (Paillier ciphertexts are randomised, so
+// there are no equal-value classes), keep the per-pair comparator.
 // The tournament scan is kept as an explicit strategy because it is the
 // differential-testing reference the sorted path must match award-for-
 // award, including across serialize → deserialize mid-allocation.
@@ -27,9 +39,10 @@ namespace lppa::core {
 
 /// How argmax_in_column finds the masked column maximum.
 enum class ArgmaxStrategy : std::uint8_t {
-  /// Build each column's total order up front (O(n log n) masked
-  /// comparisons, optionally parallelised across columns), then pop the
-  /// first still-present entry per query.  Default.
+  /// Build each column's total order up front (see the file comment for
+  /// the masked tests that costs; optionally parallelised across
+  /// columns), then pop the first still-present entry per query.
+  /// Default.
   kSortedColumns,
   /// The seed implementation: a fresh O(n) masked tournament per query.
   /// Kept as the differential-testing reference and perf baseline.
@@ -140,6 +153,10 @@ class EncryptedBidTable final : public auction::BidTableView {
   /// Live (still-present) cells; empty() is live_cells() == 0.
   std::size_t live_cells() const noexcept { return live_; }
 
+  /// Masked order tests (backend ge calls) the column-order build spent;
+  /// 0 under kTournamentScan.
+  std::size_t order_tests() const noexcept { return order_tests_; }
+
  private:
   friend class ShardedBidTable;  ///< re-shards restored (owning) images
 
@@ -170,6 +187,7 @@ class EncryptedBidTable final : public auction::BidTableView {
   /// The masked order test; never null after construction.
   const crypto::BidBackend* backend_ = &crypto::hmac_backend();
   std::vector<bool> present_;
+  std::size_t order_tests_ = 0;  ///< see order_tests()
   std::size_t live_ = 0;  ///< count of set bits in present_, so empty()
                           ///< is O(1) instead of an O(n·m) bitmap scan
                           ///< per allocation iteration

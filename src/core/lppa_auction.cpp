@@ -118,16 +118,24 @@ LppaOutcome LppaAuction::run(
   }
   const std::vector<bool> all_live(n, true);
   MaintainedRoundOutcome round;
+  obs::Span table_span(m, "auction.table", &round_span);
+  const auto table_built = [&](std::size_t order_tests) {
+    if (m != nullptr) m->counter("auction.table.order_tests").inc(order_tests);
+    table_span.end();
+  };
   if (assignment) {
     ShardedBidTable table(view.bids, config_.num_channels, assignment->shard_of,
                           config_.num_shards, config_.argmax_strategy,
-                          config_.num_threads, m, config_.backend);
+                          config_.num_threads, m, config_.backend,
+                          &table_span);
+    table_built(table.order_tests());
     round = allocate_and_charge(view.bids, view.conflicts, table, all_live, rng,
                                 &round_span);
   } else {
     EncryptedBidTable table(view.bids, config_.num_channels,
                             config_.argmax_strategy, config_.num_threads,
                             config_.backend);
+    table_built(table.order_tests());
     round = allocate_and_charge(view.bids, view.conflicts, table, all_live, rng,
                                 &round_span);
   }

@@ -67,10 +67,11 @@ struct LppaConfig {
   const crypto::BidBackend* backend = nullptr;
   /// Optional observability sink (obs/metrics.h): when set, every round
   /// records per-phase spans (auction.round > submit / validate /
-  /// conflict_graph / allocate / charging), phase counters, and argmax
-  /// strategy counters into it.  Null (the default) makes every
-  /// instrumentation site a branch-and-skip.  Not owned; the caller
-  /// keeps the registry alive for the config's lifetime.
+  /// conflict_graph / table / allocate / charging), phase counters
+  /// (auction.table.order_tests: the masked tests the table build
+  /// spent), and argmax strategy counters into it.  Null (the default)
+  /// makes every instrumentation site a branch-and-skip.  Not owned; the
+  /// caller keeps the registry alive for the config's lifetime.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

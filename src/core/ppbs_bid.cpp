@@ -155,7 +155,7 @@ Bytes BidSubmission::serialize() const {
 
 BidSubmission BidSubmission::deserialize(std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(ChannelBidSubmission::kMinWireSize);
   BidSubmission out;
   out.channels.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

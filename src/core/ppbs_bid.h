@@ -143,6 +143,11 @@ struct ChannelBidSubmission {
   crypto::SealedMessage sealed;          ///< SealedBidPayload under gc
   std::uint64_t paillier_ct = 0;         ///< E_pub(s), Paillier backend only
 
+  /// Smallest encoding: two digest counts and the sealed length prefix
+  /// (4 bytes each), then either a 32-byte family digest or the 8-byte
+  /// ciphertext that an empty family implies.
+  static constexpr std::size_t kMinWireSize = 4 + 4 + 4 + 8;
+
   std::size_t wire_size() const noexcept {
     return value_family.wire_size() + range_set.wire_size() +
            sealed.wire_size() + (value_family.size() == 0 ? 8 : 0);

@@ -12,7 +12,8 @@ ShardedBidTable::ShardedBidTable(const std::vector<BidSubmission>& submissions,
                                  ArgmaxStrategy strategy,
                                  std::size_t num_threads,
                                  obs::MetricsRegistry* metrics,
-                                 const crypto::BidBackend* backend)
+                                 const crypto::BidBackend* backend,
+                                 const obs::Span* parent)
     : submissions_(&submissions),
       backend_(&crypto::resolve_backend(backend)),
       users_(submissions.size()),
@@ -40,11 +41,12 @@ ShardedBidTable::ShardedBidTable(const std::vector<BidSubmission>& submissions,
   }
   present_.assign(users_ * channels_, true);
   live_ = users_ * channels_;
-  build_shards(strategy, num_threads);
+  build_shards(strategy, num_threads, parent);
 }
 
 void ShardedBidTable::build_shards(ArgmaxStrategy strategy,
-                                   std::size_t num_threads) {
+                                   std::size_t num_threads,
+                                   const obs::Span* parent) {
   const std::size_t num_shards = members_.size();
   shards_.resize(num_shards);
   // One task per shard; each task sorts its columns serially so nested
@@ -52,7 +54,7 @@ void ShardedBidTable::build_shards(ArgmaxStrategy strategy,
   // tables — and every later answer — are thread-count-invariant.
   parallel_for(num_shards, num_threads, [&](std::size_t s) {
     if (members_[s].empty()) return;
-    obs::Span build_span(metrics_, "shard.table_build");
+    obs::Span build_span(metrics_, "shard.table_build", parent);
     shards_[s] = std::make_unique<EncryptedBidTable>(
         EncryptedBidTable::subset_view(*submissions_, channels_, members_[s],
                                        strategy, /*sort_threads=*/1,
@@ -203,6 +205,14 @@ const ChannelBidSubmission& ShardedBidTable::entry(UserId u,
                                                    ChannelId r) const {
   LPPA_REQUIRE(u < users_ && r < channels_, "bid table index out of range");
   return (*submissions_)[u].channels[r];
+}
+
+std::size_t ShardedBidTable::order_tests() const noexcept {
+  std::size_t tests = 0;
+  for (const auto& shard : shards_) {
+    if (shard != nullptr) tests += shard->order_tests();
+  }
+  return tests;
 }
 
 Bytes ShardedBidTable::serialize() const {

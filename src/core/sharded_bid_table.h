@@ -35,6 +35,7 @@
 
 namespace lppa::obs {
 class MetricsRegistry;
+class Span;
 }  // namespace lppa::obs
 
 namespace lppa::core {
@@ -50,14 +51,16 @@ class ShardedBidTable final : public auction::BidTableView {
   /// records per-shard "shard.table_build" spans, a "shard.argmax" span
   /// per merged query, and the "shard.argmax_merges" counter.
   /// `backend` selects the masked order test for every shard table and
-  /// the cross-shard merge (null = the seed HMAC backend).
+  /// the cross-shard merge (null = the seed HMAC backend).  `parent`,
+  /// when set, is the span the "shard.table_build" spans hang under.
   ShardedBidTable(const std::vector<BidSubmission>& submissions,
                   std::size_t num_channels, std::vector<std::uint32_t> shard_of,
                   std::size_t num_shards,
                   ArgmaxStrategy strategy = ArgmaxStrategy::kSortedColumns,
                   std::size_t num_threads = 1,
                   obs::MetricsRegistry* metrics = nullptr,
-                  const crypto::BidBackend* backend = nullptr);
+                  const crypto::BidBackend* backend = nullptr,
+                  const obs::Span* parent = nullptr);
 
   /// Re-shards a restored (owning) global table image mid-allocation:
   /// the per-shard tables are rebuilt from the owned submissions and the
@@ -117,11 +120,15 @@ class ShardedBidTable final : public auction::BidTableView {
   /// Global EncryptedBidTable-format image (see class comment).
   Bytes serialize() const;
 
+  /// Masked order tests the shard tables' column-order builds spent.
+  std::size_t order_tests() const noexcept;
+
  private:
   ShardedBidTable() = default;  ///< used by clone only
 
   std::size_t idx(UserId u, ChannelId r) const;
-  void build_shards(ArgmaxStrategy strategy, std::size_t num_threads);
+  void build_shards(ArgmaxStrategy strategy, std::size_t num_threads,
+                    const obs::Span* parent);
 
   const std::vector<BidSubmission>* submissions_ = nullptr;
   std::shared_ptr<const std::vector<BidSubmission>> owned_;  ///< restore path

@@ -64,6 +64,11 @@ struct ChargeQuery {
   std::optional<prefix::HashedPrefixSet> runner_up_family;
   std::uint64_t runner_up_ct = 0;
 
+  /// Smallest encoding: user and channel (u64 each), the sealed length
+  /// prefix and the family count (4 bytes each), the 8-byte ciphertext an
+  /// empty family implies (a digest would be 32), and the runner-up flag.
+  static constexpr std::size_t kMinWireSize = 8 + 8 + 4 + 4 + 8 + 1;
+
   void serialize(ByteWriter& w) const;
   static ChargeQuery deserialize(ByteReader& r);
 };
@@ -75,6 +80,9 @@ struct ChargeResult {
   bool valid = false;        ///< false: disguised/true zero -> no charge
   Money charge = 0;          ///< first-price charge when valid
   bool manipulated = false;  ///< prefix encoding did not match the payload
+
+  /// Fixed encoding: user, channel, charge (u64 each) and two flags.
+  static constexpr std::size_t kWireSize = 8 + 8 + 8 + 1 + 1;
 
   void serialize(ByteWriter& w) const;
   static ChargeResult deserialize(ByteReader& r);

@@ -87,8 +87,7 @@ void HashedPrefixSet::serialize(ByteWriter& w) const {
 }
 
 HashedPrefixSet HashedPrefixSet::deserialize(ByteReader& r) {
-  const std::uint32_t n = r.u32();
-  std::vector<crypto::Digest> digests(n);
+  std::vector<crypto::Digest> digests(r.count(crypto::Digest::kSize));
   for (auto& d : digests) {
     const Bytes raw = r.raw(crypto::Digest::kSize);
     std::copy(raw.begin(), raw.end(), d.bytes.begin());

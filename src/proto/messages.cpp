@@ -100,7 +100,8 @@ WinnerAnnouncement WinnerAnnouncement::deserialize(
     std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
   WinnerAnnouncement wa;
-  const std::uint32_t n = r.u32();
+  // user, channel, charge (u64 each) + the validity flag.
+  const std::uint32_t n = r.count(8 + 8 + 8 + 1);
   wa.awards.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     auction::Award a;
@@ -126,7 +127,7 @@ Bytes serialize_charge_queries(const std::vector<core::ChargeQuery>& queries) {
 std::vector<core::ChargeQuery> deserialize_charge_queries(
     std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(core::ChargeQuery::kMinWireSize);
   std::vector<core::ChargeQuery> queries;
   queries.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -147,7 +148,7 @@ Bytes serialize_charge_results(
 std::vector<core::ChargeResult> deserialize_charge_results(
     std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(core::ChargeResult::kWireSize);
   std::vector<core::ChargeResult> results;
   results.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -648,7 +648,8 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire) {
     } else {
       table_ = std::move(global);
     }
-    const std::uint32_t num_awards = r.u32();
+    // user, channel, charge (u64 each) + the valid and done flags.
+    const std::uint32_t num_awards = r.count(8 + 8 + 8 + 1 + 1);
     awards_.reserve(num_awards);
     for (std::uint32_t i = 0; i < num_awards; ++i) {
       auction::Award a;

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <numeric>
+#include <set>
 
 #include "auction/bid_matrix.h"
 #include "core/lppa_auction.h"
+#include "core/sharded_bid_table.h"
 #include "counting_backend.h"
 #include "crypto/sealed_box.h"
 
@@ -557,8 +560,8 @@ TEST_F(EncryptedTableTest, SerializeImageMatchesMemberSerialize) {
 
 /// Every column's full order, read by popping argmax and removing the
 /// winner until the column is empty (on a copy: the table is consumed).
-std::vector<std::vector<auction::UserId>> drain_columns(
-    EncryptedBidTable table) {
+template <typename Table>
+std::vector<std::vector<auction::UserId>> drain_columns(Table table) {
   std::vector<std::vector<auction::UserId>> columns(table.num_channels());
   for (std::size_t r = 0; r < table.num_channels(); ++r) {
     while (const auto top = table.argmax_in_column(r)) {
@@ -611,6 +614,347 @@ TEST_F(EncryptedTableTest, InsertUserSpendsLogarithmicMaskedCompares) {
   EncryptedBidTable scan(subs, 2, ArgmaxStrategy::kTournamentScan);
   scan.remove_user(0);
   EXPECT_EQ(scan.insert_user(0), 0u);
+}
+
+// --- Class-memoised column sort vs. the per-pair reference ----------------
+
+/// The per-pair column sort: a bottom-up stable merge over `items`
+/// (global ids) with one masked test per comparison.  This is the order
+/// the memoised build must reproduce permutation for permutation — on
+/// inconsistent (Byzantine) columns too, which is why it repeats the
+/// table's merge schedule instead of calling std::stable_sort.
+/// `tests`, when set, counts the comparisons.
+std::vector<std::uint32_t> per_pair_order(
+    const std::vector<BidSubmission>& subs, std::size_t r,
+    std::vector<std::uint32_t> items, std::size_t* tests = nullptr) {
+  const auto greater = [&](std::uint32_t u, std::uint32_t v) {
+    if (tests != nullptr) ++*tests;
+    return !crypto::hmac_backend().ge(subs[v].channels[r], subs[u].channels[r]);
+  };
+  const std::size_t n = items.size();
+  std::vector<std::uint32_t> buf(n);
+  for (std::size_t width = 1; width < n; width *= 2) {
+    for (std::size_t lo = 0; lo + width < n; lo += 2 * width) {
+      const std::size_t mid = lo + width, hi = std::min(n, mid + width);
+      std::size_t a = lo, b = mid, o = lo;
+      while (a < mid && b < hi) {
+        buf[o++] = greater(items[b], items[a]) ? items[b++] : items[a++];
+      }
+      while (a < mid) buf[o++] = items[a++];
+      while (b < hi) buf[o++] = items[b++];
+      std::copy(buf.begin() + static_cast<std::ptrdiff_t>(lo),
+                buf.begin() + static_cast<std::ptrdiff_t>(hi),
+                items.begin() + static_cast<std::ptrdiff_t>(lo));
+    }
+  }
+  return items;
+}
+
+/// A bid table answering argmax from per-pair reference orders: one
+/// order per shard and column, merged across shards by the rule
+/// ShardedBidTable documents (strictly greater wins, a masked tie keeps
+/// the lower global id).  One shard is the unsharded table.
+class PerPairTable final : public auction::BidTableView {
+ public:
+  PerPairTable(const std::vector<BidSubmission>& subs, std::size_t channels,
+               const std::vector<std::uint32_t>& shard_of,
+               std::size_t num_shards)
+      : subs_(subs),
+        channels_(channels),
+        present_(subs.size() * channels, true),
+        live_(subs.size() * channels) {
+    std::vector<std::vector<std::uint32_t>> members(num_shards);
+    for (std::size_t u = 0; u < subs.size(); ++u) {
+      members[shard_of[u]].push_back(static_cast<std::uint32_t>(u));
+    }
+    for (const auto& m : members) {
+      if (m.empty()) continue;
+      auto& shard = orders_.emplace_back();
+      for (std::size_t r = 0; r < channels; ++r) {
+        shard.push_back(per_pair_order(subs, r, m));
+      }
+    }
+  }
+
+  std::size_t num_users() const noexcept override { return subs_.size(); }
+  std::size_t num_channels() const noexcept override { return channels_; }
+  bool has(UserId u, ChannelId r) const override {
+    return present_[u * channels_ + r];
+  }
+  void remove(UserId u, ChannelId r) override {
+    if (present_[u * channels_ + r]) {
+      present_[u * channels_ + r] = false;
+      --live_;
+    }
+  }
+  void remove_user(UserId u) override {
+    for (std::size_t r = 0; r < channels_; ++r) remove(u, r);
+  }
+  std::optional<UserId> argmax_in_column(ChannelId r) const override {
+    const crypto::BidBackend& be = crypto::hmac_backend();
+    std::optional<UserId> best;
+    for (const auto& shard : orders_) {
+      const auto& ord = shard[r];
+      const auto top = std::find_if(ord.begin(), ord.end(), [&](auto u) {
+        return present_[u * channels_ + r];
+      });
+      if (top == ord.end()) continue;
+      const UserId g = *top;
+      if (!best) {
+        best = g;
+        continue;
+      }
+      const auto& challenger = subs_[g].channels[r];
+      const auto& incumbent = subs_[*best].channels[r];
+      if (be.ge(challenger, incumbent) &&
+          (!be.ge(incumbent, challenger) || g < *best)) {
+        best = g;
+      }
+    }
+    return best;
+  }
+  bool empty() const noexcept override { return live_ == 0; }
+
+  Bytes image() const {
+    return EncryptedBidTable::serialize_image(subs_, channels_, present_,
+                                              live_);
+  }
+
+ private:
+  const std::vector<BidSubmission>& subs_;
+  std::size_t channels_;
+  /// orders_[shard][r]: global ids of that shard, per-pair sorted.
+  std::vector<std::vector<std::vector<std::uint32_t>>> orders_;
+  std::vector<bool> present_;
+  std::size_t live_;
+};
+
+/// Builds the table over `subs` for shards {1, 4} × threads {1, 4} and
+/// checks the drained column orders, the awards of a full allocation and
+/// the serialized image after it against the per-pair reference with
+/// the same shard map.
+void expect_matches_per_pair(const std::vector<BidSubmission>& subs,
+                             std::size_t k) {
+  const std::size_t n = subs.size();
+  // A sparse ring of conflicts, so allocation removes neighbour cells as
+  // well as winner rows.
+  auction::ConflictGraph graph(n);
+  for (std::size_t u = 0; u + 3 < n; u += 2) graph.add_conflict(u, u + 3);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    const auto shard_of = ShardedBidTable::contiguous_shards(n, shards);
+    PerPairTable reference(subs, k, shard_of, shards);
+    const auto orders = drain_columns(reference);
+    Rng ref_rng(7);
+    const auto awards = auction::greedy_allocate(reference, graph, ref_rng);
+    const Bytes image = reference.image();
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      Rng rng(7);
+      if (shards == 1) {
+        EncryptedBidTable table(subs, k, ArgmaxStrategy::kSortedColumns,
+                                threads);
+        ASSERT_EQ(drain_columns(table), orders);
+        EXPECT_EQ(auction::greedy_allocate(table, graph, rng), awards);
+        EXPECT_EQ(table.serialize(), image);
+      } else {
+        ShardedBidTable table(subs, k, shard_of, shards,
+                              ArgmaxStrategy::kSortedColumns, threads);
+        ASSERT_EQ(drain_columns(table.clone()), orders);
+        EXPECT_EQ(auction::greedy_allocate(table, graph, rng), awards);
+        EXPECT_EQ(table.serialize(), image);
+      }
+    }
+  }
+}
+
+/// n users' submissions under `cfg`, bids uniform in [0, max_bid].
+std::vector<BidSubmission> submit_random(const PpbsBidConfig& cfg,
+                                         std::size_t n, std::size_t k,
+                                         Money max_bid, std::uint64_t seed) {
+  Rng rng(seed);
+  const BidSubmitter submitter(cfg, crypto::SecretKey::generate(rng),
+                               crypto::SecretKey::generate(rng));
+  std::vector<BidSubmission> subs;
+  for (std::size_t u = 0; u < n; ++u) {
+    auction::BidVector bv(k);
+    for (auto& b : bv) b = rng.below(max_bid + 1);
+    subs.push_back(submitter.submit(bv, rng));
+  }
+  return subs;
+}
+
+/// g_F · g_R of column r: distinct families (byte-identical digest
+/// lists) times distinct range-set traces R ∩ U on the union U of the
+/// column's families.
+std::size_t class_pairs(const std::vector<BidSubmission>& subs,
+                        std::size_t r) {
+  using Set = std::vector<crypto::Digest>;
+  std::set<Set> families, traces;
+  std::set<crypto::Digest> universe;
+  for (const auto& s : subs) {
+    const auto f = s.channels[r].value_family.digests();
+    families.emplace(f.begin(), f.end());
+    universe.insert(f.begin(), f.end());
+  }
+  for (const auto& s : subs) {
+    std::set<crypto::Digest> trace;
+    for (const auto& d : s.channels[r].range_set.digests()) {
+      if (universe.count(d) != 0) trace.insert(d);
+    }
+    traces.emplace(trace.begin(), trace.end());
+  }
+  return families.size() * traces.size();
+}
+
+/// The masked tests a from-scratch build spends, per column, against the
+/// class budget: counted ge == order_tests() ≤ g_F · g_R.  Columns are
+/// built one at a time (one-channel copies) so each budget is checked on
+/// its own.
+void expect_within_class_budget(const std::vector<BidSubmission>& subs,
+                                std::size_t k) {
+  for (std::size_t r = 0; r < k; ++r) {
+    std::vector<BidSubmission> column(subs.size());
+    for (std::size_t u = 0; u < subs.size(); ++u) {
+      column[u].channels = {subs[u].channels[r]};
+    }
+    const testing_support::CountingBackend counting(crypto::hmac_backend());
+    const EncryptedBidTable table(column, 1, ArgmaxStrategy::kSortedColumns,
+                                  1, &counting);
+    EXPECT_EQ(counting.ges(), table.order_tests()) << "column " << r;
+    EXPECT_LE(counting.ges(), class_pairs(subs, r)) << "column " << r;
+  }
+}
+
+TEST(EncryptedTableClassMemo, DefaultConfigMatchesPerPairSort) {
+  // bmax 15, rd 0, cr 1: at most 16 classes a side, so a column costs at
+  // most 256 masked tests whatever n is.
+  const auto subs = submit_random(PpbsBidConfig{}, 300, 3, 15, 1401);
+  expect_matches_per_pair(subs, 3);
+  expect_within_class_budget(subs, 3);
+  const testing_support::CountingBackend counting(crypto::hmac_backend());
+  const EncryptedBidTable table(subs, 3, ArgmaxStrategy::kSortedColumns, 1,
+                                &counting);
+  EXPECT_LE(counting.ges(), 3u * 16 * 16);
+}
+
+TEST(EncryptedTableClassMemo, AdvancedConfigMatchesPerPairSort) {
+  // Offset, range-mapping factor and zero disguise: up to cr·(bmax+rd+1)
+  // = 76 scaled values a column.  n = 700 keeps 76² under the per-pair
+  // bound n·(⌈log₂ n⌉ + 1), so the memo path runs.
+  const auto cfg = PpbsBidConfig::advanced(
+      15, 3, 4, ZeroDisguisePolicy::uniform(15, 0.5));
+  const auto subs = submit_random(cfg, 700, 2, 15, 1402);
+  expect_matches_per_pair(subs, 2);
+  expect_within_class_budget(subs, 2);
+}
+
+TEST(EncryptedTableClassMemo, TieHeavyColumnsMatchPerPairSort) {
+  const auto cfg =
+      PpbsBidConfig::advanced(3, 0, 1, ZeroDisguisePolicy::none(3));
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{9},
+                              std::size_t{200}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto subs = submit_random(cfg, n, 3, 3, 1403 + n);
+    expect_matches_per_pair(subs, 3);
+    expect_within_class_budget(subs, 3);
+  }
+}
+
+TEST(EncryptedTableClassMemo, UnpaddedRangeSetsMatchPerPairSort) {
+  PpbsBidConfig cfg;
+  cfg.pad_range_sets = false;
+  const auto subs = submit_random(cfg, 250, 3, 15, 1404);
+  expect_matches_per_pair(subs, 3);
+  expect_within_class_budget(subs, 3);
+}
+
+TEST(EncryptedTableClassMemo, ByzantineCellsMatchPerPairSort) {
+  // Forged cells make the masked relation inconsistent (not a preorder);
+  // the memo must still answer exactly what the per-pair test answers,
+  // so the merge sort produces the same scrambled permutation.
+  constexpr std::size_t k = 3;
+  auto subs = submit_random(PpbsBidConfig{}, 240, k, 15, 1405);
+  Rng forge(99);
+  const auto garbage = [&](std::size_t count) {
+    std::vector<crypto::Digest> digests(count);
+    for (auto& d : digests) {
+      for (auto& byte : d.bytes) {
+        byte = static_cast<std::uint8_t>(forge.below(256));
+      }
+    }
+    return prefix::HashedPrefixSet::from_digests(std::move(digests));
+  };
+  for (std::size_t u = 0; u < subs.size(); u += 5) {
+    for (std::size_t r = 0; r < k; ++r) {
+      auto& cell = subs[u].channels[r];
+      const auto& other = subs[forge.below(subs.size())].channels[r];
+      switch ((u / 5 + r) % 5) {
+        case 0:  // the family of one value with the range of another
+          cell.range_set = other.range_set;
+          break;
+        case 1: {  // duplicated family digests
+          const auto f = cell.value_family.digests();
+          std::vector<crypto::Digest> twice(f.begin(), f.end());
+          twice.insert(twice.end(), f.begin(), f.end());
+          cell.value_family =
+              prefix::HashedPrefixSet::from_digests(std::move(twice));
+          break;
+        }
+        case 2:  // empty range set
+          cell.range_set = prefix::HashedPrefixSet{};
+          break;
+        case 3:  // garbage range set
+          cell.range_set = garbage(6);
+          break;
+        default:  // garbage family
+          cell.value_family = garbage(5);
+          break;
+      }
+    }
+  }
+  expect_matches_per_pair(subs, k);
+  expect_within_class_budget(subs, k);
+}
+
+TEST(EncryptedTableClassMemo, ManyClassesFallBackToPerPairTests) {
+  // Column 0 holds 64 distinct scaled values, column 1 holds 48 distinct
+  // values plus 16 copies of one more.  Either way g_F · g_R (64², 49²)
+  // exceeds n·(⌈log₂ n⌉ + 1) = 448, so the build keeps the per-pair
+  // comparator and spends exactly the reference sort's comparisons — on
+  // column 1 a memo would have answered the repeated pairs among the
+  // copies for free.
+  constexpr std::size_t n = 64, k = 2;
+  const auto cfg =
+      PpbsBidConfig::advanced(255, 0, 1, ZeroDisguisePolicy::none(255));
+  Rng rng(1406);
+  const BidSubmitter submitter(cfg, crypto::SecretKey::generate(rng),
+                               crypto::SecretKey::generate(rng));
+  std::vector<auction::BidVector> bids(n, auction::BidVector(k));
+  for (std::size_t r = 0; r < k; ++r) {
+    std::vector<Money> column(n);
+    std::iota(column.begin(), column.end(), Money{100});
+    if (r == 1) std::fill(column.begin() + 48, column.end(), Money{7});
+    rng.shuffle(column);
+    for (std::size_t u = 0; u < n; ++u) bids[u][r] = column[u];
+  }
+  std::vector<BidSubmission> subs;
+  for (const auto& bv : bids) subs.push_back(submitter.submit(bv, rng));
+  EXPECT_EQ(class_pairs(subs, 0), 64u * 64);
+  EXPECT_EQ(class_pairs(subs, 1), 49u * 49);
+
+  std::size_t reference_tests = 0;
+  std::vector<std::uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  for (std::size_t r = 0; r < k; ++r) {
+    per_pair_order(subs, r, ids, &reference_tests);
+  }
+  const testing_support::CountingBackend counting(crypto::hmac_backend());
+  const EncryptedBidTable table(subs, k, ArgmaxStrategy::kSortedColumns, 1,
+                                &counting);
+  EXPECT_EQ(counting.ges(), reference_tests);
+  EXPECT_EQ(table.order_tests(), reference_tests);
+  expect_matches_per_pair(subs, k);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <set>
 
+#include "counting_backend.h"
+#include "obs/metrics.h"
+
 namespace lppa::core {
 namespace {
 
@@ -266,6 +269,60 @@ TEST(LppaAuction, RevenueNeverExceedsPlainAuction) {
               plain_outcome.winning_bid_sum() + 15)
         << "seed " << seed;
     // (+bmax slack: different tie-breaks can shuffle one winner.)
+  }
+}
+
+TEST(LppaAuction, TableSpanParentsShardBuildsAndCountsOrderTests) {
+  // auction.table hangs under auction.round, the per-shard table builds
+  // hang under auction.table, and auction.table.order_tests counts the
+  // masked tests the build spent — every ge() of an unsharded round,
+  // whose sorted-column argmax pops spend none.
+  World w = make_world(40, 3, 301);
+  Rng spread(302);  // across the whole 2^14 grid, so every tile has SUs
+  for (auto& loc : w.locations) {
+    loc = {spread.below(16000), spread.below(16000)};
+  }
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    obs::MetricsRegistry reg;
+    const testing_support::CountingBackend counting(crypto::hmac_backend());
+    LppaConfig cfg = make_config(3);
+    cfg.num_shards = shards;
+    cfg.metrics = &reg;
+    cfg.backend = &counting;
+    LppaAuction engine(cfg, 5);
+    Rng rng(3);
+    engine.run(w.locations, w.bids, rng);
+
+    std::uint64_t round_id = 0, table_id = 0, table_parent = 0;
+    std::size_t tables = 0;
+    for (const auto& span : reg.spans()) {
+      if (span.name == "auction.round") round_id = span.id;
+      if (span.name == "auction.table") {
+        ++tables;
+        table_id = span.id;
+        table_parent = span.parent;
+      }
+    }
+    ASSERT_EQ(tables, 1u);
+    EXPECT_NE(round_id, 0u);
+    EXPECT_EQ(table_parent, round_id);
+    std::size_t shard_builds = 0;
+    for (const auto& span : reg.spans()) {
+      if (span.name != "shard.table_build") continue;
+      ++shard_builds;
+      EXPECT_EQ(span.parent, table_id);
+    }
+    EXPECT_EQ(shard_builds, shards == 1 ? 0u : shards);
+
+    const std::uint64_t order_tests =
+        reg.counter("auction.table.order_tests").value();
+    EXPECT_GT(order_tests, 0u);
+    if (shards == 1) {
+      EXPECT_EQ(order_tests, counting.ges());
+    } else {
+      EXPECT_LT(order_tests, counting.ges());  // plus the argmax merges
+    }
   }
 }
 
