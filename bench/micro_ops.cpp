@@ -7,6 +7,7 @@
 #include "core/lppa_auction.h"
 #include "core/ppbs_location.h"
 #include "crypto/hmac.h"
+#include "oracles.h"
 #include "prefix/hashed_set.h"
 #include "sim/scenario.h"
 
@@ -117,8 +118,7 @@ void BM_ConflictGraphPairwise(benchmark::State& state) {
     subs.push_back(protocol.submit({rng.below(70000), rng.below(70000)}, rng));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::PpbsLocation::build_conflict_graph_pairwise(subs));
+    benchmark::DoNotOptimize(oracles::conflict_graph_pairwise(subs));
   }
 }
 BENCHMARK(BM_ConflictGraphPairwise)->Arg(25)->Arg(50)->Arg(100);

@@ -17,10 +17,10 @@
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
-#include "core/encrypted_bid_table.h"
 #include "core/lppa_auction.h"
 #include "core/shard_conflict.h"
 #include "core/sharded_bid_table.h"
+#include "oracles.h"
 #include "prefix/digest_index.h"
 #include "shard/shard_plan.h"
 
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
     if (n <= pairwise_cap) {
       auction::ConflictGraph pairwise(n);
       const double ms = time_ms([&] {
-        pairwise = core::PpbsLocation::build_conflict_graph_pairwise(subs);
+        pairwise = oracles::conflict_graph_pairwise(subs);
       });
       samples.push_back(sample("conflict_graph_pairwise", n, 1, ms));
       if (!(pairwise == indexed)) {
@@ -195,20 +195,22 @@ int main(int argc, char** argv) {
     }
 
     {
-      // "auction" is the production path (sorted-column argmax; the table
-      // construction, including the one-off O(n log n) column sort, is
-      // inside the timed region).  "auction_scan" is the seed per-query
-      // tournament, kept as the reference both for the speedup headline
-      // and for the in-bench differential check: identical channel draws
-      // must yield identical awards on both strategies.
+      // "auction" is the production path over a single partition
+      // (sorted-column argmax; the table construction, including the
+      // one-off column sort, is inside the timed region).  "auction_scan"
+      // is the seed per-query tournament (tests/oracles.h), kept as the
+      // reference both for the speedup headline and for the in-bench
+      // differential check: identical channel draws must yield identical
+      // awards on both tables.
       const Rng alloc_rng = rng.fork();
       std::vector<auction::Award> sorted_awards;
       for (const std::size_t t : thread_counts) {
         Rng run_rng = alloc_rng;  // replay the same channel-draw stream
         std::vector<auction::Award> awards;
         const double ms = time_ms([&] {
-          core::EncryptedBidTable table(bid_subs, num_channels,
-                                        core::ArgmaxStrategy::kSortedColumns, t);
+          core::ShardedBidTable table(
+              bid_subs, num_channels,
+              core::ShardedBidTable::contiguous_shards(n, 1), 1, t);
           awards = auction::greedy_allocate(table, indexed, run_rng);
         });
         samples.push_back(sample("auction", n, t, ms));
@@ -223,8 +225,7 @@ int main(int argc, char** argv) {
         Rng run_rng = alloc_rng;
         std::vector<auction::Award> awards;
         const double ms = time_ms([&] {
-          core::EncryptedBidTable table(bid_subs, num_channels,
-                                        core::ArgmaxStrategy::kTournamentScan);
+          oracles::TournamentScanTable table(bid_subs, num_channels);
           awards = auction::greedy_allocate(table, indexed, run_rng);
         });
         samples.push_back(sample("auction_scan", n, 1, ms));
@@ -254,14 +255,12 @@ int main(int argc, char** argv) {
             sharded_graph = core::build_conflict_graph_sharded(
                 subs, assignment, t, nullptr, &stats);
             core::ShardedBidTable table(bid_subs, num_channels,
-                                        assignment.shard_of, num_shards,
-                                        core::ArgmaxStrategy::kSortedColumns,
-                                        t);
+                                        assignment.shard_of, num_shards, t);
             awards = auction::greedy_allocate(table, sharded_graph, run_rng);
           });
           if (!(sharded_graph == indexed)) {
             std::cerr << "FATAL: sharded conflict graph differs from the "
-                         "global build (shards=" << num_shards << ")\n";
+                         "one-tile build (shards=" << num_shards << ")\n";
             return 1;
           }
           if (!(awards == sorted_awards)) {
@@ -285,7 +284,7 @@ int main(int argc, char** argv) {
   // Scale-out headline: the sharded conflict discovery at n >= 100k SUs.
   // The full-auction sweep stays at the sizes above (the all-pairs and
   // tournament references are super-linear); this block runs only the
-  // linear-memory phases — location masking, the global indexed build
+  // linear-memory phases — location masking, the one-tile indexed build
   // as the comparison row, and the per-shard halo-exchange build whose
   // peak index footprint the JSON records.
   if (args.full) {

@@ -87,9 +87,9 @@ class BidBackend {
                            Rng& rng) const = 0;
 
   /// Order test within one channel column: true iff bid a >= bid b.
-  /// Must induce a total preorder with ge(a, a) == true, so every table
-  /// strategy (stable sort, tournament scan, shard merge) breaks ties to
-  /// the lowest user id identically.
+  /// Must induce a total preorder with ge(a, a) == true, so the stable
+  /// column sort, the cross-shard merge and the tournament-scan test
+  /// oracle break ties to the lowest user id identically.
   virtual bool ge(const core::ChannelBidSubmission& a,
                   const core::ChannelBidSubmission& b) const = 0;
 

@@ -36,9 +36,11 @@ ChurnState::ChurnState(const LppaConfig& config,
                  "dead slots must hold an empty location submission");
   }
 
+  obs::Span build_span(config_.metrics, "churn.build");
   assignment_ = plan_.assign_live(locations_, live_);
   graph_ = build_conflict_graph_sharded(loc_subs_, assignment_,
-                                        config_.num_threads, config_.metrics);
+                                        config_.num_threads, config_.metrics,
+                                        nullptr, &build_span);
 
   // Seed the live per-tile indexes from the assignment — the range index
   // holds exactly what the sharded build indexed (members + halo), the
@@ -72,8 +74,8 @@ ChurnState::ChurnState(const LppaConfig& config,
   // an SU that later moves across tiles keeps its table shard.
   table_shard_of_ = assignment_.shard_of;
   table_.emplace(bid_subs_, channels_, table_shard_of_, plan_.num_shards(),
-                 config_.argmax_strategy, config_.num_threads,
-                 config_.metrics, config_.backend);
+                 config_.num_threads, config_.metrics, config_.backend,
+                 &build_span);
   for (std::size_t u = 0; u < n; ++u) {
     if (!live_[u]) table_->remove_user(u);
   }
@@ -254,8 +256,8 @@ shard::ShardAssignment ChurnState::rebuild_assignment() const {
 
 ShardedBidTable ChurnState::rebuild_table() const {
   ShardedBidTable fresh(bid_subs_, channels_, table_shard_of_,
-                        plan_.num_shards(), config_.argmax_strategy,
-                        config_.num_threads, nullptr, config_.backend);
+                        plan_.num_shards(), config_.num_threads, nullptr,
+                        config_.backend);
   for (std::size_t u = 0; u < capacity(); ++u) {
     if (!live_[u]) fresh.remove_user(u);
   }

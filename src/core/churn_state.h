@@ -67,7 +67,9 @@ class ChurnState {
   /// The slot→shard partition of the bid table is frozen here (answers
   /// and images are partition-independent; see core/sharded_bid_table.h).
   /// config.backend must resolve to config.bid.backend (null is the HMAC
-  /// backend; a Paillier roster passes the TTP's bid_backend()).
+  /// backend; a Paillier roster passes the TTP's bid_backend()).  With
+  /// config.metrics set, the build records a "churn.build" span with the
+  /// shard.* index, probe and table-build spans under it.
   ChurnState(const LppaConfig& config,
              std::vector<auction::SuLocation> locations,
              std::vector<LocationSubmission> loc_subs,

@@ -190,13 +190,12 @@ std::optional<std::pair<Classes, Classes>> hmac_column_classes(
 
 EncryptedBidTable::EncryptedBidTable(
     const std::vector<BidSubmission>& submissions, std::size_t num_channels,
-    ArgmaxStrategy strategy, std::size_t sort_threads,
+    ArgmaxStrategy /*single-valued shim*/, std::size_t sort_threads,
     const crypto::BidBackend* backend)
     : submissions_(&submissions),
       users_(submissions.size()),
       channels_(num_channels),
-      backend_(&crypto::resolve_backend(backend)),
-      strategy_(strategy) {
+      backend_(&crypto::resolve_backend(backend)) {
   LPPA_REQUIRE(users_ > 0, "EncryptedBidTable requires at least one user");
   LPPA_REQUIRE(channels_ > 0, "EncryptedBidTable requires at least one channel");
   for (const auto& s : submissions) {
@@ -205,22 +204,19 @@ EncryptedBidTable::EncryptedBidTable(
   }
   present_.assign(users_ * channels_, true);
   live_ = users_ * channels_;
-  if (strategy_ == ArgmaxStrategy::kSortedColumns) {
-    build_column_orders(sort_threads);
-  }
+  build_column_orders(sort_threads);
 }
 
 EncryptedBidTable EncryptedBidTable::subset_view(
     const std::vector<BidSubmission>& all, std::size_t num_channels,
-    std::vector<std::uint32_t> members, ArgmaxStrategy strategy,
-    std::size_t sort_threads, const crypto::BidBackend* backend) {
+    std::vector<std::uint32_t> members, std::size_t sort_threads,
+    const crypto::BidBackend* backend) {
   EncryptedBidTable t;
   t.submissions_ = &all;
   t.members_ = std::move(members);
   t.users_ = t.members_.size();
   t.channels_ = num_channels;
   t.backend_ = &crypto::resolve_backend(backend);
-  t.strategy_ = strategy;
   LPPA_REQUIRE(t.users_ > 0, "EncryptedBidTable requires at least one user");
   LPPA_REQUIRE(t.channels_ > 0,
                "EncryptedBidTable requires at least one channel");
@@ -231,9 +227,7 @@ EncryptedBidTable EncryptedBidTable::subset_view(
   }
   t.present_.assign(t.users_ * t.channels_, true);
   t.live_ = t.users_ * t.channels_;
-  if (strategy == ArgmaxStrategy::kSortedColumns) {
-    t.build_column_orders(sort_threads);
-  }
+  t.build_column_orders(sort_threads);
   return t;
 }
 
@@ -325,7 +319,6 @@ std::size_t EncryptedBidTable::insert_user(UserId u) {
     present_[u * channels_ + r] = true;
   }
   live_ += channels_;
-  if (strategy_ != ArgmaxStrategy::kSortedColumns) return 0;
   const auto uid = static_cast<std::uint32_t>(u);
   std::size_t compares = 0;
   for (std::size_t r = 0; r < channels_; ++r) {
@@ -372,12 +365,6 @@ std::size_t EncryptedBidTable::insert_user(UserId u) {
 
 std::optional<auction::UserId> EncryptedBidTable::argmax_in_column(
     ChannelId r) const {
-  return strategy_ == ArgmaxStrategy::kSortedColumns ? argmax_sorted(r)
-                                                     : argmax_scan(r);
-}
-
-std::optional<auction::UserId> EncryptedBidTable::argmax_sorted(
-    ChannelId r) const {
   LPPA_REQUIRE(r < channels_, "bid table index out of range");
   const auto& ord = order_[r];
   std::size_t& h = head_[r];
@@ -387,24 +374,6 @@ std::optional<auction::UserId> EncryptedBidTable::argmax_sorted(
   while (h < ord.size() && !present_[ord[h] * channels_ + r]) ++h;
   if (h == ord.size()) return std::nullopt;
   return static_cast<UserId>(ord[h]);
-}
-
-std::optional<auction::UserId> EncryptedBidTable::argmax_scan(
-    ChannelId r) const {
-  std::optional<UserId> best;
-  for (std::size_t u = 0; u < users_; ++u) {
-    if (!present_[idx(u, r)]) continue;
-    if (!best) {
-      best = u;
-      continue;
-    }
-    const auto& challenger = sub(u).channels[r];
-    const auto& incumbent = sub(*best).channels[r];
-    // Strictly-greater test keeps the first-seen user on ties, matching
-    // the deterministic tie-break of the plaintext BidMatrix.
-    if (!backend_->ge(incumbent, challenger)) best = u;
-  }
-  return best;
 }
 
 bool EncryptedBidTable::empty() const noexcept { return live_ == 0; }
@@ -446,8 +415,19 @@ Bytes EncryptedBidTable::serialize_image(
 }
 
 EncryptedBidTable EncryptedBidTable::deserialize(
-    std::span<const std::uint8_t> wire, ArgmaxStrategy strategy,
-    std::size_t sort_threads, const crypto::BidBackend* backend) {
+    std::span<const std::uint8_t> wire, std::size_t sort_threads,
+    const crypto::BidBackend* backend) {
+  EncryptedBidTable table = decode(wire, backend);
+  // Column orders are a pure function of the submissions, so they are
+  // rebuilt rather than shipped: the wire format stays byte-identical to
+  // the seed, and a restored table answers argmax exactly like the one
+  // that was snapshotted (cursors re-advance past tombstones lazily).
+  table.build_column_orders(sort_threads);
+  return table;
+}
+
+EncryptedBidTable EncryptedBidTable::decode(std::span<const std::uint8_t> wire,
+                                            const crypto::BidBackend* backend) {
   ByteReader r(wire);
   EncryptedBidTable table;
   table.backend_ = &crypto::resolve_backend(backend);
@@ -511,14 +491,6 @@ EncryptedBidTable EncryptedBidTable::deserialize(
   table.live_ = live;
   table.owned_ = std::move(submissions);
   table.submissions_ = table.owned_.get();
-  // Column orders are a pure function of the submissions, so they are
-  // rebuilt rather than shipped: the wire format stays byte-identical to
-  // the seed, and a restored table answers argmax exactly like the one
-  // that was snapshotted (cursors re-advance past tombstones lazily).
-  table.strategy_ = strategy;
-  if (strategy == ArgmaxStrategy::kSortedColumns) {
-    table.build_column_orders(sort_threads);
-  }
   return table;
 }
 

@@ -7,8 +7,8 @@
 //
 // The masked encoding is order-preserving (a >= b iff a's value family
 // intersects b's range cover), so the pairwise test induces a total
-// preorder on each column.  The default strategy exploits that: each
-// column's descending order is built ONCE by a stable merge sort, and
+// preorder on each column.  The table exploits that: each column's
+// descending order is built ONCE by a stable merge sort, and
 // argmax_in_column becomes an amortised O(1) pop that skips tombstoned
 // (removed) entries — instead of the seed's O(n) tournament re-run every
 // Algorithm-3 iteration (O(n² · w) per round).
@@ -24,9 +24,10 @@
 // O(n log n).  Columns where g_F·g_R > n·(⌈log₂ n⌉ + 1), and every
 // column of a non-HMAC backend (Paillier ciphertexts are randomised, so
 // there are no equal-value classes), keep the per-pair comparator.
-// The tournament scan is kept as an explicit strategy because it is the
-// differential-testing reference the sorted path must match award-for-
-// award, including across serialize → deserialize mid-allocation.
+// The table is the per-shard building block of ShardedBidTable, which is
+// what every production caller allocates on (one shard included); the
+// per-query tournament scan it replaced lives in tests/oracles.h as the
+// differential reference.
 #pragma once
 
 #include <memory>
@@ -37,16 +38,13 @@
 
 namespace lppa::core {
 
-/// How argmax_in_column finds the masked column maximum.
+/// Source-compatibility shim: the table has one argmax path (build each
+/// column's order up front, then pop the first still-present entry per
+/// query), so this enum has one value.  It survives only because
+/// existing embedders still spell LppaConfig::argmax_strategy and the
+/// constructor's strategy argument.
 enum class ArgmaxStrategy : std::uint8_t {
-  /// Build each column's total order up front (see the file comment for
-  /// the masked tests that costs; optionally parallelised across
-  /// columns), then pop the first still-present entry per query.
-  /// Default.
   kSortedColumns,
-  /// The seed implementation: a fresh O(n) masked tournament per query.
-  /// Kept as the differential-testing reference and perf baseline.
-  kTournamentScan,
 };
 
 class EncryptedBidTable final : public auction::BidTableView {
@@ -59,7 +57,8 @@ class EncryptedBidTable final : public auction::BidTableView {
   /// for any thread count.
   /// `backend` selects the masked order test (null = the seed HMAC
   /// backend, keeping every pre-backend call site valid); the table only
-  /// ever calls its ge() hook.
+  /// ever calls its ge() hook.  The ArgmaxStrategy argument is the
+  /// single-valued shim (see its comment) and changes nothing.
   EncryptedBidTable(const std::vector<BidSubmission>& submissions,
                     std::size_t num_channels,
                     ArgmaxStrategy strategy = ArgmaxStrategy::kSortedColumns,
@@ -75,9 +74,7 @@ class EncryptedBidTable final : public auction::BidTableView {
   /// concern; the sharded wrapper emits the global image).
   static EncryptedBidTable subset_view(
       const std::vector<BidSubmission>& all, std::size_t num_channels,
-      std::vector<std::uint32_t> members,
-      ArgmaxStrategy strategy = ArgmaxStrategy::kSortedColumns,
-      std::size_t sort_threads = 1,
+      std::vector<std::uint32_t> members, std::size_t sort_threads = 1,
       const crypto::BidBackend* backend = nullptr);
 
   std::size_t num_users() const noexcept override { return users_; }
@@ -90,24 +87,20 @@ class EncryptedBidTable final : public auction::BidTableView {
   /// Churn maintenance: re-activates a fully tombstoned slot AFTER the
   /// caller replaced the backing submission behind it (the table holds a
   /// reference, so the new masked bytes are already visible through
-  /// sub(u)).  All of u's cells become present again and, under
-  /// kSortedColumns, u is re-positioned in every column order exactly
-  /// where a from-scratch stable sort of the current submissions would
-  /// put it — so an incrementally maintained table stays bit-equal to a
-  /// rebuilt one.  Cost per column: a binary search of at most
+  /// sub(u)).  All of u's cells become present again and u is
+  /// re-positioned in every column order exactly where a from-scratch
+  /// stable sort of the current submissions would put it — so an
+  /// incrementally maintained table stays bit-equal to a rebuilt one.  Cost per column: a binary search of at most
   /// 2·(⌈log₂ n⌉ + 1) masked compares plus an O(n) uint32 memmove, vs
   /// O(n log n) compares for a rebuild.  Returns the masked compares it
-  /// spent (0 under kTournamentScan, which keeps no orders).
+  /// spent.
   std::size_t insert_user(UserId u);
 
   /// Column maximum under the masked order; ties break to the lowest
-  /// user id on both strategies (the sort is stable, the scan keeps the
-  /// first-seen user).
+  /// user id (the sort is stable).
   std::optional<UserId> argmax_in_column(ChannelId r) const override;
 
   bool empty() const noexcept override;
-
-  ArgmaxStrategy strategy() const noexcept { return strategy_; }
 
   /// The masked entry (still present or not); used when assembling charge
   /// queries for the TTP.
@@ -124,11 +117,10 @@ class EncryptedBidTable final : public auction::BidTableView {
   Bytes serialize() const;
 
   /// The serialize() wire image as a pure function of its inputs, shared
-  /// with ShardedBidTable so a sharded auctioneer's snapshot is
-  /// byte-identical to the unsharded one (PR 3 journal images stay
-  /// interchangeable across num_shards reconfigurations).  `present` is
-  /// the row-major bitmap (users × channels) and `live` its set-bit
-  /// count.
+  /// with ShardedBidTable so an auctioneer's snapshot is the same bytes
+  /// for every shard count (PR 3 journal images stay interchangeable
+  /// across num_shards reconfigurations).  `present` is the row-major
+  /// bitmap (users × channels) and `live` its set-bit count.
   /// Non-HMAC backends prefix the image with a magic u32 carrying the
   /// backend id (crypto::kImageMagic); the seed HMAC format stays
   /// untagged and bit-identical, so PR 3 recovery images remain valid.
@@ -145,22 +137,24 @@ class EncryptedBidTable final : public auction::BidTableView {
   /// backend tag does not match `backend` (in either direction — an
   /// untagged HMAC image refuses a Paillier session and vice versa).
   static EncryptedBidTable deserialize(
-      std::span<const std::uint8_t> wire,
-      ArgmaxStrategy strategy = ArgmaxStrategy::kSortedColumns,
-      std::size_t sort_threads = 1,
+      std::span<const std::uint8_t> wire, std::size_t sort_threads = 1,
       const crypto::BidBackend* backend = nullptr);
 
   /// Live (still-present) cells; empty() is live_cells() == 0.
   std::size_t live_cells() const noexcept { return live_; }
 
-  /// Masked order tests (backend ge calls) the column-order build spent;
-  /// 0 under kTournamentScan.
+  /// Masked order tests (backend ge calls) the column-order build spent.
   std::size_t order_tests() const noexcept { return order_tests_; }
 
  private:
   friend class ShardedBidTable;  ///< re-shards restored (owning) images
 
-  EncryptedBidTable() = default;  ///< used by deserialize only
+  EncryptedBidTable() = default;  ///< used by subset_view and decode
+
+  /// deserialize() without the column-order build: ShardedBidTable::
+  /// restore needs only the owned submissions and the presence bitmap.
+  static EncryptedBidTable decode(std::span<const std::uint8_t> wire,
+                                  const crypto::BidBackend* backend);
 
   std::size_t idx(UserId u, ChannelId r) const;
 
@@ -169,11 +163,8 @@ class EncryptedBidTable final : public auction::BidTableView {
     return (*submissions_)[members_.empty() ? u : members_[u]];
   }
 
-  /// Builds order_/head_ for every column (kSortedColumns only).
+  /// Builds order_/head_ for every column.
   void build_column_orders(std::size_t sort_threads);
-
-  std::optional<UserId> argmax_scan(ChannelId r) const;
-  std::optional<UserId> argmax_sorted(ChannelId r) const;
 
   const std::vector<BidSubmission>* submissions_ = nullptr;
   /// Subset view (shard) only: local user id -> index into submissions_.
@@ -192,7 +183,6 @@ class EncryptedBidTable final : public auction::BidTableView {
                           ///< is O(1) instead of an O(n·m) bitmap scan
                           ///< per allocation iteration
 
-  ArgmaxStrategy strategy_ = ArgmaxStrategy::kSortedColumns;
   /// order_[r]: user ids of column r, descending by masked bid (stable on
   /// ties, so equal bids keep increasing-id order).  Removal is a
   /// tombstone in present_; only insert_user reorders, by splicing the

@@ -36,10 +36,6 @@ LppaOutcome LppaAuction::run(
   if (m != nullptr) {
     m->counter("auction.rounds").inc();
     m->counter("auction.submissions").inc(bids.size());
-    m->counter(config_.argmax_strategy == ArgmaxStrategy::kSortedColumns
-                   ? "auction.argmax.sorted_rounds"
-                   : "auction.argmax.scan_rounds")
-        .inc();
   }
 
   LppaOutcome result;
@@ -95,50 +91,33 @@ LppaOutcome LppaAuction::run(
       validator.check_bid(view.bids[i]);
     }
   }
-  // Geo-sharding (num_shards > 1): the plan partitions the grid into
-  // tiles and is computed from the SU-side plaintext locations this
-  // in-process round already holds on the SUs' behalf — the auctioneer
-  // still only ever touches the masked submissions (see
-  // shard/shard_plan.h on routing and tile-granular disclosure).
-  std::optional<shard::ShardAssignment> assignment;
-  if (config_.num_shards > 1) {
-    const shard::ShardPlan plan = shard::ShardPlan::make(
-        config_.coord_width, config_.lambda, config_.num_shards);
-    assignment = plan.assign(locations);
-  }
+  // The shard plan tiles the grid (one tile when num_shards is 1) and is
+  // computed from the SU-side plaintext locations this in-process round
+  // already holds on the SUs' behalf — the auctioneer still only ever
+  // touches the masked submissions (see shard/shard_plan.h on routing
+  // and tile-granular disclosure).
+  const shard::ShardAssignment assignment =
+      shard::ShardPlan::make(config_.coord_width, config_.lambda,
+                             config_.num_shards)
+          .assign(locations);
   {
     obs::Span conflict_span(m, "auction.conflict_graph", &round_span);
-    if (assignment) {
-      view.conflicts = build_conflict_graph_sharded(
-          view.locations, *assignment, config_.num_threads, m);
-    } else {
-      view.conflicts = PpbsLocation::build_conflict_graph(view.locations,
-                                                          config_.num_threads);
-    }
+    view.conflicts =
+        build_conflict_graph_sharded(view.locations, assignment,
+                                     config_.num_threads, m, nullptr,
+                                     &conflict_span);
   }
-  const std::vector<bool> all_live(n, true);
-  MaintainedRoundOutcome round;
   obs::Span table_span(m, "auction.table", &round_span);
-  const auto table_built = [&](std::size_t order_tests) {
-    if (m != nullptr) m->counter("auction.table.order_tests").inc(order_tests);
-    table_span.end();
-  };
-  if (assignment) {
-    ShardedBidTable table(view.bids, config_.num_channels, assignment->shard_of,
-                          config_.num_shards, config_.argmax_strategy,
-                          config_.num_threads, m, config_.backend,
-                          &table_span);
-    table_built(table.order_tests());
-    round = allocate_and_charge(view.bids, view.conflicts, table, all_live, rng,
-                                &round_span);
-  } else {
-    EncryptedBidTable table(view.bids, config_.num_channels,
-                            config_.argmax_strategy, config_.num_threads,
-                            config_.backend);
-    table_built(table.order_tests());
-    round = allocate_and_charge(view.bids, view.conflicts, table, all_live, rng,
-                                &round_span);
+  ShardedBidTable table(view.bids, config_.num_channels, assignment.shard_of,
+                        config_.num_shards, config_.num_threads, m,
+                        config_.backend, &table_span);
+  if (m != nullptr) {
+    m->counter("auction.table.order_tests").inc(table.order_tests());
   }
+  table_span.end();
+  MaintainedRoundOutcome round = allocate_and_charge(
+      view.bids, view.conflicts, table, std::vector<bool>(n, true), rng,
+      &round_span);
 
   result.manipulations_detected = round.manipulations_detected;
   result.outcome.awards = round.awards;
@@ -193,7 +172,8 @@ MaintainedRoundOutcome LppaAuction::allocate_and_charge(
                       std::nullopt,       std::nullopt,  0};
     if (config_.charging_rule == ChargingRule::kSecondPrice) {
       // The runner-up of the column among all other LIVE bidders, found
-      // with the same masked tournament the allocator uses.  Dead roster
+      // by a masked tournament (ties keep the lowest id, as the
+      // allocator's column orders do).  Dead roster
       // slots hold stale masks from before their departure and must not
       // leak into the price.
       std::optional<UserId> second;

@@ -32,10 +32,11 @@ struct LppaConfig {
   bool pad_location_ranges = true;
   std::size_t ttp_batch_size = 16;  ///< charge queries per TTP flush
   ChargingRule charging_rule = ChargingRule::kFirstPrice;
-  /// Worker threads for the SU submission loop and the conflict-graph
-  /// probe (0 = hardware concurrency).  Each SU draws from its own
-  /// pre-forked RNG stream and writes only its own output slot, so the
-  /// outcome is byte-identical for every thread count.
+  /// Worker threads for the SU submission loop, the conflict-graph
+  /// build and the bid-table build (0 = hardware concurrency).  Each SU
+  /// draws from its own pre-forked RNG stream and writes only its own
+  /// output slot, so the outcome is byte-identical for every thread
+  /// count.
   std::size_t num_threads = 0;
   /// Run every submission through core::SubmissionValidator before it
   /// enters the conflict-graph build / EncryptedBidTable.  In-process
@@ -43,20 +44,19 @@ struct LppaConfig {
   /// here; the wire session (proto/) relies on the same validator to
   /// reject Byzantine submissions.
   bool validate_submissions = true;
-  /// How the EncryptedBidTable answers column-max queries.  The sorted
-  /// default turns the allocation loop from O(n²·w) masked comparisons
-  /// into an O(n log n) one-off sort plus O(1) pops; kTournamentScan is
-  /// the seed path, kept selectable for differential testing (both yield
-  /// byte-identical awards/charges on honest submissions).
+  /// Source-compatibility shim: ArgmaxStrategy has the one value
+  /// kSortedColumns and nothing reads this field.  The bid table always
+  /// sorts each column once and pops O(1) per query; the seed's
+  /// per-query tournament scan is a test oracle (tests/oracles.h).
   ArgmaxStrategy argmax_strategy = ArgmaxStrategy::kSortedColumns;
-  /// Geo-sharded execution (docs/performance.md, "Sharding").  >1 tiles
-  /// the coordinate grid into that many partitions (shard/shard_plan.h):
-  /// per-shard digest indexes + bid tables build and probe in parallel,
-  /// with only boundary index entries exchanged between tiles (the halo)
-  /// and a deterministic cross-shard argmax merge.  Awards, charges, and
-  /// the winner announcement are byte-identical to the default
-  /// single-partition path (1) for every shard count and thread count —
-  /// pinned by tests/shard_differential_test.
+  /// Tiles of the coordinate grid (docs/performance.md, "Sharding";
+  /// shard/shard_plan.h).  1 = one tile, same code: every round builds
+  /// per-tile digest indexes + bid tables, with boundary index entries
+  /// exchanged between tiles (the halo) and a deterministic cross-shard
+  /// argmax merge.  Awards, charges, and the winner announcement are
+  /// byte-identical for every shard count and thread count — pinned by
+  /// tests/shard_differential_test against the all-pairs graph and the
+  /// tournament-scan table in tests/oracles.h.
   std::size_t num_shards = 1;
   /// The resolved crypto backend driving every masked comparison this
   /// round (bid-table sorts, argmax merges, the second-price runner-up
@@ -67,9 +67,10 @@ struct LppaConfig {
   const crypto::BidBackend* backend = nullptr;
   /// Optional observability sink (obs/metrics.h): when set, every round
   /// records per-phase spans (auction.round > submit / validate /
-  /// conflict_graph / table / allocate / charging), phase counters
+  /// conflict_graph / table / allocate / charging, with the shard.*
+  /// build spans under conflict_graph and table), phase counters
   /// (auction.table.order_tests: the masked tests the table build
-  /// spent), and argmax strategy counters into it.  Null (the default)
+  /// spent) and the shard.* counters into it.  Null (the default)
   /// makes every instrumentation site a branch-and-skip.  Not owned; the
   /// caller keeps the registry alive for the config's lifetime.
   obs::MetricsRegistry* metrics = nullptr;

@@ -1,9 +1,6 @@
 #include "core/ppbs_location.h"
 
-#include <algorithm>
-
-#include "common/thread_pool.h"
-#include "prefix/digest_index.h"
+#include "core/shard_conflict.h"
 
 namespace lppa::core {
 
@@ -77,61 +74,9 @@ bool PpbsLocation::conflicts(const LocationSubmission& a,
 auction::ConflictGraph PpbsLocation::build_conflict_graph(
     const std::vector<LocationSubmission>& submissions,
     std::size_t num_threads) {
-  const std::size_t n = submissions.size();
-  auction::ConflictGraph g(n);
-  if (n < 2) return g;
-
-  // Index every x-range digest once: digest -> owning submission ids.
-  prefix::DigestIndex x_index;
-  std::size_t total = 0;
-  for (const auto& s : submissions) total += s.x_range.size();
-  x_index.reserve(total);
-  for (std::size_t j = 0; j < n; ++j) {
-    x_index.insert_all(submissions[j].x_range, static_cast<std::uint32_t>(j));
-  }
-
-  // Probe phase.  The pairwise build tests, for each pair i < j, whether
-  // i's families hit j's ranges (one direction suffices — the plaintext
-  // predicate is symmetric).  We reproduce exactly that: probing i's
-  // x-family yields every j whose x-range shares a digest with it; only
-  // candidates j > i are kept and y-confirmed, so the edge set matches
-  // the pairwise build digest-for-digest.  hits[i] is written solely by
-  // the worker that owns index i, making the loop race-free and the
-  // result independent of the schedule.
-  std::vector<std::vector<std::uint32_t>> hits(n);
-  parallel_for(n, num_threads, [&](std::size_t i) {
-    std::vector<std::uint32_t> candidates;
-    for (const auto& d : submissions[i].x_family.digests()) {
-      x_index.collect(d, candidates);
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    for (std::uint32_t j : candidates) {
-      if (j <= i) continue;
-      if (submissions[i].y_family.intersects(submissions[j].y_range)) {
-        hits[i].push_back(j);
-      }
-    }
-  });
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::uint32_t j : hits[i]) g.add_conflict(i, j);
-  }
-  return g;
-}
-
-auction::ConflictGraph PpbsLocation::build_conflict_graph_pairwise(
-    const std::vector<LocationSubmission>& submissions) {
-  auction::ConflictGraph g(submissions.size());
-  for (std::size_t i = 0; i < submissions.size(); ++i) {
-    for (std::size_t j = i + 1; j < submissions.size(); ++j) {
-      if (conflicts(submissions[i], submissions[j])) {
-        g.add_conflict(i, j);
-      }
-    }
-  }
-  return g;
+  return build_conflict_graph_sharded(
+      submissions, shard::ShardAssignment::single_tile(submissions.size()),
+      num_threads);
 }
 
 }  // namespace lppa::core

@@ -56,19 +56,15 @@ class PpbsLocation {
   /// hash-join — every x-range digest goes into an inverted index
   /// (prefix::DigestIndex), each SU's x-family probes it, and only the
   /// x-axis hits get the y-axis confirmation.  O(n·w) expected instead
-  /// of the O(n²·w) all-pairs merge, and bit-identical to the pairwise
-  /// build (padding digests collide with probability 2⁻²⁵⁶ and both
-  /// paths compare the same digest multisets).  `num_threads` spreads
-  /// the probe loop over a thread pool (0 = hardware concurrency); the
-  /// resulting graph is independent of the thread count.
+  /// of the O(n²·w) all-pairs merge, and bit-identical to it (padding
+  /// digests collide with probability 2⁻²⁵⁶ and both compare the same
+  /// digest multisets).  This is core::build_conflict_graph_sharded over
+  /// one tile (core/shard_conflict.h).  `num_threads` spreads the probe
+  /// loop over a thread pool (0 = hardware concurrency); the resulting
+  /// graph is independent of the thread count.
   static auction::ConflictGraph build_conflict_graph(
       const std::vector<LocationSubmission>& submissions,
       std::size_t num_threads = 1);
-
-  /// The original all-pairs reference build, kept for differential
-  /// testing and as the perf baseline (bench/perf_scaling).
-  static auction::ConflictGraph build_conflict_graph_pairwise(
-      const std::vector<LocationSubmission>& submissions);
 
   int coord_width() const noexcept { return coord_width_; }
   std::uint64_t lambda() const noexcept { return lambda_; }

@@ -12,7 +12,8 @@ namespace lppa::core {
 auction::ConflictGraph build_conflict_graph_sharded(
     const std::vector<LocationSubmission>& submissions,
     const shard::ShardAssignment& assignment, std::size_t num_threads,
-    obs::MetricsRegistry* metrics, ShardConflictStats* stats) {
+    obs::MetricsRegistry* metrics, ShardConflictStats* stats,
+    const obs::Span* parent) {
   const std::size_t n = submissions.size();
   const std::size_t shards = assignment.num_shards;
   LPPA_REQUIRE(assignment.shard_of.size() == n,
@@ -26,7 +27,7 @@ auction::ConflictGraph build_conflict_graph_sharded(
     std::vector<prefix::DigestIndex> index(shards);
     std::vector<std::size_t> halo_digests(shards, 0);
     parallel_for(shards, num_threads, [&](std::size_t s) {
-      obs::Span build_span(metrics, "shard.index_build");
+      obs::Span build_span(metrics, "shard.index_build", parent);
       std::size_t expected = 0;
       for (const std::uint32_t j : assignment.members[s]) {
         expected += submissions[j].x_range.size();
@@ -47,31 +48,38 @@ auction::ConflictGraph build_conflict_graph_sharded(
       }
     });
 
-    // Probe phase: each SU probes its HOME shard's index only.  Same
-    // orientation as the global build (family of the probing SU against
-    // indexed ranges, keep candidates j > i, then y-confirm), and
-    // hits[i] is written solely by the task owning i's shard — so the
-    // edge set is schedule- and shard-count-independent.
+    // Probe phase: each member SU probes its HOME shard's index only
+    // (family of the probing SU against indexed ranges, keep candidates
+    // j > i, then y-confirm — one direction suffices, the plaintext
+    // predicate is symmetric).  The loop runs over SUs, not shards, so a
+    // single tile keeps per-SU thread parallelism; hits[i] is written
+    // solely by the task probing i, so the edge set is schedule- and
+    // shard-count-independent.
+    std::vector<std::uint32_t> probers;
+    probers.reserve(n);
+    for (const auto& members : assignment.members) {
+      probers.insert(probers.end(), members.begin(), members.end());
+    }
     std::vector<std::vector<std::uint32_t>> hits(n);
-    parallel_for(shards, num_threads, [&](std::size_t s) {
-      obs::Span probe_span(metrics, "shard.probe");
+    obs::Span probe_span(metrics, "shard.probe", parent);
+    parallel_for(probers.size(), num_threads, [&](std::size_t k) {
+      const std::uint32_t i = probers[k];
+      const prefix::DigestIndex& home = index[assignment.shard_of[i]];
       std::vector<std::uint32_t> candidates;
-      for (const std::uint32_t i : assignment.members[s]) {
-        candidates.clear();
-        for (const auto& d : submissions[i].x_family.digests()) {
-          index[s].collect(d, candidates);
-        }
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                         candidates.end());
-        for (const std::uint32_t j : candidates) {
-          if (j <= i) continue;
-          if (submissions[i].y_family.intersects(submissions[j].y_range)) {
-            hits[i].push_back(j);
-          }
+      for (const auto& d : submissions[i].x_family.digests()) {
+        home.collect(d, candidates);
+      }
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
+      for (const std::uint32_t j : candidates) {
+        if (j <= i) continue;
+        if (submissions[i].y_family.intersects(submissions[j].y_range)) {
+          hits[i].push_back(j);
         }
       }
     });
+    probe_span.end();
 
     for (std::size_t i = 0; i < n; ++i) {
       for (const std::uint32_t j : hits[i]) {

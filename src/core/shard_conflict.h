@@ -1,24 +1,24 @@
-// Partition-aware conflict-graph construction: per-shard digest indexes
-// plus a halo exchange of boundary index entries.
+// The conflict-graph build: per-shard digest indexes plus a halo
+// exchange of boundary index entries.  It is the only production build;
+// PpbsLocation::build_conflict_graph is this function over a one-tile
+// assignment, where the single index holds every x-range digest.
 //
-// The global build (PpbsLocation::build_conflict_graph) joins every SU's
-// x-family against ONE index of all x-range digests.  Here each shard
-// indexes only the x-ranges of its own tile's SUs *plus its halo* — the
-// foreign SUs whose 2λ interference box overlaps the tile — and each SU
-// probes only its home shard's index.
+// Each shard indexes only the x-ranges of its own tile's SUs *plus its
+// halo* — the foreign SUs whose 2λ interference box overlaps the tile —
+// and each SU probes only its home shard's index.
 //
-// Why this finds exactly the global edge set: take a conflicting pair
+// Why this finds exactly the one-tile edge set: take a conflicting pair
 // (a, b), a < b.  If they share a tile, b's range sits in a's home index
 // as a member entry.  If not, the conflict predicate |Δ| <= 2λ puts a
 // inside b's interference box, so that box overlaps a's tile and the
 // halo exchange has shipped b's range digests into a's home index.
 // Either way, probing a discovers candidate b, keeps it (b > a), and
-// y-confirms with the same family-vs-range orientation as the global
+// y-confirms with the same family-vs-range orientation as the one-tile
 // build — so the tested digest multisets per pair are identical, and
 // with them the graph (up to the same 2^-256 padding-collision caveat
-// the indexed-vs-pairwise argument already carries; the global build can
-// additionally "test" spurious far pairs that a halo never ships, whose
-// x-hit probability is that same 2^-256).  No pair is ever reported
+// the indexed-vs-pairwise argument already carries; the one-tile build
+// can additionally "test" spurious far pairs that a halo never ships,
+// whose x-hit probability is that same 2^-256).  No pair is ever reported
 // twice: SU i is probed exactly once, in its home shard, and the j > i
 // filter kills the mirror-image discovery.
 #pragma once
@@ -47,13 +47,15 @@ struct ShardConflictStats {
 };
 
 /// Builds the conflict graph from per-shard indexes + halo exchange.
-/// Bit-identical to build_conflict_graph / the pairwise reference for
-/// any shard count and `num_threads`; shards build and probe in parallel
-/// (one task per shard, "shard.index_build" / "shard.probe" spans each).
+/// Bit-identical to the all-pairs reference for any shard count and
+/// `num_threads`.  Shard indexes build in parallel (one task and one
+/// "shard.index_build" span per shard), then SUs probe in parallel (one
+/// "shard.probe" span for the phase); both spans hang under `parent`
+/// when it is set.
 auction::ConflictGraph build_conflict_graph_sharded(
     const std::vector<LocationSubmission>& submissions,
     const shard::ShardAssignment& assignment, std::size_t num_threads,
     obs::MetricsRegistry* metrics = nullptr,
-    ShardConflictStats* stats = nullptr);
+    ShardConflictStats* stats = nullptr, const obs::Span* parent = nullptr);
 
 }  // namespace lppa::core

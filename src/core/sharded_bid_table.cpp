@@ -1,6 +1,7 @@
 #include "core/sharded_bid_table.h"
 
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace lppa::core {
@@ -9,7 +10,6 @@ ShardedBidTable::ShardedBidTable(const std::vector<BidSubmission>& submissions,
                                  std::size_t num_channels,
                                  std::vector<std::uint32_t> shard_of,
                                  std::size_t num_shards,
-                                 ArgmaxStrategy strategy,
                                  std::size_t num_threads,
                                  obs::MetricsRegistry* metrics,
                                  const crypto::BidBackend* backend,
@@ -19,7 +19,9 @@ ShardedBidTable::ShardedBidTable(const std::vector<BidSubmission>& submissions,
       users_(submissions.size()),
       channels_(num_channels),
       shard_of_(std::move(shard_of)),
-      metrics_(metrics) {
+      metrics_(metrics),
+      merges_(metrics != nullptr ? &metrics->counter("shard.argmax_merges")
+                                 : nullptr) {
   LPPA_REQUIRE(users_ > 0, "ShardedBidTable requires at least one user");
   LPPA_REQUIRE(channels_ > 0, "ShardedBidTable requires at least one channel");
   LPPA_REQUIRE(num_shards >= 1, "ShardedBidTable requires at least one shard");
@@ -41,35 +43,36 @@ ShardedBidTable::ShardedBidTable(const std::vector<BidSubmission>& submissions,
   }
   present_.assign(users_ * channels_, true);
   live_ = users_ * channels_;
-  build_shards(strategy, num_threads, parent);
+  build_shards(num_threads, parent);
 }
 
-void ShardedBidTable::build_shards(ArgmaxStrategy strategy,
-                                   std::size_t num_threads,
+void ShardedBidTable::build_shards(std::size_t num_threads,
                                    const obs::Span* parent) {
   const std::size_t num_shards = members_.size();
   shards_.resize(num_shards);
-  // One task per shard; each task sorts its columns serially so nested
-  // pool scheduling never happens.  Shards are fully independent, so the
-  // tables — and every later answer — are thread-count-invariant.
+  // One task per shard.  Several shards sort their columns serially
+  // inside their tasks, so nested pool scheduling never happens; a
+  // single shard runs inline and spreads its column sorts over the pool
+  // instead.  Shards and columns are fully independent, so the tables —
+  // and every later answer — are thread-count-invariant.
+  const std::size_t sort_threads = num_shards == 1 ? num_threads : 1;
   parallel_for(num_shards, num_threads, [&](std::size_t s) {
     if (members_[s].empty()) return;
     obs::Span build_span(metrics_, "shard.table_build", parent);
     shards_[s] = std::make_unique<EncryptedBidTable>(
         EncryptedBidTable::subset_view(*submissions_, channels_, members_[s],
-                                       strategy, /*sort_threads=*/1,
-                                       backend_));
+                                       sort_threads, backend_));
   });
 }
 
-ShardedBidTable ShardedBidTable::restore(EncryptedBidTable&& global,
+ShardedBidTable ShardedBidTable::restore(std::span<const std::uint8_t> image,
                                          std::vector<std::uint32_t> shard_of,
                                          std::size_t num_shards,
-                                         ArgmaxStrategy strategy,
                                          std::size_t num_threads,
-                                         obs::MetricsRegistry* metrics) {
-  LPPA_REQUIRE(global.owned_ != nullptr,
-               "restore needs an owning table (a deserialized image)");
+                                         obs::MetricsRegistry* metrics,
+                                         const crypto::BidBackend* backend,
+                                         const obs::Span* parent) {
+  EncryptedBidTable global = EncryptedBidTable::decode(image, backend);
   LPPA_PROTOCOL_CHECK(num_shards >= 1, "restored shard count must be >= 1");
   LPPA_PROTOCOL_CHECK(shard_of.size() == global.num_users(),
                       "shard map does not match the bid table image");
@@ -78,15 +81,15 @@ ShardedBidTable ShardedBidTable::restore(EncryptedBidTable&& global,
                         "shard map entry outside the configured shard count");
   }
   ShardedBidTable table(*global.owned_, global.num_channels(),
-                        std::move(shard_of), num_shards, strategy, num_threads,
-                        metrics, global.backend_);
+                        std::move(shard_of), num_shards, num_threads, metrics,
+                        global.backend_, parent);
   // Keep the submissions alive: the subset views reference the vector
   // the shared_ptr owns.
   table.owned_ = global.owned_;
   table.submissions_ = table.owned_.get();
   // Re-apply the image's tombstones.  Shard cursors skip them lazily, so
   // the restored table resumes exactly where the snapshotted one left
-  // off, whatever strategy or shard count either side ran.
+  // off, whatever shard count either side ran.
   for (std::size_t u = 0; u < table.users_; ++u) {
     for (std::size_t r = 0; r < table.channels_; ++r) {
       if (!global.present_[u * table.channels_ + r]) {
@@ -160,6 +163,7 @@ ShardedBidTable ShardedBidTable::clone() const {
   copy.present_ = present_;
   copy.live_ = live_;
   copy.metrics_ = metrics_;
+  copy.merges_ = merges_;
   copy.shards_.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (shards_[s] != nullptr) {
@@ -172,7 +176,6 @@ ShardedBidTable ShardedBidTable::clone() const {
 std::optional<auction::UserId> ShardedBidTable::argmax_in_column(
     ChannelId r) const {
   LPPA_REQUIRE(r < channels_, "bid table index out of range");
-  obs::Span merge_span(metrics_, "shard.argmax");
   std::optional<UserId> best;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (shards_[s] == nullptr) continue;
@@ -190,14 +193,14 @@ std::optional<auction::UserId> ShardedBidTable::argmax_in_column(
     // (global ids interleave across shards, so the explicit comparison —
     // not the visit order — carries the tie-break).  The result is the
     // highest-value live entry with the lowest id among equals: exactly
-    // the single-table stable-sort / first-seen-scan winner.
+    // the winner of one stable-sorted column over every user.
     if (challenger_ge && !backend_->ge(incumbent, challenger)) {
       best = g;
     } else if (challenger_ge && g < *best) {
       best = g;
     }
   }
-  if (metrics_ != nullptr) metrics_->counter("shard.argmax_merges").inc();
+  if (merges_ != nullptr) merges_->inc();
   return best;
 }
 

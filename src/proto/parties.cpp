@@ -351,7 +351,7 @@ void AuctioneerSession::compact_participants() {
       core::PpbsLocation::build_conflict_graph(locations, config_.num_threads);
 }
 
-void AuctioneerSession::run_allocation(Rng& rng) {
+void AuctioneerSession::run_allocation(Rng& rng, const obs::Span* parent) {
   LPPA_REQUIRE(!allocated_, "allocation already ran");
   if (!finalized_) {
     LPPA_REQUIRE(ready(), "submissions still missing");
@@ -363,20 +363,12 @@ void AuctioneerSession::run_allocation(Rng& rng) {
   }
 
   compact_participants();
-  if (config_.num_shards > 1) {
-    sharded_table_.emplace(bid_store_, config_.num_channels,
-                           core::ShardedBidTable::contiguous_shards(
-                               bid_store_.size(), config_.num_shards),
-                           config_.num_shards, config_.argmax_strategy,
-                           config_.num_threads, config_.metrics,
-                           config_.backend);
-    awards_ = auction::greedy_allocate(*sharded_table_, *conflicts_, rng);
-  } else {
-    table_.emplace(bid_store_, config_.num_channels,
-                   core::ArgmaxStrategy::kSortedColumns, /*sort_threads=*/1,
-                   config_.backend);
-    awards_ = auction::greedy_allocate(*table_, *conflicts_, rng);
-  }
+  table_.emplace(bid_store_, config_.num_channels,
+                 core::ShardedBidTable::contiguous_shards(bid_store_.size(),
+                                                          config_.num_shards),
+                 config_.num_shards, config_.num_threads, config_.metrics,
+                 config_.backend, parent);
+  awards_ = auction::greedy_allocate(*table_, *conflicts_, rng);
   for (auto& award : awards_) {
     award.user = participants_[award.user];
   }
@@ -529,10 +521,9 @@ Bytes AuctioneerSession::snapshot() const {
   }
   w.u8(allocated_ ? 1 : 0);
   if (allocated_) {
-    // Both tables emit the same global image, so snapshots taken under
-    // any shard count restore under any other.
-    w.bytes(sharded_table_ ? sharded_table_->serialize()
-                           : table_->serialize());
+    // The global image, so snapshots taken under any shard count
+    // restore under any other.
+    w.bytes(table_->serialize());
     w.u32(static_cast<std::uint32_t>(awards_.size()));
     for (std::size_t i = 0; i < awards_.size(); ++i) {
       const auto& a = awards_[i];
@@ -546,7 +537,8 @@ Bytes AuctioneerSession::snapshot() const {
   return w.take();
 }
 
-void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire) {
+void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire,
+                                     const obs::Span* parent) {
   if (finalized_ || allocated_) {
     detail::raise(ErrorKind::kState,
                   "restore_from requires a freshly constructed session");
@@ -629,25 +621,18 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire) {
     // submissions — deterministic, no randomness — so only the bid
     // table's consumed-cell state needs the serialized image.
     compact_participants();
-    core::EncryptedBidTable global = core::EncryptedBidTable::deserialize(
-        r.bytes(), core::ArgmaxStrategy::kSortedColumns, /*sort_threads=*/1,
-        config_.backend);
-    LPPA_PROTOCOL_CHECK(global.num_users() == participants_.size() &&
-                            global.num_channels() == config_.num_channels,
+    // The snapshot may have been taken under any shard count — the
+    // global image plus the deterministic contiguous partition
+    // reproduces the exact table.  restore() rejects an image whose
+    // population does not fit the participants.
+    table_ = core::ShardedBidTable::restore(
+        r.bytes(),
+        core::ShardedBidTable::contiguous_shards(participants_.size(),
+                                                 config_.num_shards),
+        config_.num_shards, config_.num_threads, config_.metrics,
+        config_.backend, parent);
+    LPPA_PROTOCOL_CHECK(table_->num_channels() == config_.num_channels,
                         "snapshot bid table dimensions mismatch");
-    if (config_.num_shards > 1) {
-      // Re-shard the restored image: the snapshot may have been taken
-      // under any shard count (including 1) — the global image plus the
-      // deterministic contiguous partition reproduces the exact table.
-      sharded_table_ = core::ShardedBidTable::restore(
-          std::move(global),
-          core::ShardedBidTable::contiguous_shards(participants_.size(),
-                                                   config_.num_shards),
-          config_.num_shards, config_.argmax_strategy, config_.num_threads,
-          config_.metrics);
-    } else {
-      table_ = std::move(global);
-    }
     // user, channel, charge (u64 each) + the valid and done flags.
     const std::uint32_t num_awards = r.count(8 + 8 + 8 + 1 + 1);
     awards_.reserve(num_awards);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "auction/allocate.h"
-#include "core/encrypted_bid_table.h"
 #include "core/lppa_auction.h"
 #include "core/sharded_bid_table.h"
 #include "core/submission_validator.h"
@@ -152,8 +151,10 @@ class AuctioneerSession {
   /// Runs conflict-graph construction + greedy allocation (Algorithm 3)
   /// over the participants.  Without a prior finalize_participants()
   /// call it requires ready() and runs over everyone (legacy mode).
-  /// Award::user carries original SU ids either way.
-  void run_allocation(Rng& rng);
+  /// Award::user carries original SU ids either way.  With
+  /// config.metrics set, the bid table's "shard.table_build" spans hang
+  /// under `parent` (when set).
+  void run_allocation(Rng& rng, const obs::Span* parent = nullptr);
 
   /// Charge-query batches for the TTP (respects ttp_batch_size).
   /// Requires run_allocation() to have happened.
@@ -186,8 +187,10 @@ class AuctioneerSession {
   /// on a damaged image and LppaError(kState) if the session already
   /// holds state.  The conflict graph is rebuilt deterministically from
   /// the restored location submissions (no randomness is involved), so
-  /// a restored session continues the round byte-identically.
-  void restore_from(std::span<const std::uint8_t> wire);
+  /// a restored session continues the round byte-identically.  `parent`
+  /// is run_allocation's.
+  void restore_from(std::span<const std::uint8_t> wire,
+                    const obs::Span* parent = nullptr);
 
   /// The published outcome; requires charging_complete().
   Bytes winner_announcement() const;
@@ -222,19 +225,17 @@ class AuctioneerSession {
   bool finalized_ = false;
   std::vector<core::BidSubmission> bid_store_;  ///< participants, compacted
   std::optional<auction::ConflictGraph> conflicts_;
-  /// The masked bid table as the allocator left it (cells consumed).
-  /// References bid_store_ on the run_allocation path and owns its
-  /// submissions on the restore path; the session is used in place by
-  /// the drivers, never moved, so the reference stays valid.
-  std::optional<core::EncryptedBidTable> table_;
-  /// The partitioned twin of table_, used when config_.num_shards > 1.
-  /// The wire session never sees tile geometry (submissions are masked),
-  /// so it shards with the geometry-free contiguous partition — the
-  /// partition choice never affects answers, only locality.  Snapshots
-  /// stay in the global EncryptedBidTable image format either way, so a
-  /// journal written under num_shards=1 restores into a sharded session
-  /// and vice versa.
-  std::optional<core::ShardedBidTable> sharded_table_;
+  /// The masked bid table as the allocator left it (cells consumed),
+  /// over config_.num_shards shards.  References bid_store_ on the
+  /// run_allocation path and owns its submissions on the restore path;
+  /// the session is used in place by the drivers, never moved, so the
+  /// reference stays valid.  The wire session never sees tile geometry
+  /// (submissions are masked), so it shards with the geometry-free
+  /// contiguous partition — the partition choice never affects answers,
+  /// only locality.  Snapshots hold the global EncryptedBidTable image
+  /// for every shard count, so a journal written under num_shards=1
+  /// restores into a four-shard session and vice versa.
+  std::optional<core::ShardedBidTable> table_;
   std::vector<auction::Award> awards_;
   std::vector<bool> charge_done_;  ///< per-award TTP result received
   bool allocated_ = false;

@@ -66,7 +66,8 @@ std::vector<SuEnvelopes> mask_submissions(
 
 std::size_t replay_session_journal(const RoundJournal& journal,
                                    AuctioneerSession& session,
-                                   std::size_t num_users, RoundReport& report) {
+                                   std::size_t num_users, RoundReport& report,
+                                   const obs::Span* parent) {
   const std::vector<JournalRecord> records = RoundJournal::read(journal.data());
   if (records.empty()) return 0;
   LPPA_PROTOCOL_CHECK(records.front().type == JournalRecordType::kRoundStart &&
@@ -79,7 +80,7 @@ std::size_t replay_session_journal(const RoundJournal& journal,
   }
 
   if (last_alloc != records.size()) {
-    session.restore_from(records[last_alloc].payload);
+    session.restore_from(records[last_alloc].payload, parent);
     ++report.replayed_records;
     for (std::size_t i = last_alloc + 1; i < records.size(); ++i) {
       const JournalRecord& rec = records[i];
@@ -170,7 +171,8 @@ RoundDriver::RoundDriver(const core::LppaConfig& config, std::size_t num_users,
   }
 
   // Replay must not re-journal what is already durable: attach after.
-  wave_ = replay_session_journal(journal_, session_, num_users, report_);
+  wave_ = replay_session_journal(journal_, session_, num_users, report_,
+                                 &attempt_span_);
   session_.attach_journal(&journal_);
   if (journal_.empty()) journal_.append_round_start(num_users);
 }
@@ -270,7 +272,7 @@ void RoundDriver::commit() {
     // many attempts died.
     Rng master(seed_);
     (void)master.fork();
-    session_.run_allocation(master);
+    session_.run_allocation(master, &allocation_span);
     checkpoint(CrashPoint::kAfterAllocation);
   }
   phase_span_.emplace(metrics_, "wire.charging", &attempt_span_);

@@ -214,8 +214,10 @@ class RoundDriver {
 /// journal must be attached to the session only AFTER replaying (replay
 /// must not re-journal what is already durable).  RoundDriver recovers
 /// with it; churn harnesses call it to rebuild sessions mid-churn.
+/// `parent` is passed to AuctioneerSession::restore_from.
 std::size_t replay_session_journal(const RoundJournal& journal,
                                    AuctioneerSession& session,
-                                   std::size_t num_users, RoundReport& report);
+                                   std::size_t num_users, RoundReport& report,
+                                   const obs::Span* parent = nullptr);
 
 }  // namespace lppa::proto

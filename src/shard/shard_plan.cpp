@@ -1,6 +1,7 @@
 #include "shard/shard_plan.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.h"
 
@@ -92,6 +93,16 @@ std::vector<std::uint32_t> ShardPlan::halo_tiles_of(
     }
   }
   return tiles;
+}
+
+ShardAssignment ShardAssignment::single_tile(std::size_t n) {
+  ShardAssignment a;
+  a.shard_of.assign(n, 0);
+  a.members.resize(1);
+  a.members[0].resize(n);
+  std::iota(a.members[0].begin(), a.members[0].end(), 0u);
+  a.halo.resize(1);
+  return a;
 }
 
 ShardAssignment ShardPlan::assign(

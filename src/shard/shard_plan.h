@@ -58,6 +58,11 @@ struct ShardAssignment {
   }
 
   bool operator==(const ShardAssignment&) const = default;
+
+  /// All n SUs in tile 0 with empty halos: what any one-tile plan's
+  /// assign() returns, built without the locations (the auctioneer's
+  /// masked-domain callers have none).
+  static ShardAssignment single_tile(std::size_t n);
 };
 
 class ShardPlan {

@@ -6,9 +6,10 @@
 //      announcement) equal goldens captured on the pre-backend tree.
 //   2. The Paillier backend satisfies every backend-agnostic invariant —
 //      conflict-free allocation, charge <= true bid, deterministic
-//      tie-breaks invariant across shard/thread counts and argmax
-//      strategies, snapshot round-trips — without being award-identical
-//      to HMAC (the two backends draw per-cell randomness differently).
+//      tie-breaks invariant across shard/thread counts and equal to the
+//      tournament-scan oracle's, snapshot round-trips — without being
+//      award-identical to HMAC (the two backends draw per-cell
+//      randomness differently).
 //   3. Snapshot images are backend-tagged: restoring across backends is
 //      a typed kProtocol rejection in both directions, at the table
 //      layer and through the wire session.
@@ -24,6 +25,7 @@
 #include "core/lppa_auction.h"
 #include "core/submission_validator.h"
 #include "crypto/sha256.h"
+#include "oracles.h"
 #include "proto/parties.h"
 #include "proto/round_report.h"
 
@@ -246,6 +248,17 @@ TEST(PaillierEngine, DeterministicAcrossShardsThreadsAndReruns) {
         const std::string digest = run_digest(out);
         if (!reference.has_value()) {
           reference = digest;
+          // The first run against the oracle round (pairwise graph,
+          // tournament-scan table) over its own masked submissions.
+          core::LppaConfig cfg = make_config(3, crypto::BidBackendId::kPaillier);
+          cfg.charging_rule = rule;
+          core::LppaAuction engine(cfg, kTtpSeed);
+          auction::ConflictGraph pairwise(1);
+          const auto oracle = oracles::reference_round(
+              engine, out.view, Rng(kRoundSeed), &pairwise);
+          EXPECT_EQ(out.view.conflicts, pairwise);
+          EXPECT_EQ(out.outcome.awards, oracle.awards)
+              << "rule=" << static_cast<int>(rule);
         } else {
           EXPECT_EQ(digest, *reference)
               << "rule=" << static_cast<int>(rule) << " shards=" << shards
@@ -262,9 +275,10 @@ TEST(PaillierEngine, DeterministicAcrossShardsThreadsAndReruns) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Table-level differential: sorted vs tournament argmax on Paillier
-//    submissions under random removal / insert_user interleavings, with
-//    a serialize -> deserialize hop mid-stream.
+// 3. Table-level differential: the sorted table (one and four shards)
+//    vs the tournament-scan oracle on Paillier submissions under random
+//    removal / insert_user interleavings, with a serialize -> restore
+//    hop mid-stream.
 // ---------------------------------------------------------------------------
 
 TEST(PaillierTable, StrategiesAgreeUnderChurnInterleavings) {
@@ -288,61 +302,69 @@ TEST(PaillierTable, StrategiesAgreeUnderChurnInterleavings) {
     subs.push_back(submitter.submit(bv, rng));
   }
 
-  core::EncryptedBidTable sorted(subs, kChannels,
-                                 core::ArgmaxStrategy::kSortedColumns,
-                                 /*sort_threads=*/1, backend);
-  core::EncryptedBidTable scan(subs, kChannels,
-                               core::ArgmaxStrategy::kTournamentScan,
-                               /*sort_threads=*/1, backend);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto shard_of =
+        core::ShardedBidTable::contiguous_shards(kUsers, shards);
+    core::ShardedBidTable sorted(subs, kChannels, shard_of, shards,
+                                 /*num_threads=*/1, nullptr, backend);
+    oracles::TournamentScanTable scan(subs, kChannels, backend);
 
-  const auto expect_agreement = [&](const char* when) {
-    for (std::size_t r = 0; r < kChannels; ++r) {
-      EXPECT_EQ(sorted.argmax_in_column(r), scan.argmax_in_column(r))
-          << when << " channel " << r;
-    }
-  };
-
-  std::vector<bool> user_gone(kUsers, false);
-  expect_agreement("initial");
-  for (int step = 0; step < 60; ++step) {
-    const std::size_t r = rng.below(kChannels);
-    const auto top = sorted.argmax_in_column(r);
-    ASSERT_EQ(top, scan.argmax_in_column(r)) << "step " << step;
-    const std::uint64_t op = rng.below(10);
-    if (op < 5 && top.has_value()) {
-      sorted.remove(*top, r);
-      scan.remove(*top, r);
-    } else if (op < 8) {
-      const std::size_t u = rng.below(kUsers);
-      if (!user_gone[u]) {
-        sorted.remove_user(u);
-        scan.remove_user(u);
-        user_gone[u] = true;
+    const auto expect_agreement = [&](const char* when) {
+      for (std::size_t r = 0; r < kChannels; ++r) {
+        EXPECT_EQ(sorted.argmax_in_column(r), scan.argmax_in_column(r))
+            << when << " channel " << r;
       }
-    } else {
-      // Revive some fully tombstoned slot (churn return with the same
-      // masked submission behind it).
-      for (std::size_t u = 0; u < kUsers; ++u) {
-        if (user_gone[u]) {
-          sorted.insert_user(u);
-          scan.insert_user(u);
-          user_gone[u] = false;
-          break;
+    };
+
+    Rng ops(1235);
+    std::vector<bool> user_gone(kUsers, false);
+    expect_agreement("initial");
+    for (int step = 0; step < 60; ++step) {
+      const std::size_t r = ops.below(kChannels);
+      const auto top = sorted.argmax_in_column(r);
+      ASSERT_EQ(top, scan.argmax_in_column(r)) << "step " << step;
+      const std::uint64_t op = ops.below(10);
+      if (op < 5 && top.has_value()) {
+        sorted.remove(*top, r);
+        scan.remove(*top, r);
+      } else if (op < 8) {
+        const std::size_t u = ops.below(kUsers);
+        if (!user_gone[u]) {
+          sorted.remove_user(u);
+          scan.remove_user(u);
+          user_gone[u] = true;
+        }
+      } else {
+        // Revive some fully tombstoned slot (churn return with the same
+        // masked submission behind it).
+        for (std::size_t u = 0; u < kUsers; ++u) {
+          if (user_gone[u]) {
+            sorted.insert_user(u);
+            scan.insert_user(u);
+            user_gone[u] = false;
+            break;
+          }
         }
       }
-    }
-    expect_agreement("after op");
+      expect_agreement("after op");
 
-    if (step == 30) {
-      // Mid-stream snapshot hop: the restored table must answer argmax
-      // exactly like the live ones, on either strategy.
-      const Bytes wire = sorted.serialize();
-      const auto restored = core::EncryptedBidTable::deserialize(
-          wire, core::ArgmaxStrategy::kTournamentScan, /*sort_threads=*/1,
-          backend);
-      for (std::size_t c = 0; c < kChannels; ++c) {
-        EXPECT_EQ(restored.argmax_in_column(c), sorted.argmax_in_column(c))
-            << "restored channel " << c;
+      if (step == 30) {
+        // Mid-stream snapshot hop: both restored tables must answer
+        // argmax exactly like the live ones.
+        const Bytes wire = sorted.serialize();
+        ASSERT_EQ(scan.serialize(), wire);
+        const auto restored = core::ShardedBidTable::restore(
+            wire, shard_of, shards, /*num_threads=*/1, nullptr, backend);
+        const auto restored_scan =
+            oracles::TournamentScanTable::deserialize(wire, backend);
+        for (std::size_t c = 0; c < kChannels; ++c) {
+          EXPECT_EQ(restored.argmax_in_column(c), scan.argmax_in_column(c))
+              << "restored channel " << c;
+          EXPECT_EQ(restored_scan.argmax_in_column(c),
+                    scan.argmax_in_column(c))
+              << "restored scan channel " << c;
+        }
       }
     }
   }
@@ -394,8 +416,7 @@ TEST(SnapshotInterop, TableImageRejectsForeignBackendBothWays) {
   EXPECT_NO_THROW(core::EncryptedBidTable::deserialize(hmac_wire));
   // ...but refused by a Paillier session.
   try {
-    core::EncryptedBidTable::deserialize(
-        hmac_wire, core::ArgmaxStrategy::kSortedColumns, 1, paillier);
+    core::EncryptedBidTable::deserialize(hmac_wire, 1, paillier);
     FAIL() << "HMAC image must not restore under the Paillier backend";
   } catch (const LppaError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
@@ -403,8 +424,8 @@ TEST(SnapshotInterop, TableImageRejectsForeignBackendBothWays) {
 
   // Tagged Paillier image: restores under its own backend, refused by
   // the default/HMAC one.
-  EXPECT_NO_THROW(core::EncryptedBidTable::deserialize(
-      paillier_wire, core::ArgmaxStrategy::kSortedColumns, 1, paillier));
+  EXPECT_NO_THROW(
+      core::EncryptedBidTable::deserialize(paillier_wire, 1, paillier));
   try {
     core::EncryptedBidTable::deserialize(paillier_wire);
     FAIL() << "Paillier image must not restore under the HMAC backend";

@@ -1,8 +1,9 @@
 // Differential tests for the indexed conflict-graph build.
 //
 // The digest hash-join (prefix::DigestIndex) must reproduce the
-// all-pairs reference graph *exactly* — not merely with high
-// probability — because both paths compare the same digest multisets;
+// all-pairs reference graph (tests/oracles.h) *exactly* — not merely
+// with high probability — because both compare the same digest
+// multisets;
 // and the thread count must be observationally irrelevant everywhere it
 // appears (conflict-graph probing, full auction rounds).
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/rng.h"
 #include "core/lppa_auction.h"
 #include "core/ppbs_location.h"
+#include "oracles.h"
 #include "prefix/digest_index.h"
 
 namespace lppa::core {
@@ -199,7 +201,7 @@ TEST(ConflictIndexTest, IndexedMatchesPairwiseOver200RandomScenarios) {
                                      rng));
     }
 
-    const auto pairwise = PpbsLocation::build_conflict_graph_pairwise(subs);
+    const auto pairwise = oracles::conflict_graph_pairwise(subs);
     const auto indexed = PpbsLocation::build_conflict_graph(subs, 1);
     const auto indexed_mt = PpbsLocation::build_conflict_graph(subs, 3);
     ASSERT_EQ(indexed, pairwise)
@@ -220,13 +222,13 @@ TEST(ConflictIndexTest, DegenerateInputsMatchPairwise) {
   // Zero SUs: both builds reject identically (a conflict graph over an
   // empty population is a caller error, not an empty graph).
   const std::vector<LocationSubmission> none;
-  EXPECT_THROW(PpbsLocation::build_conflict_graph_pairwise(none), LppaError);
+  EXPECT_THROW(oracles::conflict_graph_pairwise(none), LppaError);
   EXPECT_THROW(PpbsLocation::build_conflict_graph(none, 1), LppaError);
   EXPECT_THROW(PpbsLocation::build_conflict_graph(none, 4), LppaError);
 
   // One SU: a single node, no self-edge.
   const std::vector<LocationSubmission> one{protocol.submit({100, 100}, rng)};
-  const auto one_pairwise = PpbsLocation::build_conflict_graph_pairwise(one);
+  const auto one_pairwise = oracles::conflict_graph_pairwise(one);
   EXPECT_EQ(PpbsLocation::build_conflict_graph(one, 1), one_pairwise);
   EXPECT_EQ(one_pairwise.num_users(), 1u);
   EXPECT_FALSE(one_pairwise.conflicts(0, 0));
@@ -235,7 +237,7 @@ TEST(ConflictIndexTest, DegenerateInputsMatchPairwise) {
   // the hash-join) every digest bucket holds every SU.
   std::vector<LocationSubmission> same;
   for (int i = 0; i < 6; ++i) same.push_back(protocol.submit({64, 64}, rng));
-  const auto same_pairwise = PpbsLocation::build_conflict_graph_pairwise(same);
+  const auto same_pairwise = oracles::conflict_graph_pairwise(same);
   EXPECT_EQ(PpbsLocation::build_conflict_graph(same, 1), same_pairwise);
   EXPECT_EQ(PpbsLocation::build_conflict_graph(same, 3), same_pairwise);
   for (std::size_t i = 0; i < same.size(); ++i) {
@@ -253,7 +255,7 @@ TEST(ConflictIndexTest, DegenerateInputsMatchPairwise) {
     corners.push_back(protocol.submit(loc, rng));
   }
   const auto corner_pairwise =
-      PpbsLocation::build_conflict_graph_pairwise(corners);
+      oracles::conflict_graph_pairwise(corners);
   EXPECT_EQ(PpbsLocation::build_conflict_graph(corners, 1), corner_pairwise);
   EXPECT_EQ(PpbsLocation::build_conflict_graph(corners, 4), corner_pairwise);
 }

@@ -11,6 +11,7 @@
 #include "core/sharded_bid_table.h"
 #include "counting_backend.h"
 #include "crypto/sealed_box.h"
+#include "oracles.h"
 
 namespace lppa::core {
 namespace {
@@ -173,11 +174,12 @@ TEST_F(EncryptedTableTest, SerializeRestoreRoundTripsByteIdentically) {
 TEST_F(EncryptedTableTest, RemoveUserRestoreDifferentialUnderBothStrategies) {
   // Churn removal-path audit: random interleavings of remove /
   // remove_user / argmax (cursor advancement) / insert_user
-  // (re-activation with cursor pull-back), then serialize -> restore
-  // under BOTH argmax strategies.  Four tables — live sorted, live scan,
-  // restored sorted, restored scan — must agree with each other AND with
-  // the plaintext oracle on every query, and the bitmap / live counter /
-  // image must match cell-for-cell and byte-for-byte throughout.
+  // (re-activation with cursor pull-back), then serialize -> restore into
+  // the sorted table and the tournament-scan oracle (tests/oracles.h).
+  // Four tables — live sorted, live scan, restored sorted, restored scan
+  // — must agree with each other AND with the plaintext oracle on every
+  // query, and the bitmap / live counter / image must match cell-for-cell
+  // and byte-for-byte throughout.
   Rng sweep(4477);
   for (int scenario = 0; scenario < 10; ++scenario) {
     const std::size_t n = 2 + sweep.below(6);
@@ -190,8 +192,8 @@ TEST_F(EncryptedTableTest, RemoveUserRestoreDifferentialUnderBothStrategies) {
       subs.push_back(submitter.submit(bids[u], sweep));
     }
 
-    EncryptedBidTable sorted(subs, k, ArgmaxStrategy::kSortedColumns);
-    EncryptedBidTable scan(subs, k, ArgmaxStrategy::kTournamentScan);
+    EncryptedBidTable sorted(subs, k);
+    oracles::TournamentScanTable scan(subs, k);
     std::vector<std::vector<bool>> present(n, std::vector<bool>(k, true));
 
     // Equal plaintext bids compare in an arbitrary (deterministic)
@@ -205,8 +207,7 @@ TEST_F(EncryptedTableTest, RemoveUserRestoreDifferentialUnderBothStrategies) {
       }
       return best;
     };
-    const auto check_all = [&](const EncryptedBidTable& t,
-                               const char* label) {
+    const auto check_all = [&](const auto& t, const char* label) {
       std::size_t live = 0;
       for (std::size_t u = 0; u < n; ++u) {
         for (std::size_t r = 0; r < k; ++r) {
@@ -278,10 +279,9 @@ TEST_F(EncryptedTableTest, RemoveUserRestoreDifferentialUnderBothStrategies) {
     const Bytes image = sorted.serialize();
     ASSERT_EQ(scan.serialize(), image)
         << "strategies disagree on the wire image, scenario " << scenario;
-    const EncryptedBidTable restored_sorted = EncryptedBidTable::deserialize(
-        image, ArgmaxStrategy::kSortedColumns);
-    const EncryptedBidTable restored_scan = EncryptedBidTable::deserialize(
-        image, ArgmaxStrategy::kTournamentScan);
+    const EncryptedBidTable restored_sorted =
+        EncryptedBidTable::deserialize(image);
+    const auto restored_scan = oracles::TournamentScanTable::deserialize(image);
     ASSERT_EQ(restored_sorted.serialize(), image);
     ASSERT_EQ(restored_scan.serialize(), image);
     check_all(restored_sorted, "restored sorted");
@@ -302,8 +302,8 @@ TEST_F(EncryptedTableTest, SortedAndScanStrategiesAgreeOnEveryQuery) {
   // The sorted-column index is a pure acceleration structure: for any
   // submission set and any interleaving of removals, every
   // argmax_in_column answer must match the seed tournament scan
-  // bit-for-bit (ties included — the sort is stable on user id, which is
-  // exactly the scan's first-seen-wins rule).
+  // (tests/oracles.h) bit-for-bit (ties included — the sort is stable on
+  // user id, which is exactly the scan's first-seen-wins rule).
   Rng sweep(4242);
   for (int scenario = 0; scenario < 15; ++scenario) {
     const std::size_t n = 2 + sweep.below(10);
@@ -315,8 +315,8 @@ TEST_F(EncryptedTableTest, SortedAndScanStrategiesAgreeOnEveryQuery) {
       for (auto& b : bv) b = sweep.below(hi);
     }
     const auto subs = make(bids);
-    EncryptedBidTable sorted(subs, k, ArgmaxStrategy::kSortedColumns);
-    EncryptedBidTable scan(subs, k, ArgmaxStrategy::kTournamentScan);
+    EncryptedBidTable sorted(subs, k);
+    oracles::TournamentScanTable scan(subs, k);
     for (int step = 0; step < 40 && !sorted.empty(); ++step) {
       const std::size_t r = sweep.below(k);
       ASSERT_EQ(sorted.argmax_in_column(r), scan.argmax_in_column(r))
@@ -337,8 +337,9 @@ TEST_F(EncryptedTableTest, SortedAndScanStrategiesAgreeOnEveryQuery) {
 
 TEST_F(EncryptedTableTest, SortedStrategyAllocationStreamMatchesScan) {
   // End-to-end differential over the greedy allocator: the full award
-  // stream (winner order, channels, prices) must be identical under both
-  // strategies for the same channel-draw randomness.
+  // stream (winner order, channels, prices) must be identical on the
+  // sorted table and the scan oracle for the same channel-draw
+  // randomness.
   Rng world(99);
   for (int round = 0; round < 8; ++round) {
     const std::size_t n = 10, k = 3;
@@ -353,11 +354,11 @@ TEST_F(EncryptedTableTest, SortedStrategyAllocationStreamMatchesScan) {
     const auto g = auction::ConflictGraph::from_locations(locs, 70);
     const auto subs = make(bids);
 
-    EncryptedBidTable sorted(subs, k, ArgmaxStrategy::kSortedColumns);
+    EncryptedBidTable sorted(subs, k);
     Rng rng_sorted(round + 500);
     const auto sorted_awards = auction::greedy_allocate(sorted, g, rng_sorted);
 
-    EncryptedBidTable scan(subs, k, ArgmaxStrategy::kTournamentScan);
+    oracles::TournamentScanTable scan(subs, k);
     Rng rng_scan(round + 500);
     const auto scan_awards = auction::greedy_allocate(scan, g, rng_scan);
 
@@ -368,10 +369,9 @@ TEST_F(EncryptedTableTest, SortedStrategyAllocationStreamMatchesScan) {
 TEST_F(EncryptedTableTest, MidAllocationSnapshotRestoresIdenticallyUnderBothStrategies) {
   // The PR 3 recovery path serializes a partially-consumed table and
   // resumes allocation after restart.  A snapshot taken mid-allocation
-  // must restore into a table whose remaining allocation stream is
-  // identical regardless of which argmax strategy the restored process
-  // picks — the wire image carries no strategy state, and the sorted
-  // index must rebuild around the already-consumed cells.
+  // must restore into a sorted table whose remaining allocation stream
+  // is identical to the scan oracle's restored from the same image — the
+  // sorted index must rebuild around the already-consumed cells.
   Rng world(321);
   for (int round = 0; round < 6; ++round) {
     const std::size_t n = 9, k = 3;
@@ -389,7 +389,7 @@ TEST_F(EncryptedTableTest, MidAllocationSnapshotRestoresIdenticallyUnderBothStra
     // Consume a prefix of the allocation by hand: pop some winners the
     // way greedy_allocate would (remove the winner row and one random
     // conflicting neighbour's cell), then snapshot.
-    EncryptedBidTable live(subs, k, ArgmaxStrategy::kSortedColumns);
+    EncryptedBidTable live(subs, k);
     const std::size_t consumed = 1 + world.below(4);
     for (std::size_t i = 0; i < consumed && !live.empty(); ++i) {
       const std::size_t r = world.below(k);
@@ -400,10 +400,8 @@ TEST_F(EncryptedTableTest, MidAllocationSnapshotRestoresIdenticallyUnderBothStra
     }
     const Bytes image = live.serialize();
 
-    EncryptedBidTable restored_sorted = EncryptedBidTable::deserialize(
-        image, ArgmaxStrategy::kSortedColumns);
-    EncryptedBidTable restored_scan = EncryptedBidTable::deserialize(
-        image, ArgmaxStrategy::kTournamentScan);
+    EncryptedBidTable restored_sorted = EncryptedBidTable::deserialize(image);
+    auto restored_scan = oracles::TournamentScanTable::deserialize(image);
 
     Rng rng_a(round + 900);
     Rng rng_b(round + 900);
@@ -416,9 +414,10 @@ TEST_F(EncryptedTableTest, MidAllocationSnapshotRestoresIdenticallyUnderBothStra
 
 TEST_F(EncryptedTableTest, FullRoundOutcomeIdenticalAcrossStrategies) {
   // Highest-level differential: a complete LppaAuction round (submission,
-  // conflict graph, allocation, TTP charging) configured with each
-  // strategy must publish identical awards AND identical TTP-validated
-  // charges — the sorted index may not perturb anything downstream.
+  // conflict graph, allocation, TTP charging) must publish the awards AND
+  // TTP-validated charges of the oracle round over the same masked
+  // submissions (pairwise graph, scan table) — the sorted index may not
+  // perturb anything downstream.
   for (int round = 0; round < 3; ++round) {
     const std::size_t n = 14, k = 3;
     Rng world(round + 77);
@@ -437,23 +436,17 @@ TEST_F(EncryptedTableTest, FullRoundOutcomeIdenticalAcrossStrategies) {
     cfg.coord_width = 12;
     cfg.bid = PpbsBidConfig::advanced(15, 3, 4, ZeroDisguisePolicy::none(15));
 
-    cfg.argmax_strategy = ArgmaxStrategy::kSortedColumns;
     core::LppaAuction auction_sorted(cfg, /*ttp_seed=*/round + 1);
     Rng rng_sorted(round + 5000);
     const auto out_sorted = auction_sorted.run(locs, bids, rng_sorted);
 
-    cfg.argmax_strategy = ArgmaxStrategy::kTournamentScan;
     core::LppaAuction auction_scan(cfg, /*ttp_seed=*/round + 1);
-    Rng rng_scan(round + 5000);
-    const auto out_scan = auction_scan.run(locs, bids, rng_scan);
+    const auto out_scan = oracles::reference_round(auction_scan,
+                                                   out_sorted.view,
+                                                   Rng(round + 5000));
 
-    EXPECT_EQ(out_sorted.outcome.awards, out_scan.outcome.awards)
-        << "round " << round;
-    EXPECT_EQ(out_sorted.view.awards, out_scan.view.awards)
-        << "round " << round;
-    EXPECT_EQ(out_sorted.outcome.winning_bid_sum(),
-              out_scan.outcome.winning_bid_sum())
-        << "round " << round;
+    EXPECT_EQ(out_sorted.outcome.awards, out_scan.awards) << "round " << round;
+    EXPECT_EQ(out_sorted.view.awards, out_scan.awards) << "round " << round;
     EXPECT_EQ(out_sorted.manipulations_detected,
               out_scan.manipulations_detected)
         << "round " << round;
@@ -609,11 +602,6 @@ TEST_F(EncryptedTableTest, InsertUserSpendsLogarithmicMaskedCompares) {
           << "n=" << n << " event " << event;
     }
   }
-  // The tournament scan keeps no orders, so it spends nothing.
-  std::vector<BidSubmission> subs = make({{3, 1}, {2, 2}});
-  EncryptedBidTable scan(subs, 2, ArgmaxStrategy::kTournamentScan);
-  scan.remove_user(0);
-  EXPECT_EQ(scan.insert_user(0), 0u);
 }
 
 // --- Class-memoised column sort vs. the per-pair reference ----------------
@@ -729,10 +717,10 @@ class PerPairTable final : public auction::BidTableView {
   std::size_t live_;
 };
 
-/// Builds the table over `subs` for shards {1, 4} × threads {1, 4} and
-/// checks the drained column orders, the awards of a full allocation and
-/// the serialized image after it against the per-pair reference with
-/// the same shard map.
+/// Builds the production table over `subs` for shards {1, 4} × threads
+/// {1, 4} and checks the drained column orders, the awards of a full
+/// allocation and the serialized image after it against the per-pair
+/// reference with the same shard map.
 void expect_matches_per_pair(const std::vector<BidSubmission>& subs,
                              std::size_t k) {
   const std::size_t n = subs.size();
@@ -751,19 +739,10 @@ void expect_matches_per_pair(const std::vector<BidSubmission>& subs,
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " threads=" + std::to_string(threads));
       Rng rng(7);
-      if (shards == 1) {
-        EncryptedBidTable table(subs, k, ArgmaxStrategy::kSortedColumns,
-                                threads);
-        ASSERT_EQ(drain_columns(table), orders);
-        EXPECT_EQ(auction::greedy_allocate(table, graph, rng), awards);
-        EXPECT_EQ(table.serialize(), image);
-      } else {
-        ShardedBidTable table(subs, k, shard_of, shards,
-                              ArgmaxStrategy::kSortedColumns, threads);
-        ASSERT_EQ(drain_columns(table.clone()), orders);
-        EXPECT_EQ(auction::greedy_allocate(table, graph, rng), awards);
-        EXPECT_EQ(table.serialize(), image);
-      }
+      ShardedBidTable table(subs, k, shard_of, shards, threads);
+      ASSERT_EQ(drain_columns(table.clone()), orders);
+      EXPECT_EQ(auction::greedy_allocate(table, graph, rng), awards);
+      EXPECT_EQ(table.serialize(), image);
     }
   }
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "counting_backend.h"
 #include "obs/metrics.h"
@@ -274,9 +276,10 @@ TEST(LppaAuction, RevenueNeverExceedsPlainAuction) {
 
 TEST(LppaAuction, TableSpanParentsShardBuildsAndCountsOrderTests) {
   // auction.table hangs under auction.round, the per-shard table builds
-  // hang under auction.table, and auction.table.order_tests counts the
-  // masked tests the build spent — every ge() of an unsharded round,
-  // whose sorted-column argmax pops spend none.
+  // hang under auction.table (one per shard, the single tile included),
+  // every shard.* span has a parent, and auction.table.order_tests counts
+  // the masked tests the build spent — every ge() of a one-shard round,
+  // whose sorted-column argmax pops and merges spend none.
   World w = make_world(40, 3, 301);
   Rng spread(302);  // across the whole 2^14 grid, so every tile has SUs
   for (auto& loc : w.locations) {
@@ -303,6 +306,9 @@ TEST(LppaAuction, TableSpanParentsShardBuildsAndCountsOrderTests) {
         table_id = span.id;
         table_parent = span.parent;
       }
+      if (span.name.rfind("shard.", 0) == 0) {
+        EXPECT_NE(span.parent, 0u) << span.name;
+      }
     }
     ASSERT_EQ(tables, 1u);
     EXPECT_NE(round_id, 0u);
@@ -313,7 +319,7 @@ TEST(LppaAuction, TableSpanParentsShardBuildsAndCountsOrderTests) {
       ++shard_builds;
       EXPECT_EQ(span.parent, table_id);
     }
-    EXPECT_EQ(shard_builds, shards == 1 ? 0u : shards);
+    EXPECT_EQ(shard_builds, shards);
 
     const std::uint64_t order_tests =
         reg.counter("auction.table.order_tests").value();
@@ -323,6 +329,45 @@ TEST(LppaAuction, TableSpanParentsShardBuildsAndCountsOrderTests) {
     } else {
       EXPECT_LT(order_tests, counting.ges());  // plus the argmax merges
     }
+  }
+}
+
+TEST(LppaAuction, ShardSpansStayBoundedAndNothingIsDropped) {
+  // A round with more argmax queries than the span buffer holds (one
+  // channel and a sparse field: nearly every SU wins, one query each)
+  // records each shard.* span name at most once per shard — per-shard
+  // builds and one probe phase, never one span per query — so the
+  // round's own phase spans survive and the buffer never overflows.
+  const std::size_t n = obs::MetricsRegistry::kMaxSpans + 100;
+  World w = make_world(n, 1, 401);
+  Rng spread(402);
+  for (auto& loc : w.locations) {
+    loc = {spread.below(16000), spread.below(16000)};
+  }
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    obs::MetricsRegistry reg;
+    LppaConfig cfg = make_config(1);
+    cfg.lambda = 4;
+    cfg.num_shards = shards;
+    cfg.metrics = &reg;
+    LppaAuction engine(cfg, 9);
+    Rng rng(4);
+    const LppaOutcome out = engine.run(w.locations, w.bids, rng);
+    EXPECT_GT(reg.counter("shard.argmax_merges").value(),
+              obs::MetricsRegistry::kMaxSpans);
+    EXPECT_GT(out.outcome.awards.size(), n / 2);
+
+    std::map<std::string, std::size_t> per_name;
+    for (const auto& span : reg.spans()) ++per_name[span.name];
+    for (const auto& [name, count] : per_name) {
+      if (name.rfind("shard.", 0) == 0) {
+        EXPECT_LE(count, shards) << name;
+      }
+    }
+    EXPECT_EQ(per_name["auction.round"], 1u);
+    EXPECT_EQ(per_name["auction.allocate"], 1u);
+    EXPECT_EQ(reg.spans_dropped(), 0u);
   }
 }
 

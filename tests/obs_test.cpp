@@ -348,6 +348,20 @@ TEST(SocketSpanTree, MatchesTheBusRoundTree) {
   EXPECT_EQ(wire_span_tree(bus_reg), expected);
   EXPECT_EQ(wire_span_tree(socket_reg), expected);
 
+  // The bus session's bid-table build (one shard) hangs under
+  // wire.allocation.
+  std::uint64_t allocation_id = 0;
+  for (const auto& span : bus_reg.spans()) {
+    if (span.name == "wire.allocation") allocation_id = span.id;
+  }
+  std::size_t table_builds = 0;
+  for (const auto& span : bus_reg.spans()) {
+    if (span.name != "shard.table_build") continue;
+    ++table_builds;
+    EXPECT_EQ(span.parent, allocation_id);
+  }
+  EXPECT_EQ(table_builds, 1u);
+
   std::size_t journaled_nacks = 0;
   for (const auto& rec : proto::RoundJournal::read(socket.journal)) {
     if (rec.type == proto::JournalRecordType::kNackSent) ++journaled_nacks;

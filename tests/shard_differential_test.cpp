@@ -1,12 +1,15 @@
-// Differential suite for the geo-sharded execution path: for EVERY shard
-// count and thread count, the sharded auction must produce byte-identical
-// conflict graphs, awards, charges, and winner announcements to the
-// single-partition path — including under adversarial placements (SUs on
-// tile borders, everyone in one tile, tiles narrower than the 2λ halo,
-// grid corners) and across snapshot/restore reconfigurations.
+// Differential suite for the geo-sharded execution path, the only one the
+// auction has: for EVERY shard count (1 included) and thread count, the
+// auction must produce conflict graphs, awards, charges, and winner
+// announcements byte-identical to the reference implementations in
+// tests/oracles.h — the all-pairs graph and the tournament-scan table —
+// including under adversarial placements (SUs on tile borders, everyone
+// in one tile, tiles narrower than the 2λ halo, grid corners) and across
+// snapshot/restore reconfigurations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "core/churn_state.h"
@@ -14,6 +17,7 @@
 #include "core/shard_conflict.h"
 #include "core/sharded_bid_table.h"
 #include "obs/metrics.h"
+#include "oracles.h"
 #include "proto/session.h"
 #include "shard/shard_plan.h"
 
@@ -58,20 +62,29 @@ core::LppaOutcome run_auction(const World& w, const core::LppaConfig& cfg,
   return engine.run(w.locations, w.bids, rng);
 }
 
-void expect_same_outcome(const core::LppaOutcome& a,
-                         const core::LppaOutcome& b) {
-  ASSERT_EQ(a.outcome.awards.size(), b.outcome.awards.size());
-  for (std::size_t i = 0; i < a.outcome.awards.size(); ++i) {
-    const auto& x = a.outcome.awards[i];
-    const auto& y = b.outcome.awards[i];
-    EXPECT_EQ(x.user, y.user);
-    EXPECT_EQ(x.channel, y.channel);
-    EXPECT_EQ(x.charge, y.charge);
-    EXPECT_EQ(x.valid, y.valid);
-  }
-  EXPECT_EQ(a.view.conflicts, b.view.conflicts);
-  EXPECT_EQ(a.view.awards, b.view.awards);
-  EXPECT_EQ(a.manipulations_detected, b.manipulations_detected);
+/// The oracle round over `out`'s masked submissions: the pairwise graph
+/// and the tournament-scan table through Algorithm 3 and TTP charging,
+/// with run_auction's seeds.
+struct Reference {
+  auction::ConflictGraph conflicts{1};
+  core::MaintainedRoundOutcome round;
+};
+
+Reference reference_of(const core::LppaOutcome& out,
+                       const core::LppaConfig& cfg, std::uint64_t seed) {
+  core::LppaAuction engine(cfg, /*ttp_seed=*/7);
+  Reference ref;
+  ref.round =
+      oracles::reference_round(engine, out.view, Rng(seed), &ref.conflicts);
+  return ref;
+}
+
+void expect_matches_reference(const core::LppaOutcome& out,
+                              const Reference& ref) {
+  EXPECT_EQ(out.view.conflicts, ref.conflicts);
+  EXPECT_EQ(out.outcome.awards, ref.round.awards);
+  EXPECT_EQ(out.view.awards, ref.round.awards);
+  EXPECT_EQ(out.manipulations_detected, ref.round.manipulations_detected);
 }
 
 // --- ShardPlan geometry --------------------------------------------------
@@ -151,6 +164,8 @@ TEST(ShardPlan, AssignmentMatchesOnBoundaryAndCoversEveryone) {
 // --- Conflict graph differential ----------------------------------------
 
 TEST(ShardConflict, MatchesGlobalBuildAcrossShardAndThreadCounts) {
+  // The reference is the all-pairs build; every shard count, one tile
+  // included, runs the halo-exchange build.
   const core::LppaConfig cfg = base_config(1);
   Rng key_rng(42);
   const crypto::SecretKey g0 = crypto::SecretKey::generate(key_rng);
@@ -159,7 +174,8 @@ TEST(ShardConflict, MatchesGlobalBuildAcrossShardAndThreadCounts) {
   Rng rng(9);
   std::vector<core::LocationSubmission> subs;
   for (const auto& loc : w.locations) subs.push_back(proto.submit(loc, rng));
-  const auto reference = core::PpbsLocation::build_conflict_graph(subs, 1);
+  const auto reference = oracles::conflict_graph_pairwise(subs);
+  EXPECT_EQ(core::PpbsLocation::build_conflict_graph(subs, 3), reference);
   for (const std::size_t shards : {1u, 2u, 4u, 9u}) {
     const auto plan =
         shard::ShardPlan::make(cfg.coord_width, cfg.lambda, shards);
@@ -184,28 +200,80 @@ TEST(ShardConflict, MatchesGlobalBuildAcrossShardAndThreadCounts) {
 
 TEST(ShardDifferential, AuctionOutcomeIdenticalForEveryShardCount) {
   const World w = random_world(60, 3, 51, /*side=*/16000);
-  const auto reference = run_auction(w, base_config(3), 77);
-  EXPECT_FALSE(reference.outcome.awards.empty());
-  for (const std::size_t shards : {2u, 4u, 9u}) {
+  std::optional<Reference> reference;
+  std::optional<core::LppaOutcome> first;
+  for (const std::size_t shards : {1u, 2u, 4u, 9u}) {
     for (const std::size_t threads : {1u, 3u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
       core::LppaConfig cfg = base_config(3);
       cfg.num_shards = shards;
       cfg.num_threads = threads;
-      const auto sharded = run_auction(w, cfg, 77);
-      expect_same_outcome(sharded, reference);
+      const auto out = run_auction(w, cfg, 77);
+      if (!reference) {
+        reference = reference_of(out, cfg, 77);
+        first = out;
+        EXPECT_FALSE(reference->round.awards.empty());
+      }
+      // The masked submissions do not depend on the configuration, so
+      // one oracle round covers every run.
+      EXPECT_EQ(out.view.bids, first->view.bids);
+      EXPECT_EQ(out.view.locations, first->view.locations);
+      expect_matches_reference(out, *reference);
     }
   }
 }
 
-TEST(ShardDifferential, BothArgmaxStrategiesStayIdenticalWhenSharded) {
-  const World w = random_world(40, 2, 53, /*side=*/16000);
-  const auto reference = run_auction(w, base_config(2), 13);
-  for (const auto strategy : {core::ArgmaxStrategy::kSortedColumns,
-                              core::ArgmaxStrategy::kTournamentScan}) {
-    core::LppaConfig cfg = base_config(2);
-    cfg.num_shards = 4;
-    cfg.argmax_strategy = strategy;
-    expect_same_outcome(run_auction(w, cfg, 13), reference);
+TEST(ShardDifferential, SortedTableMatchesScanOracle) {
+  // The production table (sorted columns, S shards) against the
+  // tournament-scan oracle: the same award stream on a full round, and
+  // the same remaining stream after a serialize -> restore hop taken
+  // mid-allocation, whichever side restores.
+  const std::size_t k = 2;
+  const World w = random_world(40, k, 53, /*side=*/16000);
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    core::LppaConfig cfg = base_config(k);
+    cfg.num_shards = shards;
+    const auto out = run_auction(w, cfg, 13);
+    expect_matches_reference(out, reference_of(out, cfg, 13));
+
+    const std::size_t n = w.locations.size();
+    const auto& bids = out.view.bids;
+    const auto shard_of = core::ShardedBidTable::contiguous_shards(n, shards);
+    for (const std::size_t consumed : {1u, 5u, 12u}) {
+      SCOPED_TRACE("consumed=" + std::to_string(consumed));
+      // Pop `consumed` winners the way greedy_allocate would, on both
+      // tables, then snapshot.
+      core::ShardedBidTable sorted(bids, k, shard_of, shards);
+      oracles::TournamentScanTable scan(bids, k);
+      Rng pops(consumed);
+      for (std::size_t i = 0; i < consumed && !sorted.empty(); ++i) {
+        const std::size_t r = pops.below(k);
+        const auto winner = sorted.argmax_in_column(r);
+        ASSERT_EQ(winner, scan.argmax_in_column(r));
+        if (!winner) continue;
+        out.view.conflicts.neighbors(*winner).for_each([&](std::size_t v) {
+          sorted.remove(v, r);
+          scan.remove(v, r);
+        });
+        sorted.remove_user(*winner);
+        scan.remove_user(*winner);
+      }
+      const Bytes image = sorted.serialize();
+      ASSERT_EQ(scan.serialize(), image);
+      auto restored = core::ShardedBidTable::restore(image, shard_of, shards);
+      auto restored_scan = oracles::TournamentScanTable::deserialize(image);
+      EXPECT_EQ(restored.serialize(), image);
+      const auto finish = [&](auction::BidTableView& table) {
+        Rng rng(consumed + 100);
+        return auction::greedy_allocate(table, out.view.conflicts, rng);
+      };
+      const auto awards = finish(scan);
+      EXPECT_EQ(finish(sorted), awards);
+      EXPECT_EQ(finish(restored), awards);
+      EXPECT_EQ(finish(restored_scan), awards);
+    }
   }
 }
 
@@ -270,13 +338,13 @@ TEST(ShardDifferential, AdversarialPlacements) {
       w.bids.push_back(bv);
     }
     core::LppaConfig cfg = base_config(k, p.lambda, width);
-    const auto reference = run_auction(w, cfg, 31);
-    for (const std::size_t shards : {2u, 4u, 9u}) {
+    const auto reference = reference_of(run_auction(w, cfg, 31), cfg, 31);
+    for (const std::size_t shards : {1u, 2u, 4u, 9u}) {
       core::LppaConfig sharded_cfg = cfg;
       sharded_cfg.num_shards = shards;
       sharded_cfg.num_threads = 3;
       const auto sharded = run_auction(w, sharded_cfg, 31);
-      expect_same_outcome(sharded, reference);
+      expect_matches_reference(sharded, reference);
       if (testing::Test::HasFailure()) {
         FAIL() << "placement " << p.name << " shards=" << shards;
       }
@@ -284,7 +352,7 @@ TEST(ShardDifferential, AdversarialPlacements) {
   }
 }
 
-// --- ShardedBidTable vs EncryptedBidTable --------------------------------
+// --- ShardedBidTable vs the tournament-scan oracle -------------------------
 
 TEST(ShardedBidTable, AnswersMatchSingleTableUnderRandomRemovals) {
   const std::size_t n = 30, k = 3;
@@ -297,7 +365,7 @@ TEST(ShardedBidTable, AnswersMatchSingleTableUnderRandomRemovals) {
   for (const auto& bv : w.bids) subs.push_back(submitter.submit(bv, rng));
 
   for (const std::size_t shards : {1u, 3u, 7u}) {
-    core::EncryptedBidTable single(subs, k);
+    oracles::TournamentScanTable single(subs, k);
     core::ShardedBidTable sharded(
         subs, k, core::ShardedBidTable::contiguous_shards(n, shards), shards);
     EXPECT_EQ(sharded.num_shards(), shards);
@@ -439,7 +507,7 @@ TEST(ShardedBidTable, SerializesTheGlobalImageAndRestoresResharded) {
   std::vector<core::BidSubmission> subs;
   for (const auto& bv : w.bids) subs.push_back(submitter.submit(bv, rng));
 
-  core::EncryptedBidTable single(subs, k);
+  oracles::TournamentScanTable single(subs, k);
   core::ShardedBidTable sharded(
       subs, k, core::ShardedBidTable::contiguous_shards(n, 4), 4);
   // Identical wire images before and after identical removals.
@@ -451,13 +519,12 @@ TEST(ShardedBidTable, SerializesTheGlobalImageAndRestoresResharded) {
   const Bytes image = single.serialize();
   EXPECT_EQ(sharded.serialize(), image);
 
-  // Restore the unsharded image into a sharded table (and with a
-  // different shard count than the writer used): answers must continue
-  // exactly where the snapshot left off.
-  for (const std::size_t shards : {1u, 2u, 5u}) {
+  // Restore the image with a different shard count than the writer used
+  // (and with the writer's): answers must continue exactly where the
+  // snapshot left off.
+  for (const std::size_t shards : {1u, 2u, 4u, 5u}) {
     auto restored = core::ShardedBidTable::restore(
-        core::EncryptedBidTable::deserialize(image),
-        core::ShardedBidTable::contiguous_shards(n, shards), shards);
+        image, core::ShardedBidTable::contiguous_shards(n, shards), shards);
     EXPECT_EQ(restored.serialize(), image);
     for (std::size_t r = 0; r < k; ++r) {
       EXPECT_EQ(restored.argmax_in_column(r), single.argmax_in_column(r));
@@ -469,25 +536,28 @@ TEST(ShardedBidTable, SerializesTheGlobalImageAndRestoresResharded) {
   // A shard map that does not fit the image is a typed protocol error.
   try {
     core::ShardedBidTable::restore(
-        core::EncryptedBidTable::deserialize(image),
-        core::ShardedBidTable::contiguous_shards(n + 1, 2), 2);
+        image, core::ShardedBidTable::contiguous_shards(n + 1, 2), 2);
     FAIL() << "expected LppaError";
   } catch (const LppaError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
   }
   try {
     auto bad_map = core::ShardedBidTable::contiguous_shards(n, 4);
-    core::ShardedBidTable::restore(core::EncryptedBidTable::deserialize(image),
-                                   std::move(bad_map), /*num_shards=*/2);
+    core::ShardedBidTable::restore(image, std::move(bad_map),
+                                   /*num_shards=*/2);
     FAIL() << "expected LppaError";
   } catch (const LppaError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
   }
-  // Restore requires an owning table, not one referencing a live vector.
-  EXPECT_THROW(core::ShardedBidTable::restore(
-                   core::EncryptedBidTable(subs, k),
-                   core::ShardedBidTable::contiguous_shards(n, 2), 2),
-               LppaError);
+  // A damaged image is a typed protocol error too.
+  try {
+    core::ShardedBidTable::restore(
+        std::span<const std::uint8_t>(image.data(), image.size() - 1),
+        core::ShardedBidTable::contiguous_shards(n, 2), 2);
+    FAIL() << "expected LppaError";
+  } catch (const LppaError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
+  }
 }
 
 // --- Session snapshot interop (PR 3 recovery compatibility) --------------
