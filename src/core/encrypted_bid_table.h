@@ -102,8 +102,7 @@ class EncryptedBidTable final : public auction::BidTableView {
 
   bool empty() const noexcept override;
 
-  /// The masked entry (still present or not); used when assembling charge
-  /// queries for the TTP.
+  /// The masked entry (still present or not).
   const ChannelBidSubmission& entry(UserId u, ChannelId r) const;
 
   /// Serializes the full table state — the masked submissions plus the

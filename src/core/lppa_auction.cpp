@@ -1,6 +1,7 @@
 #include "core/lppa_auction.h"
 
 #include "common/thread_pool.h"
+#include "core/charging.h"
 #include "core/shard_conflict.h"
 #include "core/sharded_bid_table.h"
 #include "core/submission_validator.h"
@@ -133,71 +134,28 @@ MaintainedRoundOutcome LppaAuction::allocate_and_charge(
   obs::MetricsRegistry* const m = config_.metrics;
 
   obs::Span allocate_span(m, "auction.allocate", parent);
-  MaintainedRoundOutcome result;
-  result.awards = auction::greedy_allocate(table, conflicts, rng);
+  std::vector<auction::Award> awards =
+      auction::greedy_allocate(table, conflicts, rng);
   allocate_span.end();
-  if (m != nullptr) m->counter("auction.awards").inc(result.awards.size());
-
-  obs::Span charging_span(m, "auction.charging", parent);
-  std::vector<auction::Award>& awards = result.awards;
+  if (m != nullptr) m->counter("auction.awards").inc(awards.size());
 
   // --- Charging through the periodically-available TTP --------------------
-  // pending_award[i] is the index of the award pending[i] charges (the
-  // TTP answers a batch in query order), so a flush is O(batch).
-  std::vector<ChargeQuery> pending;
-  std::vector<std::size_t> pending_award;
-  auto flush = [&] {
-    if (pending.empty()) return;
-    const auto results = ttp_.process_batch(pending);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const ChargeResult& res = results[i];
-      auction::Award& award = awards[pending_award[i]];
-      if (res.manipulated) {
-        ++result.manipulations_detected;
-        award.valid = false;
-        award.charge = 0;
-      } else {
-        award.valid = res.valid;
-        award.charge = res.charge;
-      }
-    }
-    pending.clear();
-    pending_award.clear();
-  };
-  for (std::size_t a = 0; a < awards.size(); ++a) {
-    const auction::Award& award = awards[a];
-    const ChannelBidSubmission& entry = bids[award.user].channels[award.channel];
-    ChargeQuery query{award.user,         award.channel, entry.sealed,
-                      entry.value_family, entry.paillier_ct,
-                      std::nullopt,       std::nullopt,  0};
-    if (config_.charging_rule == ChargingRule::kSecondPrice) {
-      // The runner-up of the column among all other LIVE bidders, found
-      // by a masked tournament (ties keep the lowest id, as the
-      // allocator's column orders do).  Dead roster
-      // slots hold stale masks from before their departure and must not
-      // leak into the price.
-      std::optional<UserId> second;
-      for (UserId u = 0; u < bids.size(); ++u) {
-        if (u == award.user || !live[u]) continue;
-        if (!second ||
-            !config_.backend->ge(bids[*second].channels[award.channel],
-                                 bids[u].channels[award.channel])) {
-          second = u;
-        }
-      }
-      if (second) {
-        const auto& runner_up = bids[*second].channels[award.channel];
-        query.runner_up_sealed = runner_up.sealed;
-        query.runner_up_family = runner_up.value_family;
-        query.runner_up_ct = runner_up.paillier_ct;
-      }
-    }
-    pending.push_back(std::move(query));
-    pending_award.push_back(a);
-    if (pending.size() >= config_.ttp_batch_size) flush();
+  // Dead roster slots hold stale masks from before their departure: they
+  // are not candidates, so they never leak into a second-price charge.
+  obs::Span charging_span(m, "auction.charging", parent);
+  std::vector<const BidSubmission*> candidates(bids.size(), nullptr);
+  for (std::size_t u = 0; u < bids.size(); ++u) {
+    if (live[u]) candidates[u] = &bids[u];
   }
-  flush();
+  ChargeLedger ledger(std::move(awards), std::move(candidates), config_);
+  for (std::size_t b = 0; b < ledger.num_batches(); ++b) {
+    ledger.commit(ttp_.process_batch(ledger.batch(b)));
+  }
   charging_span.end();
+
+  MaintainedRoundOutcome result;
+  result.manipulations_detected = ledger.manipulations();
+  result.awards = std::move(ledger).take_awards();
   if (m != nullptr && result.manipulations_detected > 0) {
     m->counter("auction.manipulations").inc(result.manipulations_detected);
   }

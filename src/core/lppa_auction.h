@@ -111,14 +111,15 @@ class LppaAuction {
 
   /// The auctioneer+TTP tail of a round over pre-built state: greedy
   /// allocation on `table` (which it consumes — pass a clone of a
-  /// maintained table) followed by batched TTP charging.  `bids` backs
-  /// the charge queries and the second-price runner-up scan; `live`
-  /// marks which roster slots currently participate — dead slots hold
-  /// stale masked submissions and must never be consulted as runner-up
-  /// candidates (they cannot win: the table has them tombstoned).
-  /// run() is exactly this helper applied to a freshly built all-live
-  /// round, so maintained churn rounds and from-scratch rounds share one
-  /// charging/validation path byte for byte.
+  /// maintained table) followed by batched TTP charging through a
+  /// core::ChargeLedger (core/charging.h), the charging path the wire
+  /// session uses too.  `bids` backs the charge queries and the
+  /// second-price runner-up; `live` marks which roster slots currently
+  /// participate — dead slots hold stale masked submissions and are
+  /// never runner-up candidates (they cannot win: the table has them
+  /// tombstoned).  run() is exactly this helper applied to a freshly
+  /// built all-live round, so maintained churn rounds and from-scratch
+  /// rounds share one charging/validation path byte for byte.
   MaintainedRoundOutcome allocate_and_charge(
       const std::vector<BidSubmission>& bids,
       const auction::ConflictGraph& conflicts, auction::BidTableView& table,

@@ -204,12 +204,6 @@ std::optional<auction::UserId> ShardedBidTable::argmax_in_column(
   return best;
 }
 
-const ChannelBidSubmission& ShardedBidTable::entry(UserId u,
-                                                   ChannelId r) const {
-  LPPA_REQUIRE(u < users_ && r < channels_, "bid table index out of range");
-  return (*submissions_)[u].channels[r];
-}
-
 std::size_t ShardedBidTable::order_tests() const noexcept {
   std::size_t tests = 0;
   for (const auto& shard : shards_) {

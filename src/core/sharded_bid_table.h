@@ -118,9 +118,6 @@ class ShardedBidTable final : public auction::BidTableView {
 
   bool empty() const noexcept override { return live_ == 0; }
 
-  /// The masked entry by GLOBAL user id (used for charge queries).
-  const ChannelBidSubmission& entry(UserId u, ChannelId r) const;
-
   /// Global EncryptedBidTable-format image (see class comment).
   Bytes serialize() const;
 

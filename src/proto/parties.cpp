@@ -1,15 +1,12 @@
 #include "proto/parties.h"
 
-#include <algorithm>
 #include <numeric>
 
+#include "core/shard_conflict.h"
 #include "obs/metrics.h"
+#include "shard/shard_plan.h"
 
 namespace lppa::proto {
-
-namespace {
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-}  // namespace
 
 // ------------------------------------------------------------- SuClient
 
@@ -328,7 +325,7 @@ void AuctioneerSession::finalize_participants(RoundReport& report) {
                       "no valid participants survived the round");
 }
 
-void AuctioneerSession::compact_participants() {
+void AuctioneerSession::compact_participants(const obs::Span* parent) {
   // Compact the participants to contiguous indices: the conflict graph,
   // bid table and allocator all run over [0, m); awards are mapped back
   // to original SU ids afterwards.  A fault-free full round compacts to
@@ -336,23 +333,34 @@ void AuctioneerSession::compact_participants() {
   // conflict-graph rebuild involves no randomness, which is what lets a
   // restored session recompute it instead of journaling the edges.
   const std::size_t m = participants_.size();
-  compact_index_.assign(num_users_, kNoSlot);
   std::vector<core::LocationSubmission> locations;
   locations.reserve(m);
   bid_store_.clear();
   bid_store_.reserve(m);
   for (std::size_t k = 0; k < m; ++k) {
     const std::size_t u = participants_[k];
-    compact_index_[u] = k;
     locations.push_back(*locations_[u]);
     bid_store_.push_back(*bids_[u]);
   }
-  conflicts_ =
-      core::PpbsLocation::build_conflict_graph(locations, config_.num_threads);
+  conflicts_ = core::build_conflict_graph_sharded(
+      locations, shard::ShardAssignment::single_tile(m), config_.num_threads,
+      config_.metrics, nullptr, parent);
+}
+
+void AuctioneerSession::open_ledger(std::vector<auction::Award> awards,
+                                    std::vector<bool> priced) {
+  // Candidates are indexed by original SU id, so award users, result
+  // users and the runner-up tournament all speak the SUs' own ids.
+  std::vector<const core::BidSubmission*> candidates(num_users_, nullptr);
+  for (std::size_t k = 0; k < participants_.size(); ++k) {
+    candidates[participants_[k]] = &bid_store_[k];
+  }
+  ledger_.emplace(std::move(awards), std::move(candidates), config_,
+                  std::move(priced));
 }
 
 void AuctioneerSession::run_allocation(Rng& rng, const obs::Span* parent) {
-  LPPA_REQUIRE(!allocated_, "allocation already ran");
+  LPPA_REQUIRE(!ledger_, "allocation already ran");
   if (!finalized_) {
     LPPA_REQUIRE(ready(), "submissions still missing");
     for (std::size_t u = 0; u < num_users_; ++u) {
@@ -362,113 +370,65 @@ void AuctioneerSession::run_allocation(Rng& rng, const obs::Span* parent) {
     finalized_ = true;
   }
 
-  compact_participants();
+  compact_participants(parent);
   table_.emplace(bid_store_, config_.num_channels,
                  core::ShardedBidTable::contiguous_shards(bid_store_.size(),
                                                           config_.num_shards),
                  config_.num_shards, config_.num_threads, config_.metrics,
                  config_.backend, parent);
-  awards_ = auction::greedy_allocate(*table_, *conflicts_, rng);
-  for (auto& award : awards_) {
+  std::vector<auction::Award> awards =
+      auction::greedy_allocate(*table_, *conflicts_, rng);
+  for (auto& award : awards) {
     award.user = participants_[award.user];
   }
-  charge_done_.assign(awards_.size(), false);
-  allocated_ = true;
+  open_ledger(std::move(awards));
   if (journal_ != nullptr) {
     journal_->append(JournalRecordType::kAllocated, snapshot());
   }
 }
 
-const core::BidSubmission& AuctioneerSession::bid_of(
-    auction::UserId user) const {
-  const std::size_t slot = compact_index_[user];
-  LPPA_REQUIRE(slot != kNoSlot, "user is not a participant");
-  return bid_store_[slot];
-}
-
 std::vector<Bytes> AuctioneerSession::charge_query_envelopes() const {
-  LPPA_REQUIRE(allocated_, "allocation has not run yet");
+  LPPA_REQUIRE(ledger_, "allocation has not run yet");
+  // Built per call, not kept: holding the bytes across the round
+  // measurably disturbs the allocator state the next round's journal
+  // growth reuses (socket_ingest submit_ack_us_p99).
   std::vector<Bytes> batches;
-  std::vector<core::ChargeQuery> pending;
-  auto flush = [&] {
-    if (pending.empty()) return;
+  for (std::size_t b = 0; b < ledger_->num_batches(); ++b) {
     Envelope e;
     e.type = MessageType::kChargeQueryBatch;
-    e.payload = serialize_charge_queries(pending);
+    e.payload = serialize_charge_queries(ledger_->batch(b));
     batches.push_back(e.serialize());
-    pending.clear();
-  };
-  for (const auto& award : awards_) {
-    const auto& entry = bid_of(award.user).channels[award.channel];
-    core::ChargeQuery query{award.user,         award.channel, entry.sealed,
-                            entry.value_family, entry.paillier_ct,
-                            std::nullopt,       std::nullopt,  0};
-    if (config_.charging_rule == core::ChargingRule::kSecondPrice) {
-      std::optional<auction::UserId> second;
-      for (const std::size_t u : participants_) {
-        if (u == award.user) continue;
-        if (!second ||
-            !config_.backend->ge(bid_of(*second).channels[award.channel],
-                                 bid_of(u).channels[award.channel])) {
-          second = u;
-        }
-      }
-      if (second) {
-        const auto& runner_up = bid_of(*second).channels[award.channel];
-        query.runner_up_sealed = runner_up.sealed;
-        query.runner_up_family = runner_up.value_family;
-        query.runner_up_ct = runner_up.paillier_ct;
-      }
-    }
-    pending.push_back(std::move(query));
-    if (pending.size() >= config_.ttp_batch_size) flush();
   }
-  flush();
   return batches;
 }
 
 void AuctioneerSession::ingest_charge_results(const Bytes& envelope_bytes) {
+  LPPA_REQUIRE(ledger_, "allocation has not run yet");
   const Envelope e = Envelope::deserialize(envelope_bytes);
   LPPA_PROTOCOL_CHECK(e.type == MessageType::kChargeResultBatch,
                       "expected a charge-result batch");
+  // Write-ahead: validate the whole batch, journal it, then apply, so a
+  // rejected batch is neither journaled nor applied.  A batch pricing no
+  // award for the first time changes nothing and is not journaled, so
+  // redeliveries after a recovery do not bloat the log.
   const auto results = deserialize_charge_results(e.payload);
-  // Journal before applying (write-ahead); a duplicate batch — one that
-  // prices no award for the first time — changes nothing and is NOT
-  // journaled, which keeps redeliveries after a recovery from bloating
-  // the log.
-  if (journal_ != nullptr) {
-    bool advances = false;
-    for (const auto& res : results) {
-      for (std::size_t i = 0; i < awards_.size(); ++i) {
-        if (awards_[i].user == res.user && awards_[i].channel == res.channel &&
-            !charge_done_[i]) {
-          advances = true;
-        }
-      }
-    }
-    if (advances) {
-      journal_->append(JournalRecordType::kChargeCommit, envelope_bytes);
-    }
+  if (ledger_->validate(results) && journal_ != nullptr) {
+    journal_->append(JournalRecordType::kChargeCommit, envelope_bytes);
   }
-  for (const auto& res : results) {
-    bool matched = false;
-    for (std::size_t i = 0; i < awards_.size(); ++i) {
-      auto& award = awards_[i];
-      if (award.user == res.user && award.channel == res.channel) {
-        award.valid = res.valid && !res.manipulated;
-        award.charge = res.manipulated ? 0 : res.charge;
-        charge_done_[i] = true;
-        matched = true;
-      }
-    }
-    LPPA_PROTOCOL_CHECK(matched, "charge result for an unknown award");
-  }
+  ledger_->commit(results);
 }
 
 bool AuctioneerSession::charging_complete() const noexcept {
-  if (!allocated_) return false;
-  return std::all_of(charge_done_.begin(), charge_done_.end(),
-                     [](bool done) { return done; });
+  return ledger_ && ledger_->complete();
+}
+
+std::size_t AuctioneerSession::manipulations_detected() const noexcept {
+  return ledger_ ? ledger_->manipulations() : 0;
+}
+
+const std::vector<auction::Award>& AuctioneerSession::awards() const noexcept {
+  static const std::vector<auction::Award> kNone;
+  return ledger_ ? ledger_->awards() : kNone;
 }
 
 Bytes AuctioneerSession::winner_announcement() const {
@@ -476,7 +436,7 @@ Bytes AuctioneerSession::winner_announcement() const {
   Envelope e;
   e.type = MessageType::kWinnerAnnouncement;
   WinnerAnnouncement wa;
-  wa.awards = awards_;
+  wa.awards = ledger_->awards();
   e.payload = wa.serialize();
   return e.serialize();
 }
@@ -519,19 +479,20 @@ Bytes AuctioneerSession::snapshot() const {
     w.u32(static_cast<std::uint32_t>(participants_.size()));
     for (const std::size_t u : participants_) w.u64(u);
   }
-  w.u8(allocated_ ? 1 : 0);
-  if (allocated_) {
+  w.u8(ledger_ ? 1 : 0);
+  if (ledger_) {
     // The global image, so snapshots taken under any shard count
     // restore under any other.
     w.bytes(table_->serialize());
-    w.u32(static_cast<std::uint32_t>(awards_.size()));
-    for (std::size_t i = 0; i < awards_.size(); ++i) {
-      const auto& a = awards_[i];
+    const std::vector<auction::Award>& awards = ledger_->awards();
+    w.u32(static_cast<std::uint32_t>(awards.size()));
+    for (std::size_t i = 0; i < awards.size(); ++i) {
+      const auto& a = awards[i];
       w.u64(a.user);
       w.u64(a.channel);
       w.u64(a.charge);
       w.u8(a.valid ? 1 : 0);
-      w.u8(charge_done_[i] ? 1 : 0);
+      w.u8(ledger_->priced(i) ? 1 : 0);
     }
   }
   return w.take();
@@ -539,7 +500,7 @@ Bytes AuctioneerSession::snapshot() const {
 
 void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire,
                                      const obs::Span* parent) {
-  if (finalized_ || allocated_) {
+  if (finalized_ || ledger_) {
     detail::raise(ErrorKind::kState,
                   "restore_from requires a freshly constructed session");
   }
@@ -570,6 +531,8 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire,
           e.type == MessageType::kLocationSubmission && e.sender == u,
           "snapshot location envelope does not match its slot");
       locations_[u] = core::LocationSubmission::deserialize(e.payload);
+      const auto verr = validator_.validate_location(*locations_[u]);
+      LPPA_PROTOCOL_CHECK(!verr, "invalid snapshot location: " + *verr);
       location_wire_[u] = loc_wire;
     } else {
       LPPA_PROTOCOL_CHECK(loc_wire.empty(),
@@ -581,6 +544,10 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire,
           e.type == MessageType::kBidSubmission && e.sender == u,
           "snapshot bid envelope does not match its slot");
       bids_[u] = core::BidSubmission::deserialize(e.payload);
+      // Restore is as strict as ingest: charging indexes every
+      // participant's bid by every awarded channel.
+      const auto verr = validator_.validate_bid(*bids_[u]);
+      LPPA_PROTOCOL_CHECK(!verr, "invalid snapshot bid: " + *verr);
       bid_wire_[u] = bid_wire;
     } else {
       LPPA_PROTOCOL_CHECK(bid_wire.empty(),
@@ -620,7 +587,7 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire,
     // The conflict graph is rebuilt from the restored location
     // submissions — deterministic, no randomness — so only the bid
     // table's consumed-cell state needs the serialized image.
-    compact_participants();
+    compact_participants(parent);
     // The snapshot may have been taken under any shard count — the
     // global image plus the deterministic contiguous partition
     // reproduces the exact table.  restore() rejects an image whose
@@ -635,9 +602,10 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire,
                         "snapshot bid table dimensions mismatch");
     // user, channel, charge (u64 each) + the valid and done flags.
     const std::uint32_t num_awards = r.count(8 + 8 + 8 + 1 + 1);
-    awards_.reserve(num_awards);
+    std::vector<auction::Award> awards(num_awards);
+    std::vector<bool> priced(num_awards);
     for (std::uint32_t i = 0; i < num_awards; ++i) {
-      auction::Award a;
+      auction::Award& a = awards[i];
       a.user = r.u64();
       a.channel = r.u64();
       a.charge = r.u64();
@@ -645,15 +613,15 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire,
       const std::uint8_t done = r.u8();
       LPPA_PROTOCOL_CHECK(valid <= 1 && done <= 1,
                           "invalid snapshot award flags");
-      LPPA_PROTOCOL_CHECK(a.user < num_users_ &&
-                              compact_index_[a.user] != kNoSlot &&
-                              a.channel < config_.num_channels,
-                          "snapshot award outside the participant set");
+      LPPA_PROTOCOL_CHECK(a.channel < config_.num_channels,
+                          "snapshot award outside the auctioned channels");
       a.valid = valid != 0;
-      awards_.push_back(a);
-      charge_done_.push_back(done != 0);
+      priced[i] = done != 0;
     }
-    allocated_ = true;
+    // The ledger rejects an award to a non-participant, and an image that
+    // names one SU in two awards (greedy allocation never does; the
+    // ledger's user index relies on it).
+    open_ledger(std::move(awards), std::move(priced));
   }
   LPPA_PROTOCOL_CHECK(r.at_end(), "trailing bytes after session snapshot");
 }

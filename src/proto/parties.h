@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "auction/allocate.h"
+#include "core/charging.h"
 #include "core/lppa_auction.h"
 #include "core/sharded_bid_table.h"
 #include "core/submission_validator.h"
@@ -149,29 +150,41 @@ class AuctioneerSession {
   }
 
   /// Runs conflict-graph construction + greedy allocation (Algorithm 3)
-  /// over the participants.  Without a prior finalize_participants()
-  /// call it requires ready() and runs over everyone (legacy mode).
-  /// Award::user carries original SU ids either way.  With
-  /// config.metrics set, the bid table's "shard.table_build" spans hang
-  /// under `parent` (when set).
+  /// over the participants, then opens the round's core::ChargeLedger
+  /// (core/charging.h).  Without a prior finalize_participants() call it
+  /// requires ready() and runs over everyone (legacy mode).  Award::user
+  /// carries original SU ids either way.  With config.metrics set, the
+  /// conflict build's "shard.index_build"/"shard.probe" spans and the
+  /// bid table's "shard.table_build" spans hang under `parent` (when
+  /// set).
   void run_allocation(Rng& rng, const obs::Span* parent = nullptr);
 
-  /// Charge-query batches for the TTP (respects ttp_batch_size).
-  /// Requires run_allocation() to have happened.
+  /// Charge-query batches for the TTP (respects ttp_batch_size), one
+  /// envelope per ledger batch: the whole query set, the same bytes on
+  /// every call.  Requires run_allocation() (or a restore past it).
   std::vector<Bytes> charge_query_envelopes() const;
 
-  /// Feeds one charge-result envelope back from the TTP.  Duplicate
-  /// results for an award are idempotent.
+  /// Feeds one charge-result envelope back from the TTP.  The batch is
+  /// validated whole first: one result for an award that does not exist
+  /// throws LppaError(kProtocol) and nothing is journaled or applied.
+  /// A valid batch is journaled (kChargeCommit) only when it prices some
+  /// award for the first time, then applied; results for already-priced
+  /// awards change nothing.
   void ingest_charge_results(const Bytes& envelope_bytes);
 
   /// True once every award has a TTP charge result.
   bool charging_complete() const noexcept;
 
+  /// Charge results applied with the TTP's manipulation flag (a
+  /// winner's sealed payload failed verification).  RoundDriver records
+  /// it as `auction.manipulations` when it publishes.
+  std::size_t manipulations_detected() const noexcept;
+
   /// True once finalize_participants() (or a restore past it) happened.
   bool admission_closed() const noexcept { return finalized_; }
 
   /// True once run_allocation() (or a restore of its snapshot) happened.
-  bool allocation_done() const noexcept { return allocated_; }
+  bool allocation_done() const noexcept { return ledger_.has_value(); }
 
   /// Serializes the complete session state — accepted submission wire
   /// bytes (the conflict-graph inputs), strikes and exclusion verdicts,
@@ -184,19 +197,18 @@ class AuctioneerSession {
 
   /// Inverse of snapshot(), applied to a freshly constructed session of
   /// the same config and population size.  Throws LppaError(kProtocol)
-  /// on a damaged image and LppaError(kState) if the session already
-  /// holds state.  The conflict graph is rebuilt deterministically from
-  /// the restored location submissions (no randomness is involved), so
-  /// a restored session continues the round byte-identically.  `parent`
-  /// is run_allocation's.
+  /// on a damaged image, one naming an SU in two awards included, and
+  /// LppaError(kState) if the session already holds state.  The conflict
+  /// graph is rebuilt deterministically from the restored location
+  /// submissions (no randomness is involved), so a restored session
+  /// continues the round byte-identically.  `parent` is run_allocation's.
   void restore_from(std::span<const std::uint8_t> wire,
                     const obs::Span* parent = nullptr);
 
   /// The published outcome; requires charging_complete().
   Bytes winner_announcement() const;
-  const std::vector<auction::Award>& awards() const noexcept {
-    return awards_;
-  }
+  /// The awards with their charge progress; empty before allocation.
+  const std::vector<auction::Award>& awards() const noexcept;
 
   /// The conflict graph over participants (compacted indices when the
   /// round was finalized with exclusions).
@@ -206,8 +218,11 @@ class AuctioneerSession {
   IngestResult classify_and_store(const Bytes& envelope_bytes,
                                   std::string* error);
   void note_ingest(IngestResult result) const;
-  const core::BidSubmission& bid_of(auction::UserId user) const;
-  void compact_participants();
+  void compact_participants(const obs::Span* parent);
+  /// Opens the ledger over `awards`, the participants as candidates;
+  /// `priced` is a restored snapshot's charge progress.
+  void open_ledger(std::vector<auction::Award> awards,
+                   std::vector<bool> priced = {});
 
   core::LppaConfig config_;
   std::size_t num_users_;
@@ -221,7 +236,6 @@ class AuctioneerSession {
   std::vector<std::size_t> strikes_;       ///< attributable invalid messages
   std::vector<std::string> last_error_;    ///< last rejection reason per user
   std::vector<std::size_t> participants_;  ///< original ids, ascending
-  std::vector<std::size_t> compact_index_;  ///< original id -> bid_store_ slot
   bool finalized_ = false;
   std::vector<core::BidSubmission> bid_store_;  ///< participants, compacted
   std::optional<auction::ConflictGraph> conflicts_;
@@ -236,9 +250,8 @@ class AuctioneerSession {
   /// for every shard count, so a journal written under num_shards=1
   /// restores into a four-shard session and vice versa.
   std::optional<core::ShardedBidTable> table_;
-  std::vector<auction::Award> awards_;
-  std::vector<bool> charge_done_;  ///< per-award TTP result received
-  bool allocated_ = false;
+  /// Awards and their charge progress; present once allocation ran.
+  std::optional<core::ChargeLedger> ledger_;
   std::size_t churn_ops_ = 0;  ///< applied churn operations (see getter)
   RoundJournal* journal_ = nullptr;  ///< not owned; may be null
 };

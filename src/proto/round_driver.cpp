@@ -316,6 +316,9 @@ Bytes RoundDriver::publish() {
     m.counter("wire.duplicate_redeliveries").inc(report_.duplicate_redeliveries);
     m.counter("wire.replayed_records").inc(report_.replayed_records);
     if (report_.degraded) m.counter("wire.degraded_rounds").inc();
+    if (const std::size_t manipulations = session_.manipulations_detected()) {
+      m.counter("auction.manipulations").inc(manipulations);
+    }
     m.gauge("wire.journal_bytes").set(static_cast<double>(report_.journal_bytes));
   }
   return announcement;

@@ -85,39 +85,106 @@ TEST(HostileCount, BidTableImage) {
       [&] { core::EncryptedBidTable::deserialize(w.data()); });
 }
 
-TEST(HostileCount, SessionSnapshotAwards) {
-  // A real allocated snapshot with its award list replaced by a maximal
-  // count and nothing after it.
+/// A real allocated session snapshot over 4 SUs and 2 channels, and the
+/// offset of its award list (the u32 award count, then 26 bytes per
+/// award: user, channel, charge, valid, done).
+struct AllocatedSnapshot {
+  static constexpr std::size_t n = 4;
+  static constexpr std::size_t kAwardBytes = 8 + 8 + 8 + 1 + 1;
   core::LppaConfig config;
-  config.num_channels = 2;
-  config.lambda = 100;
-  config.coord_width = 14;
-  constexpr std::size_t n = 4;
-  core::TrustedThirdParty ttp(config.bid, 3);
-  proto::AuctioneerSession session(config, n);
-  Rng rng(17);
-  for (std::size_t u = 0; u < n; ++u) {
-    const proto::SuClient client(u, config, ttp.su_keys());
-    session.ingest(client.location_envelope({rng.below(5000), rng.below(5000)},
-                                            rng));
-    session.ingest(client.bid_envelope({rng.below(16), rng.below(16)}, rng));
+  Bytes image;
+  std::size_t award_list = 0;
+
+  AllocatedSnapshot() {
+    config.num_channels = 2;
+    config.lambda = 100;
+    config.coord_width = 14;
+    core::TrustedThirdParty ttp(config.bid, 3);
+    proto::AuctioneerSession session(config, n);
+    Rng rng(17);
+    for (std::size_t u = 0; u < n; ++u) {
+      const proto::SuClient client(u, config, ttp.su_keys());
+      session.ingest(client.location_envelope(
+          {rng.below(5000), rng.below(5000)}, rng));
+      session.ingest(client.bid_envelope({rng.below(16), rng.below(16)}, rng));
+    }
+    session.run_allocation(rng);
+    image = session.snapshot();
+    award_list = image.size() - 4 - kAwardBytes * session.awards().size();
   }
-  session.run_allocation(rng);
-  const Bytes snapshot = session.snapshot();
-  constexpr std::size_t kAwardBytes = 8 + 8 + 8 + 1 + 1;
-  const std::size_t award_list =
-      snapshot.size() - 4 - kAwardBytes * session.awards().size();
-  Bytes hostile(snapshot.begin(),
-                snapshot.begin() + static_cast<std::ptrdiff_t>(award_list));
+};
+
+TEST(HostileCount, SessionSnapshotAwards) {
+  // The award list replaced by a maximal count and nothing after it.
+  const AllocatedSnapshot snap;
+  const auto list = snap.image.begin() +
+                    static_cast<std::ptrdiff_t>(snap.award_list);
+  Bytes hostile(snap.image.begin(), list);
   ByteWriter count;
   count.u32(kMaxCount);
   hostile.insert(hostile.end(), count.data().begin(), count.data().end());
 
-  proto::AuctioneerSession intact(config, n);
-  intact.restore_from(snapshot);  // the cut point is the award count
-  EXPECT_EQ(intact.snapshot(), snapshot);
-  proto::AuctioneerSession restored(config, n);
+  proto::AuctioneerSession intact(snap.config, snap.n);
+  intact.restore_from(snap.image);  // the cut point is the award count
+  EXPECT_EQ(intact.snapshot(), snap.image);
+  proto::AuctioneerSession restored(snap.config, snap.n);
   expect_protocol_error([&] { restored.restore_from(hostile); });
+}
+
+TEST(HostileCount, SessionSnapshotNamesOneSuInTwoAwards) {
+  // The award list with its first record appended once more: one SU
+  // holding two channels breaks the one-channel-per-SU invariant that
+  // charging indexes results by.
+  const AllocatedSnapshot snap;
+  const auto list = snap.image.begin() +
+                    static_cast<std::ptrdiff_t>(snap.award_list);
+  const std::size_t awards =
+      (snap.image.size() - snap.award_list - 4) / snap.kAwardBytes;
+  ASSERT_GE(awards, 1u);
+  Bytes hostile(snap.image.begin(), list);
+  ByteWriter count;
+  count.u32(static_cast<std::uint32_t>(awards + 1));
+  hostile.insert(hostile.end(), count.data().begin(), count.data().end());
+  hostile.insert(hostile.end(), list + 4, snap.image.end());
+  hostile.insert(hostile.end(), list + 4,
+                 list + 4 + static_cast<std::ptrdiff_t>(snap.kAwardBytes));
+
+  proto::AuctioneerSession restored(snap.config, snap.n);
+  expect_protocol_error([&] { restored.restore_from(hostile); });
+}
+
+TEST(HostileCount, SessionSnapshotShortBid) {
+  // SU 0's stored bid envelope swapped for a well-formed one that bids on
+  // one channel of the two: restore must refuse it as ingest would,
+  // never hand the charge planner a bid too short to index.
+  const AllocatedSnapshot snap;
+  core::LppaConfig one_channel = snap.config;
+  one_channel.num_channels = 1;
+  core::TrustedThirdParty ttp(snap.config.bid, 3);
+  Rng rng(5);
+  const Bytes short_bid =
+      proto::SuClient(0, one_channel, ttp.su_keys()).bid_envelope({9}, rng);
+
+  ByteReader r(snap.image);
+  ByteWriter w;
+  w.u64(r.u64());
+  for (std::size_t u = 0; u < snap.n; ++u) {
+    w.u8(r.u8());
+    w.bytes(r.bytes());
+    const Bytes bid = r.bytes();
+    w.bytes(u == 0 ? short_bid : bid);
+    w.u64(r.u64());
+    w.bytes(r.bytes());
+  }
+  w.raw(r.raw(r.remaining()));
+
+  for (const auto rule :
+       {core::ChargingRule::kFirstPrice, core::ChargingRule::kSecondPrice}) {
+    core::LppaConfig config = snap.config;
+    config.charging_rule = rule;
+    proto::AuctioneerSession restored(config, snap.n);
+    expect_protocol_error([&] { restored.restore_from(w.data()); });
+  }
 }
 
 }  // namespace

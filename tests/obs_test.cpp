@@ -10,6 +10,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -291,6 +292,26 @@ std::set<std::string> wire_span_tree(const obs::MetricsRegistry& reg) {
   return names;
 }
 
+/// Every span of the session's builds (the conflict build's index and
+/// probe, the bid table's build) hangs under a span whose name is a key
+/// of `per_parent`, and each name occurs exactly that many times under
+/// each such parent name — no other, and no orphan.
+void expect_session_builds(const obs::MetricsRegistry& reg,
+                           const std::map<std::string, std::size_t>& per_parent) {
+  std::map<std::uint64_t, std::string> name_of;
+  for (const auto& span : reg.spans()) name_of[span.id] = span.name;
+  for (const char* name :
+       {"shard.index_build", "shard.probe", "shard.table_build"}) {
+    std::map<std::string, std::size_t> hung;
+    for (const auto& span : reg.spans()) {
+      if (span.name != name) continue;
+      const auto parent = name_of.find(span.parent);
+      ++hung[parent == name_of.end() ? "(no parent)" : parent->second];
+    }
+    EXPECT_EQ(hung, per_parent) << name;
+  }
+}
+
 // The socket round records the same `wire.*` counters and span tree as
 // the bus round, because both run the one proto::RoundDriver; `net.*`
 // keeps only transport counters.
@@ -331,6 +352,8 @@ TEST(SocketSpanTree, MatchesTheBusRoundTree) {
   }
 
   obs::MetricsRegistry socket_reg;
+  core::LppaConfig socket_config = config;
+  socket_config.metrics = &socket_reg;
   net::ServerConfig server_config;
   server_config.metrics = &socket_reg;
   net::SocketFaultSpec mute;
@@ -338,7 +361,7 @@ TEST(SocketSpanTree, MatchesTheBusRoundTree) {
   net::SocketFaultInjector faults(/*seed=*/1, mute);
   core::TrustedThirdParty ttp(config.bid, 77);
   const auto socket = net::run_recoverable_socket_auction(
-      config, ttp, locations, bids, /*seed=*/5, server_config, policy,
+      socket_config, ttp, locations, bids, /*seed=*/5, server_config, policy,
       /*crashes=*/nullptr, &faults);
   ASSERT_TRUE(socket.report.completed);
 
@@ -348,19 +371,10 @@ TEST(SocketSpanTree, MatchesTheBusRoundTree) {
   EXPECT_EQ(wire_span_tree(bus_reg), expected);
   EXPECT_EQ(wire_span_tree(socket_reg), expected);
 
-  // The bus session's bid-table build (one shard) hangs under
-  // wire.allocation.
-  std::uint64_t allocation_id = 0;
-  for (const auto& span : bus_reg.spans()) {
-    if (span.name == "wire.allocation") allocation_id = span.id;
-  }
-  std::size_t table_builds = 0;
-  for (const auto& span : bus_reg.spans()) {
-    if (span.name != "shard.table_build") continue;
-    ++table_builds;
-    EXPECT_EQ(span.parent, allocation_id);
-  }
-  EXPECT_EQ(table_builds, 1u);
+  // On both transports the session's conflict build and bid-table build
+  // (one shard) hang under wire.allocation.
+  expect_session_builds(bus_reg, {{"wire.allocation", 1}});
+  expect_session_builds(socket_reg, {{"wire.allocation", 1}});
 
   std::size_t journaled_nacks = 0;
   for (const auto& rec : proto::RoundJournal::read(socket.journal)) {
@@ -376,6 +390,38 @@ TEST(SocketSpanTree, MatchesTheBusRoundTree) {
   EXPECT_EQ(snapshot.find("net.nacks"), std::string::npos);
   EXPECT_EQ(snapshot.find("net.published_rounds"), std::string::npos);
   EXPECT_NE(snapshot.find("net.frames_in"), std::string::npos);
+}
+
+// A session restored from the allocation commit rebuilds its conflict
+// graph and bid table under the recovering wire.attempt.
+TEST(WireSpanTree, RestoredBuildsHangUnderTheAttempt) {
+  core::LppaConfig config;
+  config.num_channels = 2;
+  config.lambda = 100;
+  config.coord_width = 14;
+  config.bid = core::PpbsBidConfig::advanced(
+      15, 3, 4, core::ZeroDisguisePolicy::none(15));
+  obs::MetricsRegistry reg;
+  config.metrics = &reg;
+  Rng rng(93);
+  std::vector<auction::SuLocation> locations;
+  std::vector<auction::BidVector> bids;
+  for (std::size_t i = 0; i < 6; ++i) {
+    locations.push_back({rng.below(5000), rng.below(5000)});
+    bids.push_back({rng.below(16), rng.below(16)});
+  }
+  proto::CrashInjector crashes;
+  crashes.arm(proto::CrashPoint::kAfterAllocation, 0);
+  core::TrustedThirdParty ttp(config.bid, 77);
+  proto::MessageBus bus;
+  const auto result = proto::run_recoverable_wire_auction(
+      config, ttp, locations, bids, bus, /*seed=*/5, {}, &crashes);
+  ASSERT_TRUE(result.report.completed);
+  ASSERT_EQ(result.report.crash_recoveries, 1u);
+
+  // The first attempt built under its wire.allocation; only the
+  // recovering one restored, so it carries one copy of each directly.
+  expect_session_builds(reg, {{"wire.allocation", 1}, {"wire.attempt", 1}});
 }
 
 }  // namespace
