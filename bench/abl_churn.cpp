@@ -171,7 +171,7 @@ SoakCell run_soak_cell(const sim::ChurnScheduleConfig& schedule_config,
     const auction::ConflictGraph rebuilt_graph = state.rebuild_conflicts();
     const shard::ShardAssignment rebuilt_assignment =
         state.rebuild_assignment();
-    core::ShardedBidTable rebuilt_table = state.rebuild_table();
+    core::EncryptedBidTable rebuilt_table = state.rebuild_table();
     const Bytes rebuilt_image = rebuilt_table.serialize();
     cell.rebuild_ms += ms_since(t_rebuild);
 
@@ -190,7 +190,7 @@ SoakCell run_soak_cell(const sim::ChurnScheduleConfig& schedule_config,
 
     // --- Allocation + charging on both sides, same Rng ---------------------
     const std::uint64_t round_seed = 5000 + 13 * round;
-    core::ShardedBidTable maintained_table = state.table_for_allocation();
+    core::EncryptedBidTable maintained_table = state.table();
     const auto t_alloc = std::chrono::steady_clock::now();
     Rng maintained_rng(round_seed);
     const auto maintained = auction.allocate_and_charge(

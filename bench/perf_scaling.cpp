@@ -17,9 +17,9 @@
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
+#include "core/encrypted_bid_table.h"
 #include "core/lppa_auction.h"
 #include "core/shard_conflict.h"
-#include "core/sharded_bid_table.h"
 #include "oracles.h"
 #include "prefix/digest_index.h"
 #include "shard/shard_plan.h"
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
     }
 
     {
-      // "auction" is the production path over a single partition
+      // "auction" is the production path over one conflict tile
       // (sorted-column argmax; the table construction, including the
       // one-off column sort, is inside the timed region).  "auction_scan"
       // is the seed per-query tournament (tests/oracles.h), kept as the
@@ -208,9 +208,9 @@ int main(int argc, char** argv) {
         Rng run_rng = alloc_rng;  // replay the same channel-draw stream
         std::vector<auction::Award> awards;
         const double ms = time_ms([&] {
-          core::ShardedBidTable table(
-              bid_subs, num_channels,
-              core::ShardedBidTable::contiguous_shards(n, 1), 1, t);
+          core::EncryptedBidTable table(bid_subs, num_channels,
+                                        core::ArgmaxStrategy::kSortedColumns,
+                                        t);
           awards = auction::greedy_allocate(table, indexed, run_rng);
         });
         samples.push_back(sample("auction", n, t, ms));
@@ -236,11 +236,12 @@ int main(int argc, char** argv) {
       }
 
       // The geo-sharded server-side path, end to end: tile assignment,
-      // per-shard conflict indexes + halo exchange, partitioned bid
-      // table, allocation with the cross-shard argmax merge.  The
-      // result must be byte-identical to the single-partition run — the
-      // graph to `indexed`, the awards to `sorted_awards` — so the row
-      // doubles as a differential gate at bench scale.
+      // the sharded conflict build (per-tile indexes + halo exchange),
+      // then the one bid table and allocation — num_shards tiles the
+      // conflict build only.  The result must be byte-identical to the
+      // one-tile run — the graph to `indexed`, the awards to
+      // `sorted_awards` — so the row doubles as a differential gate at
+      // bench scale.
       for (const std::size_t num_shards : shard_counts) {
         const auto plan =
             shard::ShardPlan::make(coord_width, lambda, num_shards);
@@ -254,8 +255,9 @@ int main(int argc, char** argv) {
             assignment = plan.assign(locations);
             sharded_graph = core::build_conflict_graph_sharded(
                 subs, assignment, t, nullptr, &stats);
-            core::ShardedBidTable table(bid_subs, num_channels,
-                                        assignment.shard_of, num_shards, t);
+            core::EncryptedBidTable table(
+                bid_subs, num_channels, core::ArgmaxStrategy::kSortedColumns,
+                t);
             awards = auction::greedy_allocate(table, sharded_graph, run_rng);
           });
           if (!(sharded_graph == indexed)) {
@@ -265,7 +267,7 @@ int main(int argc, char** argv) {
           }
           if (!(awards == sorted_awards)) {
             std::cerr << "FATAL: sharded awards differ from the "
-                         "single-partition run (shards=" << num_shards
+                         "one-tile run (shards=" << num_shards
                       << ")\n";
             return 1;
           }

@@ -88,8 +88,8 @@ class BidBackend {
 
   /// Order test within one channel column: true iff bid a >= bid b.
   /// Must induce a total preorder with ge(a, a) == true, so the stable
-  /// column sort, the cross-shard merge and the tournament-scan test
-  /// oracle break ties to the lowest user id identically.
+  /// column sort, the churn splice and the tournament-scan test oracle
+  /// break ties to the lowest user id identically.
   virtual bool ge(const core::ChannelBidSubmission& a,
                   const core::ChannelBidSubmission& b) const = 0;
 

@@ -38,44 +38,32 @@ ChurnState::ChurnState(const LppaConfig& config,
 
   obs::Span build_span(config_.metrics, "churn.build");
   assignment_ = plan_.assign_live(locations_, live_);
-  graph_ = build_conflict_graph_sharded(loc_subs_, assignment_,
-                                        config_.num_threads, config_.metrics,
-                                        nullptr, &build_span);
-
-  // Seed the live per-tile indexes from the assignment — the range index
-  // holds exactly what the sharded build indexed (members + halo), the
-  // family index only the members' probe sets.
-  const std::size_t tiles = plan_.num_shards();
-  range_index_.resize(tiles);
-  family_index_.resize(tiles);
-  for (std::size_t s = 0; s < tiles; ++s) {
-    std::size_t expected_range = 0;
-    std::size_t expected_family = 0;
+  // The build's per-tile range indexes are kept: they are exactly what
+  // an arrival's upper-partner probe needs.  The family indexes (lower
+  // partners) are churn-only and hold the members' probe sets.
+  range_index_ = build_tile_indexes(loc_subs_, assignment_,
+                                    config_.num_threads, config_.metrics,
+                                    &build_span);
+  graph_ = probe_tile_indexes(loc_subs_, assignment_, range_index_,
+                              config_.num_threads, config_.metrics, nullptr,
+                              &build_span);
+  family_index_.resize(plan_.num_shards());
+  for (std::size_t s = 0; s < family_index_.size(); ++s) {
+    std::size_t expected = 0;
     for (const std::uint32_t j : assignment_.members[s]) {
-      expected_range += loc_subs_[j].x_range.size();
-      expected_family += loc_subs_[j].x_family.size();
+      expected += loc_subs_[j].x_family.size();
     }
-    for (const std::uint32_t j : assignment_.halo[s]) {
-      expected_range += loc_subs_[j].x_range.size();
-    }
-    range_index_[s].reserve(expected_range);
-    family_index_[s].reserve(expected_family);
+    family_index_[s].reserve(expected);
     for (const std::uint32_t j : assignment_.members[s]) {
-      range_index_[s].insert_all(loc_subs_[j].x_range, j);
       family_index_[s].insert_all(loc_subs_[j].x_family, j);
-    }
-    for (const std::uint32_t j : assignment_.halo[s]) {
-      range_index_[s].insert_all(loc_subs_[j].x_range, j);
     }
   }
 
-  // The table's slot→shard partition is frozen at construction: the
-  // global image and every argmax answer are partition-independent, so
-  // an SU that later moves across tiles keeps its table shard.
-  table_shard_of_ = assignment_.shard_of;
-  table_.emplace(bid_subs_, channels_, table_shard_of_, plan_.num_shards(),
-                 config_.num_threads, config_.metrics, config_.backend,
-                 &build_span);
+  {
+    obs::Span table_span(config_.metrics, "shard.table_build", &build_span);
+    table_.emplace(bid_subs_, channels_, ArgmaxStrategy::kSortedColumns,
+                   config_.num_threads, config_.backend);
+  }
   for (std::size_t u = 0; u < n; ++u) {
     if (!live_[u]) table_->remove_user(u);
   }
@@ -88,24 +76,13 @@ void ChurnState::link_su(std::size_t u) {
   const auto halo_tiles = plan_.halo_tiles_of(loc);
 
   // Upper partners (u, j) with j > u: in a rebuild, u itself probes its
-  // home index — x-test u.x_family ∩ j.x_range, y-test
-  // u.y_family ∩ j.y_range.  The home range index holds exactly the
-  // members' + halo's x-range digests, so probing it reproduces those
+  // home index.  The home range index holds exactly the members' +
+  // halo's x-range digests, so the build's own probe reproduces those
   // tests digest for digest.
-  std::vector<std::uint32_t> candidates;
-  for (const auto& d : sub.x_family.digests()) {
-    range_index_[home].collect(d, candidates);
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  std::vector<std::size_t> neighbors;
-  for (const std::uint32_t j : candidates) {
-    if (j <= u) continue;
-    if (sub.y_family.intersects(loc_subs_[j].y_range)) {
-      neighbors.push_back(j);
-    }
-  }
+  const std::uint32_t uid = static_cast<std::uint32_t>(u);
+  const std::vector<std::uint32_t> upper =
+      probe_upper_partners(loc_subs_, range_index_[home], uid);
+  std::vector<std::size_t> neighbors(upper.begin(), upper.end());
 
   // Lower partners (i, u) with i < u: in a rebuild, i probes ITS home
   // index, which holds u's x-range iff u is a member or halo entry of
@@ -133,7 +110,6 @@ void ChurnState::link_su(std::size_t u) {
 
   // Only now publish u's own digests (probe-before-insert: u never
   // discovers itself, and the j > u candidates above cannot include u).
-  const std::uint32_t uid = static_cast<std::uint32_t>(u);
   range_index_[home].insert_all(sub.x_range, uid);
   for (const std::uint32_t t : halo_tiles) {
     range_index_[t].insert_all(sub.x_range, uid);
@@ -188,7 +164,7 @@ void ChurnState::add_su(std::size_t u, const auction::SuLocation& loc,
                  loc);
   link_su(u);
   bid_subs_[u] = std::move(bid_sub);
-  table_->insert_user(u);
+  insert_bid_row(u);
 }
 
 void ChurnState::remove_su(std::size_t u) {
@@ -241,7 +217,14 @@ void ChurnState::rebid_su(std::size_t u, BidSubmission bid_sub) {
 
   table_->remove_user(u);
   bid_subs_[u] = std::move(bid_sub);
-  table_->insert_user(u);
+  insert_bid_row(u);
+}
+
+void ChurnState::insert_bid_row(std::size_t u) {
+  const std::size_t compares = table_->insert_user(u);
+  if (config_.metrics != nullptr) {
+    config_.metrics->counter("churn.splice_compares").inc(compares);
+  }
 }
 
 auction::ConflictGraph ChurnState::rebuild_conflicts() const {
@@ -254,10 +237,9 @@ shard::ShardAssignment ChurnState::rebuild_assignment() const {
   return plan_.assign_live(locations_, live_);
 }
 
-ShardedBidTable ChurnState::rebuild_table() const {
-  ShardedBidTable fresh(bid_subs_, channels_, table_shard_of_,
-                        plan_.num_shards(), config_.num_threads, nullptr,
-                        config_.backend);
+EncryptedBidTable ChurnState::rebuild_table() const {
+  EncryptedBidTable fresh(bid_subs_, channels_, ArgmaxStrategy::kSortedColumns,
+                          config_.num_threads, config_.backend);
   for (std::size_t u = 0; u < capacity(); ++u) {
     if (!live_[u]) fresh.remove_user(u);
   }

@@ -16,19 +16,20 @@
 //     comparable by == / byte equality to a from-scratch rebuild over
 //     the same roster;
 //   * per tile, TWO live prefix::DigestIndex instances persist: the
-//     range index (x-range digests of members + halo, exactly what the
-//     sharded build indexes) and a family index (x-family digests of
-//     members only).  An arriving SU u probes its x-family against its
-//     home tile's range index to find conflicts (u, j) with j > u, and
+//     range index (x-range digests of members + halo — the very indexes
+//     the construction's conflict build made) and a family index
+//     (x-family digests of members only).  An arriving SU u finds its
+//     conflicts (u, j) with j > u exactly as the build's probe step does
+//     — probe_upper_partners against its home tile's range index — and
 //     probes its x-range against the family indexes of every tile its
-//     interference box touches to find conflicts (i, u) with i < u —
-//     together these test exactly the digest multisets the rebuild
+//     interference box touches to find conflicts (i, u) with i < u.
+//     Together these test exactly the digest multisets the rebuild
 //     tests for every pair involving u, so the maintained graph is
 //     IDENTICAL to the rebuilt one (not merely equal w.h.p.);
 //   * the conflict graph applies add_su/remove_su/move_su deltas, the
-//     shard assignment applies ShardPlan::reassign, and the bid table
-//     re-activates tombstoned slots in place via
-//     ShardedBidTable::insert_user — its column orders stay the exact
+//     shard assignment applies ShardPlan::reassign, and the one bid
+//     table over every slot re-activates tombstoned slots in place via
+//     EncryptedBidTable::insert_user — its column orders stay the exact
 //     (value-descending, id-ascending) canonical order a fresh sort
 //     produces, because entries only ever leave or enter at their
 //     canonical position (found by binary search) and no in-place value
@@ -37,8 +38,8 @@
 //     runs through config.backend, so a Paillier roster is ordered by
 //     the Paillier test exactly as its rebuild is.
 //
-// Allocation consumes a table, so a churn round clones the pristine
-// maintained table (ShardedBidTable::clone) and allocates on the copy.
+// Allocation consumes a table, so a churn round copies the pristine
+// maintained table (table_for_allocation) and allocates on the copy.
 // The rebuild_* oracles recompute each structure from scratch over the
 // current roster; bench/abl_churn asserts bit-equality every round for
 // thousands of rounds.
@@ -48,6 +49,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/encrypted_bid_table.h"
 #include "core/lppa_auction.h"
 #include "core/shard_conflict.h"
 #include "core/sharded_bid_table.h"
@@ -64,12 +66,11 @@ class ChurnState {
   /// LocationSubmission and a shape-valid placeholder BidSubmission
   /// covering every channel (e.g. a masked all-zero bid) — the table
   /// needs the shape, but the values are never consulted while dead.
-  /// The slot→shard partition of the bid table is frozen here (answers
-  /// and images are partition-independent; see core/sharded_bid_table.h).
   /// config.backend must resolve to config.bid.backend (null is the HMAC
   /// backend; a Paillier roster passes the TTP's bid_backend()).  With
   /// config.metrics set, the build records a "churn.build" span with the
-  /// shard.* index, probe and table-build spans under it.
+  /// shard.* index and probe spans and one shard.table_build span under
+  /// it.
   ChurnState(const LppaConfig& config,
              std::vector<auction::SuLocation> locations,
              std::vector<LocationSubmission> loc_subs,
@@ -79,7 +80,7 @@ class ChurnState {
   void add_su(std::size_t u, const auction::SuLocation& loc,
               LocationSubmission loc_sub, BidSubmission bid_sub);
 
-  /// Live SU u departs: its edges, digests, shard membership, and table
+  /// Live SU u departs: its edges, digests, tile membership, and table
   /// row are retired; the slot becomes dead (and reusable).
   void remove_su(std::size_t u);
 
@@ -107,12 +108,14 @@ class ChurnState {
   const shard::ShardAssignment& assignment() const noexcept {
     return assignment_;
   }
-  const ShardedBidTable& table() const noexcept { return *table_; }
+  const EncryptedBidTable& table() const noexcept { return *table_; }
 
-  /// Deep copy of the pristine maintained table for one allocation pass.
-  ShardedBidTable table_for_allocation() const { return table_->clone(); }
+  /// Copy of the pristine maintained table for one allocation pass.
+  ShardedBidTable table_for_allocation() const {
+    return ShardedBidTable(*table_);
+  }
 
-  /// Global table image (EncryptedBidTable wire format) — the byte-level
+  /// Table image (EncryptedBidTable wire format) — the byte-level
   /// equality target against rebuild_table().serialize().
   Bytes serialize_table() const { return table_->serialize(); }
 
@@ -124,16 +127,19 @@ class ChurnState {
   /// Recomputes the shard assignment from scratch.
   shard::ShardAssignment rebuild_assignment() const;
 
-  /// Rebuilds the bid table from scratch over the current submissions
-  /// (same frozen partition as the maintained table, then re-applies the
-  /// dead-slot tombstones).
-  ShardedBidTable rebuild_table() const;
+  /// Rebuilds the bid table from scratch over the current submissions,
+  /// then re-applies the dead-slot tombstones.
+  EncryptedBidTable rebuild_table() const;
 
  private:
   /// Probes u's fresh submission against the live indexes, attaches its
   /// edges, and inserts its digests (probe strictly before insert, so u
   /// never discovers itself).
   void link_su(std::size_t u);
+
+  /// Re-activates u's tombstoned table row over its current bid
+  /// submission, counting the splice's masked compares.
+  void insert_bid_row(std::size_t u);
 
   /// Detaches u's edges and erases its digests from every index that
   /// holds them (computed from its current location).
@@ -150,16 +156,13 @@ class ChurnState {
   std::size_t live_count_ = 0;
   auction::ConflictGraph graph_;
   /// Per tile: x-range digests of members + halo (what arrivals probe
-  /// their family against, and what ships in the halo exchange).
+  /// their family against, and what ships in the halo exchange) — the
+  /// indexes the construction's conflict build made.
   std::vector<prefix::DigestIndex> range_index_;
   /// Per tile: x-family digests of members only (what arrivals probe
   /// their range against, discovering lower-id partners).
   std::vector<prefix::DigestIndex> family_index_;
-  /// Frozen slot→shard partition for the maintained table (reassignment
-  /// moves an SU's conflict-graph tile, never its table shard — answers
-  /// are partition-independent).
-  std::vector<std::uint32_t> table_shard_of_;
-  std::optional<ShardedBidTable> table_;
+  std::optional<EncryptedBidTable> table_;
 };
 
 }  // namespace lppa::core

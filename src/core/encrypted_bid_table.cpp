@@ -207,30 +207,6 @@ EncryptedBidTable::EncryptedBidTable(
   build_column_orders(sort_threads);
 }
 
-EncryptedBidTable EncryptedBidTable::subset_view(
-    const std::vector<BidSubmission>& all, std::size_t num_channels,
-    std::vector<std::uint32_t> members, std::size_t sort_threads,
-    const crypto::BidBackend* backend) {
-  EncryptedBidTable t;
-  t.submissions_ = &all;
-  t.members_ = std::move(members);
-  t.users_ = t.members_.size();
-  t.channels_ = num_channels;
-  t.backend_ = &crypto::resolve_backend(backend);
-  LPPA_REQUIRE(t.users_ > 0, "EncryptedBidTable requires at least one user");
-  LPPA_REQUIRE(t.channels_ > 0,
-               "EncryptedBidTable requires at least one channel");
-  for (const std::uint32_t id : t.members_) {
-    LPPA_REQUIRE(id < all.size(), "subset member id out of range");
-    LPPA_REQUIRE(all[id].channels.size() == t.channels_,
-                 "every submission must cover every channel");
-  }
-  t.present_.assign(t.users_ * t.channels_, true);
-  t.live_ = t.users_ * t.channels_;
-  t.build_column_orders(sort_threads);
-  return t;
-}
-
 void EncryptedBidTable::build_column_orders(std::size_t sort_threads) {
   order_.assign(channels_, {});
   head_.assign(channels_, 0);
@@ -247,7 +223,7 @@ void EncryptedBidTable::build_column_orders(std::size_t sort_threads) {
     ord.resize(users_);
     std::iota(ord.begin(), ord.end(), 0u);
     const auto cell = [&](std::uint32_t u) -> const ChannelBidSubmission& {
-      return sub(u).channels[r];
+      return (*submissions_)[u].channels[r];
     };
     std::size_t& spent = tests[r];
     const auto classes = hmac && users_ > 1
@@ -338,9 +314,9 @@ std::size_t EncryptedBidTable::insert_user(UserId u) {
     // in O(log n) probes of at most two masked tests each.  On a column a
     // Byzantine submission scrambled, the search still lands somewhere in
     // [0, size]: the order stays a permutation of the slot ids.
-    const auto& su = sub(u).channels[r];
+    const auto& su = (*submissions_)[u].channels[r];
     const auto goes_before = [&](std::uint32_t v) {
-      const auto& sv = sub(v).channels[r];
+      const auto& sv = (*submissions_)[v].channels[r];
       ++compares;
       if (!backend_->ge(sv, su)) return true;  // u strictly greater than v
       ++compares;
@@ -379,8 +355,6 @@ std::optional<auction::UserId> EncryptedBidTable::argmax_in_column(
 bool EncryptedBidTable::empty() const noexcept { return live_ == 0; }
 
 Bytes EncryptedBidTable::serialize() const {
-  LPPA_REQUIRE(members_.empty(),
-               "subset (shard) tables do not serialize; emit the global image");
   return serialize_image(*submissions_, channels_, present_, live_, backend_);
 }
 
@@ -417,17 +391,6 @@ Bytes EncryptedBidTable::serialize_image(
 EncryptedBidTable EncryptedBidTable::deserialize(
     std::span<const std::uint8_t> wire, std::size_t sort_threads,
     const crypto::BidBackend* backend) {
-  EncryptedBidTable table = decode(wire, backend);
-  // Column orders are a pure function of the submissions, so they are
-  // rebuilt rather than shipped: the wire format stays byte-identical to
-  // the seed, and a restored table answers argmax exactly like the one
-  // that was snapshotted (cursors re-advance past tombstones lazily).
-  table.build_column_orders(sort_threads);
-  return table;
-}
-
-EncryptedBidTable EncryptedBidTable::decode(std::span<const std::uint8_t> wire,
-                                            const crypto::BidBackend* backend) {
   ByteReader r(wire);
   EncryptedBidTable table;
   table.backend_ = &crypto::resolve_backend(backend);
@@ -491,13 +454,18 @@ EncryptedBidTable EncryptedBidTable::decode(std::span<const std::uint8_t> wire,
   table.live_ = live;
   table.owned_ = std::move(submissions);
   table.submissions_ = table.owned_.get();
+  // Column orders are a pure function of the submissions, so they are
+  // rebuilt rather than shipped: the wire format stays byte-identical to
+  // the seed, and a restored table answers argmax exactly like the one
+  // that was snapshotted (cursors re-advance past tombstones lazily).
+  table.build_column_orders(sort_threads);
   return table;
 }
 
 const ChannelBidSubmission& EncryptedBidTable::entry(UserId u,
                                                      ChannelId r) const {
   LPPA_REQUIRE(u < users_ && r < channels_, "bid table index out of range");
-  return sub(u).channels[r];
+  return (*submissions_)[u].channels[r];
 }
 
 }  // namespace lppa::core

@@ -24,9 +24,9 @@
 // O(n log n).  Columns where g_F·g_R > n·(⌈log₂ n⌉ + 1), and every
 // column of a non-HMAC backend (Paillier ciphertexts are randomised, so
 // there are no equal-value classes), keep the per-pair comparator.
-// The table is the per-shard building block of ShardedBidTable, which is
-// what every production caller allocates on (one shard included); the
-// per-query tournament scan it replaced lives in tests/oracles.h as the
+// It is the one bid table every production caller allocates on, whatever
+// LppaConfig::num_shards tiles the conflict build into; the per-query
+// tournament scan it replaced lives in tests/oracles.h as the
 // differential reference.
 #pragma once
 
@@ -47,7 +47,7 @@ enum class ArgmaxStrategy : std::uint8_t {
   kSortedColumns,
 };
 
-class EncryptedBidTable final : public auction::BidTableView {
+class EncryptedBidTable : public auction::BidTableView {
  public:
   /// Holds a reference to the submissions for the duration of the
   /// allocation; the caller keeps them alive.  `sort_threads` spreads the
@@ -65,18 +65,6 @@ class EncryptedBidTable final : public auction::BidTableView {
                     std::size_t sort_threads = 1,
                     const crypto::BidBackend* backend = nullptr);
 
-  /// A table over the subset of `all` named by `members` (ascending
-  /// global ids): user id u of this table is all[members[u]].  This is
-  /// how one shard's table sees only its tile's SUs without copying any
-  /// submission — the ShardedBidTable owns the member maps and the
-  /// global-id translation.  Subset tables answer argmax/has/remove in
-  /// LOCAL ids and cannot serialize (serialization is a whole-auction
-  /// concern; the sharded wrapper emits the global image).
-  static EncryptedBidTable subset_view(
-      const std::vector<BidSubmission>& all, std::size_t num_channels,
-      std::vector<std::uint32_t> members, std::size_t sort_threads = 1,
-      const crypto::BidBackend* backend = nullptr);
-
   std::size_t num_users() const noexcept override { return users_; }
   std::size_t num_channels() const noexcept override { return channels_; }
 
@@ -86,14 +74,14 @@ class EncryptedBidTable final : public auction::BidTableView {
 
   /// Churn maintenance: re-activates a fully tombstoned slot AFTER the
   /// caller replaced the backing submission behind it (the table holds a
-  /// reference, so the new masked bytes are already visible through
-  /// sub(u)).  All of u's cells become present again and u is
-  /// re-positioned in every column order exactly where a from-scratch
-  /// stable sort of the current submissions would put it — so an
-  /// incrementally maintained table stays bit-equal to a rebuilt one.  Cost per column: a binary search of at most
-  /// 2·(⌈log₂ n⌉ + 1) masked compares plus an O(n) uint32 memmove, vs
-  /// O(n log n) compares for a rebuild.  Returns the masked compares it
-  /// spent.
+  /// reference, so the new masked bytes are already visible).  All of
+  /// u's cells become present again and u is re-positioned in every
+  /// column order exactly where a from-scratch stable sort of the current
+  /// submissions would put it — so an incrementally maintained table
+  /// stays bit-equal to a rebuilt one.  Cost per column: a binary search
+  /// of at most 2·(⌈log₂ n⌉ + 1) masked compares plus an O(n) uint32
+  /// memmove, vs O(n log n) compares for a rebuild.  Returns the masked
+  /// compares it spent.
   std::size_t insert_user(UserId u);
 
   /// Column maximum under the masked order; ties break to the lowest
@@ -116,10 +104,9 @@ class EncryptedBidTable final : public auction::BidTableView {
   Bytes serialize() const;
 
   /// The serialize() wire image as a pure function of its inputs, shared
-  /// with ShardedBidTable so an auctioneer's snapshot is the same bytes
-  /// for every shard count (PR 3 journal images stay interchangeable
-  /// across num_shards reconfigurations).  `present` is the row-major
-  /// bitmap (users × channels) and `live` its set-bit count.
+  /// with the tournament-scan oracle (tests/oracles.h) so both tables
+  /// emit the same bytes.  `present` is the row-major bitmap
+  /// (users × channels) and `live` its set-bit count.
   /// Non-HMAC backends prefix the image with a magic u32 carrying the
   /// backend id (crypto::kImageMagic); the seed HMAC format stays
   /// untagged and bit-identical, so PR 3 recovery images remain valid.
@@ -146,29 +133,14 @@ class EncryptedBidTable final : public auction::BidTableView {
   std::size_t order_tests() const noexcept { return order_tests_; }
 
  private:
-  friend class ShardedBidTable;  ///< re-shards restored (owning) images
-
-  EncryptedBidTable() = default;  ///< used by subset_view and decode
-
-  /// deserialize() without the column-order build: ShardedBidTable::
-  /// restore needs only the owned submissions and the presence bitmap.
-  static EncryptedBidTable decode(std::span<const std::uint8_t> wire,
-                                  const crypto::BidBackend* backend);
+  EncryptedBidTable() = default;  ///< used by deserialize
 
   std::size_t idx(UserId u, ChannelId r) const;
-
-  /// The submission behind (possibly subset-mapped) user id u.
-  const BidSubmission& sub(std::size_t u) const {
-    return (*submissions_)[members_.empty() ? u : members_[u]];
-  }
 
   /// Builds order_/head_ for every column.
   void build_column_orders(std::size_t sort_threads);
 
   const std::vector<BidSubmission>* submissions_ = nullptr;
-  /// Subset view (shard) only: local user id -> index into submissions_.
-  /// Empty = identity (the table covers the whole vector).
-  std::vector<std::uint32_t> members_;
   /// Engaged when the table owns its submissions (deserialize path); the
   /// shared_ptr keeps submissions_ stable across copies and moves.
   std::shared_ptr<const std::vector<BidSubmission>> owned_;

@@ -3,7 +3,6 @@
 #include "common/thread_pool.h"
 #include "core/charging.h"
 #include "core/shard_conflict.h"
-#include "core/sharded_bid_table.h"
 #include "core/submission_validator.h"
 #include "obs/span.h"
 #include "shard/shard_plan.h"
@@ -92,11 +91,11 @@ LppaOutcome LppaAuction::run(
       validator.check_bid(view.bids[i]);
     }
   }
-  // The shard plan tiles the grid (one tile when num_shards is 1) and is
-  // computed from the SU-side plaintext locations this in-process round
-  // already holds on the SUs' behalf — the auctioneer still only ever
-  // touches the masked submissions (see shard/shard_plan.h on routing
-  // and tile-granular disclosure).
+  // The shard plan tiles the grid for the conflict build (one tile when
+  // num_shards is 1) and is computed from the SU-side plaintext locations
+  // this in-process round already holds on the SUs' behalf — the
+  // auctioneer still only ever touches the masked submissions (see
+  // shard/shard_plan.h on routing and tile-granular disclosure).
   const shard::ShardAssignment assignment =
       shard::ShardPlan::make(config_.coord_width, config_.lambda,
                              config_.num_shards)
@@ -108,10 +107,13 @@ LppaOutcome LppaAuction::run(
                                      config_.num_threads, m, nullptr,
                                      &conflict_span);
   }
+  // One table over every user, whatever the tiling.
   obs::Span table_span(m, "auction.table", &round_span);
-  ShardedBidTable table(view.bids, config_.num_channels, assignment.shard_of,
-                        config_.num_shards, config_.num_threads, m,
-                        config_.backend, &table_span);
+  obs::Span build_span(m, "shard.table_build", &table_span);
+  EncryptedBidTable table(view.bids, config_.num_channels,
+                          ArgmaxStrategy::kSortedColumns, config_.num_threads,
+                          config_.backend);
+  build_span.end();
   if (m != nullptr) {
     m->counter("auction.table.order_tests").inc(table.order_tests());
   }

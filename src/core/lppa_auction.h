@@ -49,18 +49,18 @@ struct LppaConfig {
   /// sorts each column once and pops O(1) per query; the seed's
   /// per-query tournament scan is a test oracle (tests/oracles.h).
   ArgmaxStrategy argmax_strategy = ArgmaxStrategy::kSortedColumns;
-  /// Tiles of the coordinate grid (docs/performance.md, "Sharding";
-  /// shard/shard_plan.h).  1 = one tile, same code: every round builds
-  /// per-tile digest indexes + bid tables, with boundary index entries
-  /// exchanged between tiles (the halo) and a deterministic cross-shard
-  /// argmax merge.  Awards, charges, and the winner announcement are
-  /// byte-identical for every shard count and thread count — pinned by
-  /// tests/shard_differential_test against the all-pairs graph and the
-  /// tournament-scan table in tests/oracles.h.
+  /// Tiles of the coordinate grid for the conflict build
+  /// (docs/performance.md, "Sharding"; shard/shard_plan.h).  1 = one
+  /// tile, same code: every round builds per-tile digest indexes, with
+  /// boundary index entries exchanged between tiles (the halo), where
+  /// tiling bounds index memory.  The bid table is one table over every
+  /// user for any value.  Awards, charges, and the winner announcement
+  /// are byte-identical for every shard count and thread count — pinned
+  /// by tests/shard_differential_test against the all-pairs graph and
+  /// the tournament-scan table in tests/oracles.h.
   std::size_t num_shards = 1;
   /// The resolved crypto backend driving every masked comparison this
-  /// round (bid-table sorts, argmax merges, the second-price runner-up
-  /// scan).  Null means "resolve from bid.backend": LppaAuction's
+  /// round (bid-table sorts, the second-price runner-up scan).  Null means "resolve from bid.backend": LppaAuction's
   /// constructor fills it in from its own TTP, so embedders only ever
   /// set bid.backend.  Wire sessions that restore snapshots receive the
   /// TTP's backend explicitly through the same field.  Not owned.
@@ -68,7 +68,8 @@ struct LppaConfig {
   /// Optional observability sink (obs/metrics.h): when set, every round
   /// records per-phase spans (auction.round > submit / validate /
   /// conflict_graph / table / allocate / charging, with the shard.*
-  /// build spans under conflict_graph and table), phase counters
+  /// index and probe spans under conflict_graph and the one
+  /// shard.table_build span under table), phase counters
   /// (auction.table.order_tests: the masked tests the table build
   /// spent) and the shard.* counters into it.  Null (the default)
   /// makes every instrumentation site a branch-and-skip.  Not owned; the

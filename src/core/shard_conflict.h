@@ -21,12 +21,17 @@
 // whose x-hit probability is that same 2^-256).  No pair is ever reported
 // twice: SU i is probed exactly once, in its home shard, and the j > i
 // filter kills the mirror-image discovery.
+//
+// The build is two steps — build_tile_indexes, then probe_tile_indexes —
+// so core::ChurnState can keep the per-tile indexes it builds with and
+// find an arriving SU's upper partners with the same probe_upper_partners.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "core/ppbs_location.h"
+#include "prefix/digest_index.h"
 #include "shard/shard_plan.h"
 
 namespace lppa::obs {
@@ -46,12 +51,35 @@ struct ShardConflictStats {
   std::size_t peak_index_bytes = 0;  ///< largest per-shard DigestIndex
 };
 
-/// Builds the conflict graph from per-shard indexes + halo exchange.
-/// Bit-identical to the all-pairs reference for any shard count and
-/// `num_threads`.  Shard indexes build in parallel (one task and one
-/// "shard.index_build" span per shard), then SUs probe in parallel (one
-/// "shard.probe" span for the phase); both spans hang under `parent`
-/// when it is set.
+/// The index step: per tile, a DigestIndex of the x-range digests of its
+/// members plus its halo, pre-sized to that occupancy.  Tiles build in
+/// parallel, one task and one "shard.index_build" span (under `parent`)
+/// per tile.
+std::vector<prefix::DigestIndex> build_tile_indexes(
+    const std::vector<LocationSubmission>& submissions,
+    const shard::ShardAssignment& assignment, std::size_t num_threads,
+    obs::MetricsRegistry* metrics = nullptr, const obs::Span* parent = nullptr);
+
+/// The probe of one SU i: its x-family against `home` (its home tile's
+/// index), candidates j > i kept and y-confirmed as
+/// i.y_family ∩ j.y_range ≠ ∅.  Returns the partners ascending.
+std::vector<std::uint32_t> probe_upper_partners(
+    const std::vector<LocationSubmission>& submissions,
+    const prefix::DigestIndex& home, std::uint32_t i);
+
+/// The probe step: every member SU runs probe_upper_partners against its
+/// home tile's entry of `indexes` (in parallel, one "shard.probe" span
+/// under `parent` for the phase), and the edges become the graph.  Records
+/// the shard.* counters and gauges into `metrics` and fills `stats`.
+auction::ConflictGraph probe_tile_indexes(
+    const std::vector<LocationSubmission>& submissions,
+    const shard::ShardAssignment& assignment,
+    const std::vector<prefix::DigestIndex>& indexes, std::size_t num_threads,
+    obs::MetricsRegistry* metrics = nullptr,
+    ShardConflictStats* stats = nullptr, const obs::Span* parent = nullptr);
+
+/// Both steps.  Bit-identical to the all-pairs reference for any shard
+/// count and `num_threads`.
 auction::ConflictGraph build_conflict_graph_sharded(
     const std::vector<LocationSubmission>& submissions,
     const shard::ShardAssignment& assignment, std::size_t num_threads,

@@ -4,6 +4,7 @@
 
 #include "core/shard_conflict.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "shard/shard_plan.h"
 
 namespace lppa::proto {
@@ -371,11 +372,12 @@ void AuctioneerSession::run_allocation(Rng& rng, const obs::Span* parent) {
   }
 
   compact_participants(parent);
-  table_.emplace(bid_store_, config_.num_channels,
-                 core::ShardedBidTable::contiguous_shards(bid_store_.size(),
-                                                          config_.num_shards),
-                 config_.num_shards, config_.num_threads, config_.metrics,
-                 config_.backend, parent);
+  {
+    obs::Span build_span(config_.metrics, "shard.table_build", parent);
+    table_.emplace(bid_store_, config_.num_channels,
+                   core::ArgmaxStrategy::kSortedColumns, config_.num_threads,
+                   config_.backend);
+  }
   std::vector<auction::Award> awards =
       auction::greedy_allocate(*table_, *conflicts_, rng);
   for (auto& award : awards) {
@@ -481,8 +483,8 @@ Bytes AuctioneerSession::snapshot() const {
   }
   w.u8(ledger_ ? 1 : 0);
   if (ledger_) {
-    // The global image, so snapshots taken under any shard count
-    // restore under any other.
+    // num_shards does not enter the image, so snapshots taken under any
+    // shard count restore under any other.
     w.bytes(table_->serialize());
     const std::vector<auction::Award>& awards = ledger_->awards();
     w.u32(static_cast<std::uint32_t>(awards.size()));
@@ -588,17 +590,16 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire,
     // submissions — deterministic, no randomness — so only the bid
     // table's consumed-cell state needs the serialized image.
     compact_participants(parent);
-    // The snapshot may have been taken under any shard count — the
-    // global image plus the deterministic contiguous partition
-    // reproduces the exact table.  restore() rejects an image whose
-    // population does not fit the participants.
-    table_ = core::ShardedBidTable::restore(
-        r.bytes(),
-        core::ShardedBidTable::contiguous_shards(participants_.size(),
-                                                 config_.num_shards),
-        config_.num_shards, config_.num_threads, config_.metrics,
-        config_.backend, parent);
-    LPPA_PROTOCOL_CHECK(table_->num_channels() == config_.num_channels,
+    // The image reproduces the exact table, whatever shard count either
+    // side ran; one whose population does not fit the participants is
+    // rejected.
+    {
+      obs::Span build_span(config_.metrics, "shard.table_build", parent);
+      table_ = core::EncryptedBidTable::deserialize(
+          r.bytes(), config_.num_threads, config_.backend);
+    }
+    LPPA_PROTOCOL_CHECK(table_->num_users() == participants_.size() &&
+                            table_->num_channels() == config_.num_channels,
                         "snapshot bid table dimensions mismatch");
     // user, channel, charge (u64 each) + the valid and done flags.
     const std::uint32_t num_awards = r.count(8 + 8 + 8 + 1 + 1);

@@ -14,7 +14,7 @@
 #include "auction/allocate.h"
 #include "core/charging.h"
 #include "core/lppa_auction.h"
-#include "core/sharded_bid_table.h"
+#include "core/encrypted_bid_table.h"
 #include "core/submission_validator.h"
 #include "proto/journal.h"
 #include "proto/messages.h"
@@ -155,7 +155,7 @@ class AuctioneerSession {
   /// requires ready() and runs over everyone (legacy mode).  Award::user
   /// carries original SU ids either way.  With config.metrics set, the
   /// conflict build's "shard.index_build"/"shard.probe" spans and the
-  /// bid table's "shard.table_build" spans hang under `parent` (when
+  /// bid table's one "shard.table_build" span hang under `parent` (when
   /// set).
   void run_allocation(Rng& rng, const obs::Span* parent = nullptr);
 
@@ -239,17 +239,14 @@ class AuctioneerSession {
   bool finalized_ = false;
   std::vector<core::BidSubmission> bid_store_;  ///< participants, compacted
   std::optional<auction::ConflictGraph> conflicts_;
-  /// The masked bid table as the allocator left it (cells consumed),
-  /// over config_.num_shards shards.  References bid_store_ on the
-  /// run_allocation path and owns its submissions on the restore path;
-  /// the session is used in place by the drivers, never moved, so the
-  /// reference stays valid.  The wire session never sees tile geometry
-  /// (submissions are masked), so it shards with the geometry-free
-  /// contiguous partition — the partition choice never affects answers,
-  /// only locality.  Snapshots hold the global EncryptedBidTable image
-  /// for every shard count, so a journal written under num_shards=1
-  /// restores into a four-shard session and vice versa.
-  std::optional<core::ShardedBidTable> table_;
+  /// The masked bid table as the allocator left it (cells consumed).
+  /// References bid_store_ on the run_allocation path and owns its
+  /// submissions on the restore path; the session is used in place by
+  /// the drivers, never moved, so the reference stays valid.  The wire
+  /// session never sees tile geometry (submissions are masked), so
+  /// num_shards changes nothing here: a journal written under
+  /// num_shards=1 restores into a four-shard session and vice versa.
+  std::optional<core::EncryptedBidTable> table_;
   /// Awards and their charge progress; present once allocation ran.
   std::optional<core::ChargeLedger> ledger_;
   std::size_t churn_ops_ = 0;  ///< applied churn operations (see getter)

@@ -140,8 +140,8 @@ ShardAssignment ShardPlan::assign_live(
     if (!tiles.empty()) ++a.boundary_sus;
   }
   // Members and halos are filled in one ascending sweep over u, so every
-  // per-tile list is already sorted — which the sharded conflict build
-  // and the sharded bid table both rely on for deterministic tie-breaks.
+  // per-tile list is already sorted — the order reassign() maintains, so
+  // a maintained assignment compares == to a rebuild.
   return a;
 }
 

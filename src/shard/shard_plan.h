@@ -3,8 +3,8 @@
 //
 // The paper's interference predicate is strictly local (|Δx| <= 2λ and
 // |Δy| <= 2λ, auction/conflict.h), and its evaluation already treats the
-// map as four independent areas — so conflict discovery, the encrypted
-// argmax, and allocation decompose spatially almost for free.  A
+// map as four independent areas — so conflict discovery decomposes
+// spatially almost for free (the bid table stays one table).  A
 // ShardPlan makes that seam explicit: the 2^coord_width-wide square is
 // cut into tiles_x × tiles_y near-equal tiles; every SU has one home
 // tile, and the only cross-tile state is the HALO — for each tile, the

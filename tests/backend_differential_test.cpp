@@ -275,10 +275,9 @@ TEST(PaillierEngine, DeterministicAcrossShardsThreadsAndReruns) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Table-level differential: the sorted table (one and four shards)
-//    vs the tournament-scan oracle on Paillier submissions under random
-//    removal / insert_user interleavings, with a serialize -> restore
-//    hop mid-stream.
+// 3. Table-level differential: the sorted table vs the tournament-scan
+//    oracle on Paillier submissions under random removal / insert_user
+//    interleavings, with a serialize -> restore hop mid-stream.
 // ---------------------------------------------------------------------------
 
 TEST(PaillierTable, StrategiesAgreeUnderChurnInterleavings) {
@@ -302,69 +301,65 @@ TEST(PaillierTable, StrategiesAgreeUnderChurnInterleavings) {
     subs.push_back(submitter.submit(bv, rng));
   }
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const auto shard_of =
-        core::ShardedBidTable::contiguous_shards(kUsers, shards);
-    core::ShardedBidTable sorted(subs, kChannels, shard_of, shards,
-                                 /*num_threads=*/1, nullptr, backend);
-    oracles::TournamentScanTable scan(subs, kChannels, backend);
+  core::EncryptedBidTable sorted(subs, kChannels,
+                                 core::ArgmaxStrategy::kSortedColumns,
+                                 /*sort_threads=*/1, backend);
+  oracles::TournamentScanTable scan(subs, kChannels, backend);
 
-    const auto expect_agreement = [&](const char* when) {
-      for (std::size_t r = 0; r < kChannels; ++r) {
-        EXPECT_EQ(sorted.argmax_in_column(r), scan.argmax_in_column(r))
-            << when << " channel " << r;
+  const auto expect_agreement = [&](const char* when) {
+    for (std::size_t r = 0; r < kChannels; ++r) {
+      EXPECT_EQ(sorted.argmax_in_column(r), scan.argmax_in_column(r))
+          << when << " channel " << r;
+    }
+  };
+
+  Rng ops(1235);
+  std::vector<bool> user_gone(kUsers, false);
+  expect_agreement("initial");
+  for (int step = 0; step < 60; ++step) {
+    const std::size_t r = ops.below(kChannels);
+    const auto top = sorted.argmax_in_column(r);
+    ASSERT_EQ(top, scan.argmax_in_column(r)) << "step " << step;
+    const std::uint64_t op = ops.below(10);
+    if (op < 5 && top.has_value()) {
+      sorted.remove(*top, r);
+      scan.remove(*top, r);
+    } else if (op < 8) {
+      const std::size_t u = ops.below(kUsers);
+      if (!user_gone[u]) {
+        sorted.remove_user(u);
+        scan.remove_user(u);
+        user_gone[u] = true;
       }
-    };
-
-    Rng ops(1235);
-    std::vector<bool> user_gone(kUsers, false);
-    expect_agreement("initial");
-    for (int step = 0; step < 60; ++step) {
-      const std::size_t r = ops.below(kChannels);
-      const auto top = sorted.argmax_in_column(r);
-      ASSERT_EQ(top, scan.argmax_in_column(r)) << "step " << step;
-      const std::uint64_t op = ops.below(10);
-      if (op < 5 && top.has_value()) {
-        sorted.remove(*top, r);
-        scan.remove(*top, r);
-      } else if (op < 8) {
-        const std::size_t u = ops.below(kUsers);
-        if (!user_gone[u]) {
-          sorted.remove_user(u);
-          scan.remove_user(u);
-          user_gone[u] = true;
-        }
-      } else {
-        // Revive some fully tombstoned slot (churn return with the same
-        // masked submission behind it).
-        for (std::size_t u = 0; u < kUsers; ++u) {
-          if (user_gone[u]) {
-            sorted.insert_user(u);
-            scan.insert_user(u);
-            user_gone[u] = false;
-            break;
-          }
+    } else {
+      // Revive some fully tombstoned slot (churn return with the same
+      // masked submission behind it).
+      for (std::size_t u = 0; u < kUsers; ++u) {
+        if (user_gone[u]) {
+          sorted.insert_user(u);
+          scan.insert_user(u);
+          user_gone[u] = false;
+          break;
         }
       }
-      expect_agreement("after op");
+    }
+    expect_agreement("after op");
 
-      if (step == 30) {
-        // Mid-stream snapshot hop: both restored tables must answer
-        // argmax exactly like the live ones.
-        const Bytes wire = sorted.serialize();
-        ASSERT_EQ(scan.serialize(), wire);
-        const auto restored = core::ShardedBidTable::restore(
-            wire, shard_of, shards, /*num_threads=*/1, nullptr, backend);
-        const auto restored_scan =
-            oracles::TournamentScanTable::deserialize(wire, backend);
-        for (std::size_t c = 0; c < kChannels; ++c) {
-          EXPECT_EQ(restored.argmax_in_column(c), scan.argmax_in_column(c))
-              << "restored channel " << c;
-          EXPECT_EQ(restored_scan.argmax_in_column(c),
-                    scan.argmax_in_column(c))
-              << "restored scan channel " << c;
-        }
+    if (step == 30) {
+      // Mid-stream snapshot hop: both restored tables must answer
+      // argmax exactly like the live ones.
+      const Bytes wire = sorted.serialize();
+      ASSERT_EQ(scan.serialize(), wire);
+      const auto restored =
+          core::EncryptedBidTable::deserialize(wire, 1, backend);
+      const auto restored_scan =
+          oracles::TournamentScanTable::deserialize(wire, backend);
+      for (std::size_t c = 0; c < kChannels; ++c) {
+        EXPECT_EQ(restored.argmax_in_column(c), scan.argmax_in_column(c))
+            << "restored channel " << c;
+        EXPECT_EQ(restored_scan.argmax_in_column(c),
+                  scan.argmax_in_column(c))
+            << "restored scan channel " << c;
       }
     }
   }

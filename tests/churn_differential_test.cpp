@@ -1,6 +1,6 @@
 // Churn differential suite: incrementally maintained round state
 // (core::ChurnState — ConflictGraph deltas, ShardPlan::reassign,
-// ShardedBidTable insert_user/remove_user over tombstones) must stay
+// EncryptedBidTable insert_user/remove_user over tombstones) must stay
 // IDENTICAL to a from-scratch rebuild after every event of randomized
 // arrival/departure/move/rebid sequences, for every shard and thread
 // count and both crypto backends — graphs and assignments by ==, tables
@@ -55,11 +55,10 @@ struct MaskedWorld {
 };
 
 /// Every column's full order, read by popping argmax and removing the
-/// winner until the column is empty.  Works on a clone: the maintained
+/// winner until the column is empty.  Works on a copy: the maintained
 /// and rebuilt tables stay untouched.
 std::vector<std::vector<auction::UserId>> drain_columns(
-    const core::ShardedBidTable& table) {
-  core::ShardedBidTable t = table.clone();
+    core::EncryptedBidTable t) {
   std::vector<std::vector<auction::UserId>> columns(t.num_channels());
   for (std::size_t r = 0; r < t.num_channels(); ++r) {
     while (const auto top = t.argmax_in_column(r)) {
@@ -76,11 +75,11 @@ std::vector<std::vector<auction::UserId>> drain_columns(
 void expect_matches_rebuild(const core::ChurnState& state,
                             const MaskedWorld& w, std::uint64_t alloc_seed,
                             const std::string& where) {
-  const core::ShardedBidTable rebuilt = state.rebuild_table();
+  const core::EncryptedBidTable rebuilt = state.rebuild_table();
   ASSERT_EQ(state.serialize_table(), rebuilt.serialize()) << where;
   ASSERT_EQ(drain_columns(state.table()), drain_columns(rebuilt)) << where;
   core::ShardedBidTable maintained_copy = state.table_for_allocation();
-  core::ShardedBidTable rebuilt_copy = rebuilt.clone();
+  core::EncryptedBidTable rebuilt_copy = rebuilt;
   Rng rng_a(alloc_seed), rng_b(alloc_seed);
   const auto a = w.auction->allocate_and_charge(
       state.bids(), state.graph(), maintained_copy, state.live(), rng_a);
@@ -231,7 +230,7 @@ TEST(ChurnDifferential, IncrementalEqualsRebuildAcrossShardAndThreadCounts) {
 
         // Allocation parity on the round's final state.
         core::ShardedBidTable maintained_table = state.table_for_allocation();
-        core::ShardedBidTable rebuilt_table = state.rebuild_table();
+        core::EncryptedBidTable rebuilt_table = state.rebuild_table();
         Rng rng_a(900 + round), rng_b(900 + round);
         const auto a = w.auction->allocate_and_charge(
             state.bids(), state.graph(), maintained_table, state.live(),
@@ -332,7 +331,7 @@ TEST(ChurnDifferential, ChurnCountersTrackEvents) {
   EXPECT_GE(metrics.counter("churn.digests_inserted").value(),
             metrics.counter("churn.digests_erased").value());
   // Splices: one per arrival or re-bid, each a binary search of at most
-  // 2·(⌈log₂ n⌉ + 1) masked tests per column (n ≤ capacity per shard).
+  // 2·(⌈log₂ n⌉ + 1) masked tests per column (n ≤ capacity).
   const std::size_t splices = arrivals + rebids;
   ASSERT_GT(splices, 0u);
   const std::size_t compares =

@@ -8,7 +8,6 @@
 
 #include "auction/bid_matrix.h"
 #include "core/lppa_auction.h"
-#include "core/sharded_bid_table.h"
 #include "counting_backend.h"
 #include "crypto/sealed_box.h"
 #include "oracles.h"
@@ -518,26 +517,6 @@ TEST_F(EncryptedTableTest, DeserializeRejectsDamagedImages) {
   }
 }
 
-TEST_F(EncryptedTableTest, SubsetViewAnswersInLocalIds) {
-  const std::vector<auction::BidVector> bids = {
-      {5, 0}, {7, 2}, {1, 8}, {9, 3}};
-  const auto subs = make(bids);
-  // Members {1, 3}: local 0 -> global 1, local 1 -> global 3.
-  auto view = EncryptedBidTable::subset_view(subs, 2, {1, 3});
-  EXPECT_EQ(view.num_users(), 2u);
-  EXPECT_EQ(view.argmax_in_column(0), auction::UserId{1});  // global 3
-  EXPECT_EQ(view.argmax_in_column(1), auction::UserId{1});  // global 3
-  view.remove(1, 0);
-  EXPECT_EQ(view.argmax_in_column(0), auction::UserId{0});  // global 1
-  EXPECT_EQ(view.live_cells(), 3u);
-
-  // Subset tables never serialize — the sharded wrapper owns the global
-  // image; asking is a caller bug, not a protocol fault.
-  EXPECT_THROW(view.serialize(), LppaError);
-  EXPECT_THROW(EncryptedBidTable::subset_view(subs, 2, {}), LppaError);
-  EXPECT_THROW(EncryptedBidTable::subset_view(subs, 2, {4}), LppaError);
-}
-
 TEST_F(EncryptedTableTest, SerializeImageMatchesMemberSerialize) {
   const std::vector<auction::BidVector> bids = {{5, 1}, {9, 2}, {3, 8}};
   const auto subs = make(bids);
@@ -638,29 +617,19 @@ std::vector<std::uint32_t> per_pair_order(
   return items;
 }
 
-/// A bid table answering argmax from per-pair reference orders: one
-/// order per shard and column, merged across shards by the rule
-/// ShardedBidTable documents (strictly greater wins, a masked tie keeps
-/// the lower global id).  One shard is the unsharded table.
+/// A bid table answering argmax from per-pair reference orders, one per
+/// column: the first still-present entry wins.
 class PerPairTable final : public auction::BidTableView {
  public:
-  PerPairTable(const std::vector<BidSubmission>& subs, std::size_t channels,
-               const std::vector<std::uint32_t>& shard_of,
-               std::size_t num_shards)
+  PerPairTable(const std::vector<BidSubmission>& subs, std::size_t channels)
       : subs_(subs),
         channels_(channels),
         present_(subs.size() * channels, true),
         live_(subs.size() * channels) {
-    std::vector<std::vector<std::uint32_t>> members(num_shards);
-    for (std::size_t u = 0; u < subs.size(); ++u) {
-      members[shard_of[u]].push_back(static_cast<std::uint32_t>(u));
-    }
-    for (const auto& m : members) {
-      if (m.empty()) continue;
-      auto& shard = orders_.emplace_back();
-      for (std::size_t r = 0; r < channels; ++r) {
-        shard.push_back(per_pair_order(subs, r, m));
-      }
+    std::vector<std::uint32_t> users(subs.size());
+    std::iota(users.begin(), users.end(), 0u);
+    for (std::size_t r = 0; r < channels; ++r) {
+      orders_.push_back(per_pair_order(subs, r, users));
     }
   }
 
@@ -679,27 +648,12 @@ class PerPairTable final : public auction::BidTableView {
     for (std::size_t r = 0; r < channels_; ++r) remove(u, r);
   }
   std::optional<UserId> argmax_in_column(ChannelId r) const override {
-    const crypto::BidBackend& be = crypto::hmac_backend();
-    std::optional<UserId> best;
-    for (const auto& shard : orders_) {
-      const auto& ord = shard[r];
-      const auto top = std::find_if(ord.begin(), ord.end(), [&](auto u) {
-        return present_[u * channels_ + r];
-      });
-      if (top == ord.end()) continue;
-      const UserId g = *top;
-      if (!best) {
-        best = g;
-        continue;
-      }
-      const auto& challenger = subs_[g].channels[r];
-      const auto& incumbent = subs_[*best].channels[r];
-      if (be.ge(challenger, incumbent) &&
-          (!be.ge(incumbent, challenger) || g < *best)) {
-        best = g;
-      }
-    }
-    return best;
+    const auto& ord = orders_[r];
+    const auto top = std::find_if(ord.begin(), ord.end(), [&](auto u) {
+      return present_[u * channels_ + r];
+    });
+    if (top == ord.end()) return std::nullopt;
+    return UserId{*top};
   }
   bool empty() const noexcept override { return live_ == 0; }
 
@@ -711,16 +665,15 @@ class PerPairTable final : public auction::BidTableView {
  private:
   const std::vector<BidSubmission>& subs_;
   std::size_t channels_;
-  /// orders_[shard][r]: global ids of that shard, per-pair sorted.
-  std::vector<std::vector<std::vector<std::uint32_t>>> orders_;
+  /// orders_[r]: every user id, per-pair sorted.
+  std::vector<std::vector<std::uint32_t>> orders_;
   std::vector<bool> present_;
   std::size_t live_;
 };
 
-/// Builds the production table over `subs` for shards {1, 4} × threads
-/// {1, 4} and checks the drained column orders, the awards of a full
-/// allocation and the serialized image after it against the per-pair
-/// reference with the same shard map.
+/// Builds the production table over `subs` for threads {1, 4} and checks
+/// the drained column orders, the awards of a full allocation and the
+/// serialized image after it against the per-pair reference.
 void expect_matches_per_pair(const std::vector<BidSubmission>& subs,
                              std::size_t k) {
   const std::size_t n = subs.size();
@@ -728,22 +681,19 @@ void expect_matches_per_pair(const std::vector<BidSubmission>& subs,
   // well as winner rows.
   auction::ConflictGraph graph(n);
   for (std::size_t u = 0; u + 3 < n; u += 2) graph.add_conflict(u, u + 3);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    const auto shard_of = ShardedBidTable::contiguous_shards(n, shards);
-    PerPairTable reference(subs, k, shard_of, shards);
-    const auto orders = drain_columns(reference);
-    Rng ref_rng(7);
-    const auto awards = auction::greedy_allocate(reference, graph, ref_rng);
-    const Bytes image = reference.image();
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " threads=" + std::to_string(threads));
-      Rng rng(7);
-      ShardedBidTable table(subs, k, shard_of, shards, threads);
-      ASSERT_EQ(drain_columns(table.clone()), orders);
-      EXPECT_EQ(auction::greedy_allocate(table, graph, rng), awards);
-      EXPECT_EQ(table.serialize(), image);
-    }
+  PerPairTable reference(subs, k);
+  const auto orders = drain_columns(reference);
+  Rng ref_rng(7);
+  const auto awards = auction::greedy_allocate(reference, graph, ref_rng);
+  const Bytes image = reference.image();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Rng rng(7);
+    EncryptedBidTable table(subs, k, ArgmaxStrategy::kSortedColumns,
+                            threads);
+    ASSERT_EQ(drain_columns(table), orders);
+    EXPECT_EQ(auction::greedy_allocate(table, graph, rng), awards);
+    EXPECT_EQ(table.serialize(), image);
   }
 }
 

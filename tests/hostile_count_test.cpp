@@ -187,5 +187,45 @@ TEST(HostileCount, SessionSnapshotShortBid) {
   }
 }
 
+TEST(HostileCount, SessionSnapshotTableOfAnotherPopulation) {
+  // The bid table image swapped for a well-formed one over one SU fewer
+  // than the snapshot's participants: the restored table would answer
+  // for a population the session does not have.
+  const AllocatedSnapshot snap;
+  ByteReader r(snap.image);
+  ByteWriter w;
+  w.u64(r.u64());
+  for (std::size_t u = 0; u < snap.n; ++u) {
+    w.u8(r.u8());
+    w.bytes(r.bytes());
+    w.bytes(r.bytes());
+    w.u64(r.u64());
+    w.bytes(r.bytes());
+  }
+  const std::uint8_t finalized = r.u8();
+  ASSERT_EQ(finalized, 1u);
+  w.u8(finalized);
+  const std::uint32_t participants = r.u32();
+  ASSERT_EQ(participants, snap.n);
+  w.u32(participants);
+  for (std::uint32_t k = 0; k < participants; ++k) w.u64(r.u64());
+  w.u8(r.u8());  // allocated
+  const core::EncryptedBidTable table =
+      core::EncryptedBidTable::deserialize(r.bytes());
+  std::vector<core::BidSubmission> fewer(snap.n - 1);
+  for (std::size_t u = 0; u + 1 < snap.n; ++u) {
+    for (std::size_t c = 0; c < table.num_channels(); ++c) {
+      fewer[u].channels.push_back(table.entry(u, c));
+    }
+  }
+  const std::size_t cells = fewer.size() * table.num_channels();
+  w.bytes(core::EncryptedBidTable::serialize_image(
+      fewer, table.num_channels(), std::vector<bool>(cells, true), cells));
+  w.raw(r.raw(r.remaining()));
+
+  proto::AuctioneerSession restored(snap.config, snap.n);
+  expect_protocol_error([&] { restored.restore_from(w.data()); });
+}
+
 }  // namespace
 }  // namespace lppa

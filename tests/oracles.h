@@ -1,14 +1,14 @@
 // Reference implementations the production auction paths are
 // differential-tested against.  None of this ships in the library: the
 // production conflict build is core::build_conflict_graph_sharded and
-// the production bid table is core::ShardedBidTable, for every shard
-// count.  These are the seed algorithms, kept deliberately naive so a
+// the production bid table is one core::EncryptedBidTable, for every
+// shard count.  These are the seed algorithms, kept deliberately naive so a
 // differential check never compares the production code with itself:
 //
 //   * conflict_graph_pairwise — PpbsLocation::conflicts on every pair
 //     i < j, O(n²·w) masked set intersections, no index;
 //   * TournamentScanTable — a fresh O(n) masked tournament per argmax
-//     query, no column orders, no shards, no cursors;
+//     query, no column orders, no cursors;
 //   * reference_round — both of them through Algorithm 3 and the TTP
 //     charging of LppaAuction::allocate_and_charge.
 //
@@ -35,8 +35,7 @@ auction::ConflictGraph conflict_graph_pairwise(
 
 /// The seed argmax: every query re-runs a masked tournament over the
 /// column's present entries, keeping the first-seen user on ties (the
-/// lowest id, the tie-break the sorted columns and the shard merge
-/// reproduce).
+/// lowest id, the tie-break the sorted columns reproduce).
 class TournamentScanTable final : public auction::BidTableView {
  public:
   /// References `submissions`; the caller keeps them alive.  `backend`

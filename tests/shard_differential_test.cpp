@@ -5,17 +5,20 @@
 // tests/oracles.h — the all-pairs graph and the tournament-scan table —
 // including under adversarial placements (SUs on tile borders, everyone
 // in one tile, tiles narrower than the 2λ halo, grid corners) and across
-// snapshot/restore reconfigurations.
+// snapshot/restore reconfigurations.  Shards tile the conflict build
+// only; the one bid table is checked against the tournament scan under
+// removals, churn re-insertions and snapshot round trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "core/churn_state.h"
+#include "core/encrypted_bid_table.h"
 #include "core/lppa_auction.h"
 #include "core/shard_conflict.h"
-#include "core/sharded_bid_table.h"
 #include "obs/metrics.h"
 #include "oracles.h"
 #include "proto/session.h"
@@ -196,6 +199,53 @@ TEST(ShardConflict, MatchesGlobalBuildAcrossShardAndThreadCounts) {
   }
 }
 
+TEST(ShardConflict, IndexAndProbeStepsComposeTheBuild) {
+  // The two steps ChurnState reuses: the per-tile indexes hold exactly
+  // each tile's member and halo x-range digests, probing them yields the
+  // one-shot build's graph, and probe_upper_partners of SU i against its
+  // home index is exactly i's higher-id neighbour list.
+  const core::LppaConfig cfg = base_config(1);
+  Rng key_rng(43);
+  const crypto::SecretKey g0 = crypto::SecretKey::generate(key_rng);
+  const core::PpbsLocation proto(g0, cfg.coord_width, cfg.lambda, true);
+  const World w = random_world(90, 1, 29, /*side=*/16000);
+  Rng rng(10);
+  std::vector<core::LocationSubmission> subs;
+  for (const auto& loc : w.locations) subs.push_back(proto.submit(loc, rng));
+  const auto reference = oracles::conflict_graph_pairwise(subs);
+  for (const std::size_t shards : {1u, 4u, 9u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto assignment =
+        shard::ShardPlan::make(cfg.coord_width, cfg.lambda, shards)
+            .assign(w.locations);
+    const auto indexes =
+        core::build_tile_indexes(subs, assignment, /*num_threads=*/2);
+    ASSERT_EQ(indexes.size(), shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+      std::size_t entries = 0;
+      for (const std::uint32_t j : assignment.members[s]) {
+        entries += subs[j].x_range.size();
+      }
+      for (const std::uint32_t j : assignment.halo[s]) {
+        entries += subs[j].x_range.size();
+      }
+      EXPECT_EQ(indexes[s].entry_count(), entries) << "tile " << s;
+    }
+    EXPECT_EQ(core::probe_tile_indexes(subs, assignment, indexes, 2),
+              reference);
+    for (std::uint32_t i = 0; i < subs.size(); ++i) {
+      std::vector<std::uint32_t> upper;
+      reference.neighbors(i).for_each([&](std::size_t j) {
+        if (j > i) upper.push_back(static_cast<std::uint32_t>(j));
+      });
+      EXPECT_EQ(core::probe_upper_partners(
+                    subs, indexes[assignment.shard_of[i]], i),
+                upper)
+          << "SU " << i;
+    }
+  }
+}
+
 // --- End-to-end byte identity --------------------------------------------
 
 TEST(ShardDifferential, AuctionOutcomeIdenticalForEveryShardCount) {
@@ -225,55 +275,57 @@ TEST(ShardDifferential, AuctionOutcomeIdenticalForEveryShardCount) {
 }
 
 TEST(ShardDifferential, SortedTableMatchesScanOracle) {
-  // The production table (sorted columns, S shards) against the
-  // tournament-scan oracle: the same award stream on a full round, and
-  // the same remaining stream after a serialize -> restore hop taken
-  // mid-allocation, whichever side restores.
+  // The production table (sorted columns, one table whatever the shard
+  // count) against the tournament-scan oracle: the same award stream on
+  // a full round, and the same remaining stream after a serialize ->
+  // restore hop taken mid-allocation, whichever side restores.
   const std::size_t k = 2;
   const World w = random_world(40, k, 53, /*side=*/16000);
+  std::optional<core::LppaOutcome> first;
   for (const std::size_t shards : {1u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     core::LppaConfig cfg = base_config(k);
     cfg.num_shards = shards;
     const auto out = run_auction(w, cfg, 13);
     expect_matches_reference(out, reference_of(out, cfg, 13));
+    if (!first) first = out;
+    EXPECT_EQ(out.view.bids, first->view.bids);
+  }
 
-    const std::size_t n = w.locations.size();
-    const auto& bids = out.view.bids;
-    const auto shard_of = core::ShardedBidTable::contiguous_shards(n, shards);
-    for (const std::size_t consumed : {1u, 5u, 12u}) {
-      SCOPED_TRACE("consumed=" + std::to_string(consumed));
-      // Pop `consumed` winners the way greedy_allocate would, on both
-      // tables, then snapshot.
-      core::ShardedBidTable sorted(bids, k, shard_of, shards);
-      oracles::TournamentScanTable scan(bids, k);
-      Rng pops(consumed);
-      for (std::size_t i = 0; i < consumed && !sorted.empty(); ++i) {
-        const std::size_t r = pops.below(k);
-        const auto winner = sorted.argmax_in_column(r);
-        ASSERT_EQ(winner, scan.argmax_in_column(r));
-        if (!winner) continue;
-        out.view.conflicts.neighbors(*winner).for_each([&](std::size_t v) {
-          sorted.remove(v, r);
-          scan.remove(v, r);
-        });
-        sorted.remove_user(*winner);
-        scan.remove_user(*winner);
-      }
-      const Bytes image = sorted.serialize();
-      ASSERT_EQ(scan.serialize(), image);
-      auto restored = core::ShardedBidTable::restore(image, shard_of, shards);
-      auto restored_scan = oracles::TournamentScanTable::deserialize(image);
-      EXPECT_EQ(restored.serialize(), image);
-      const auto finish = [&](auction::BidTableView& table) {
-        Rng rng(consumed + 100);
-        return auction::greedy_allocate(table, out.view.conflicts, rng);
-      };
-      const auto awards = finish(scan);
-      EXPECT_EQ(finish(sorted), awards);
-      EXPECT_EQ(finish(restored), awards);
-      EXPECT_EQ(finish(restored_scan), awards);
+  const auto& bids = first->view.bids;
+  const auto& conflicts = first->view.conflicts;
+  for (const std::size_t consumed : {1u, 5u, 12u}) {
+    SCOPED_TRACE("consumed=" + std::to_string(consumed));
+    // Pop `consumed` winners the way greedy_allocate would, on both
+    // tables, then snapshot.
+    core::EncryptedBidTable sorted(bids, k);
+    oracles::TournamentScanTable scan(bids, k);
+    Rng pops(consumed);
+    for (std::size_t i = 0; i < consumed && !sorted.empty(); ++i) {
+      const std::size_t r = pops.below(k);
+      const auto winner = sorted.argmax_in_column(r);
+      ASSERT_EQ(winner, scan.argmax_in_column(r));
+      if (!winner) continue;
+      conflicts.neighbors(*winner).for_each([&](std::size_t v) {
+        sorted.remove(v, r);
+        scan.remove(v, r);
+      });
+      sorted.remove_user(*winner);
+      scan.remove_user(*winner);
     }
+    const Bytes image = sorted.serialize();
+    ASSERT_EQ(scan.serialize(), image);
+    auto restored = core::EncryptedBidTable::deserialize(image);
+    auto restored_scan = oracles::TournamentScanTable::deserialize(image);
+    EXPECT_EQ(restored.serialize(), image);
+    const auto finish = [&](auction::BidTableView& table) {
+      Rng rng(consumed + 100);
+      return auction::greedy_allocate(table, conflicts, rng);
+    };
+    const auto awards = finish(scan);
+    EXPECT_EQ(finish(sorted), awards);
+    EXPECT_EQ(finish(restored), awards);
+    EXPECT_EQ(finish(restored_scan), awards);
   }
 }
 
@@ -352,9 +404,13 @@ TEST(ShardDifferential, AdversarialPlacements) {
   }
 }
 
-// --- ShardedBidTable vs the tournament-scan oracle -------------------------
+// --- The one bid table vs the tournament-scan oracle -----------------------
 
-TEST(ShardedBidTable, AnswersMatchSingleTableUnderRandomRemovals) {
+TEST(EncryptedTableOracle, MatchesScanUnderRemovalsInsertsAndRestores) {
+  // Random remove / remove_user / insert_user sequences on both tables,
+  // every answer compared, with serialize -> deserialize round trips in
+  // between: each hop replaces both live tables by their restored images,
+  // which must continue exactly where the snapshot left off.
   const std::size_t n = 30, k = 3;
   const World w = random_world(n, k, 61);
   core::TrustedThirdParty ttp(base_config(k).bid, 5);
@@ -364,42 +420,64 @@ TEST(ShardedBidTable, AnswersMatchSingleTableUnderRandomRemovals) {
   std::vector<core::BidSubmission> subs;
   for (const auto& bv : w.bids) subs.push_back(submitter.submit(bv, rng));
 
-  for (const std::size_t shards : {1u, 3u, 7u}) {
-    oracles::TournamentScanTable single(subs, k);
-    core::ShardedBidTable sharded(
-        subs, k, core::ShardedBidTable::contiguous_shards(n, shards), shards);
-    EXPECT_EQ(sharded.num_shards(), shards);
-    Rng removals(1000 + shards);
-    while (!single.empty()) {
+  for (const std::uint64_t seed : {1001u, 1003u, 1007u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    oracles::TournamentScanTable scan(subs, k);
+    core::EncryptedBidTable table(subs, k);
+    std::vector<bool> gone(n, false);
+    std::size_t restores = 0, inserts = 0;
+    Rng ops(seed);
+    for (int step = 0; step < 400 && !scan.empty(); ++step) {
       for (std::size_t r = 0; r < k; ++r) {
-        const auto a = single.argmax_in_column(r);
-        const auto b = sharded.argmax_in_column(r);
-        ASSERT_EQ(a.has_value(), b.has_value());
-        if (a) EXPECT_EQ(*a, *b);
+        ASSERT_EQ(table.argmax_in_column(r), scan.argmax_in_column(r))
+            << "step " << step << " channel " << r;
       }
-      // Remove a random cell or user on both tables.
-      const std::size_t u = removals.below(n);
-      if (removals.below(4) == 0) {
-        single.remove_user(u);
-        sharded.remove_user(u);
+      const std::size_t u = ops.below(n);
+      const std::uint64_t op = ops.below(8);
+      if (op < 4) {
+        const std::size_t r = ops.below(k);
+        scan.remove(u, r);
+        table.remove(u, r);
+        ASSERT_EQ(table.has(u, r), scan.has(u, r));
+      } else if (op < 6) {
+        scan.remove_user(u);
+        table.remove_user(u);
+        gone[u] = true;
+      } else if (op < 7) {
+        // Churn return: a fully tombstoned slot re-enters with the same
+        // masked submission behind it.
+        const auto back = std::find(gone.begin(), gone.end(), true);
+        if (back != gone.end()) {
+          const std::size_t v = static_cast<std::size_t>(back - gone.begin());
+          scan.insert_user(v);
+          table.insert_user(v);
+          *back = false;
+          ++inserts;
+        }
       } else {
-        const std::size_t r = removals.below(k);
-        single.remove(u, r);
-        sharded.remove(u, r);
+        const Bytes image = table.serialize();
+        ASSERT_EQ(scan.serialize(), image) << "step " << step;
+        table = core::EncryptedBidTable::deserialize(image);
+        scan = oracles::TournamentScanTable::deserialize(image);
+        ASSERT_EQ(table.serialize(), image);
+        ++restores;
       }
-      EXPECT_EQ(single.empty(), sharded.empty());
+      ASSERT_EQ(table.empty(), scan.empty());
+      ASSERT_EQ(table.live_cells(), scan.live_cells());
     }
-    EXPECT_TRUE(sharded.empty());
+    EXPECT_GT(restores, 0u);
+    EXPECT_GT(inserts, 0u);
+    EXPECT_EQ(table.serialize(), scan.serialize());
   }
 }
 
-TEST(ShardedBidTable, BoundarySuRemovalLeavesNoStaleHaloState) {
+TEST(ShardChurn, BoundarySuRemovalLeavesNoStaleHaloState) {
   // Adversarial churn removal: the departing SU sits right on a tile
-  // border, so its x-range digests live in a NEIGHBOUR tile's halo index
-  // and its row could win a foreign shard's local argmax.  After
-  // remove_su, nothing of it may linger: no stale halo conflict edge, no
-  // stale halo winner in the merged argmax, and the shard counters of a
-  // fresh rebuild must agree with the maintained assignment.
+  // border, so its x-range digests live in a NEIGHBOUR tile's halo index,
+  // and it is the table's top bidder.  After remove_su, nothing of it may
+  // linger: no stale halo conflict edge, no stale winner in the table's
+  // argmax, and the shard counters of a fresh rebuild must agree with the
+  // maintained assignment.
   const std::size_t k = 2;
   core::LppaConfig cfg = base_config(k, /*lambda=*/100, /*coord_width=*/14);
   cfg.num_shards = 4;  // 2x2 tiles over [0, 16384)^2, borders at 8192
@@ -445,7 +523,7 @@ TEST(ShardedBidTable, BoundarySuRemovalLeavesNoStaleHaloState) {
   EXPECT_TRUE(state.graph() == state.rebuild_conflicts());
   EXPECT_TRUE(state.assignment() == state.rebuild_assignment());
   EXPECT_EQ(state.serialize_table(), state.rebuild_table().serialize());
-  // No stale halo winner: the east tile's merged argmax moves on.
+  // No stale winner: the argmax moves on to the east tile's SU.
   EXPECT_EQ(state.table().argmax_in_column(0), auction::UserId{1});
   EXPECT_EQ(state.rebuild_table().argmax_in_column(0), auction::UserId{1});
 
@@ -497,7 +575,7 @@ TEST(ShardedBidTable, BoundarySuRemovalLeavesNoStaleHaloState) {
   EXPECT_TRUE(state.graph() == state.rebuild_conflicts());
 }
 
-TEST(ShardedBidTable, SerializesTheGlobalImageAndRestoresResharded) {
+TEST(EncryptedTableOracle, RestoredImagesContinueAndDamagedImagesThrow) {
   const std::size_t n = 12, k = 2;
   const World w = random_world(n, k, 67);
   core::TrustedThirdParty ttp(base_config(k).bid, 5);
@@ -507,57 +585,78 @@ TEST(ShardedBidTable, SerializesTheGlobalImageAndRestoresResharded) {
   std::vector<core::BidSubmission> subs;
   for (const auto& bv : w.bids) subs.push_back(submitter.submit(bv, rng));
 
-  oracles::TournamentScanTable single(subs, k);
-  core::ShardedBidTable sharded(
-      subs, k, core::ShardedBidTable::contiguous_shards(n, 4), 4);
+  oracles::TournamentScanTable scan(subs, k);
+  core::EncryptedBidTable table(subs, k);
   // Identical wire images before and after identical removals.
-  EXPECT_EQ(sharded.serialize(), single.serialize());
-  single.remove(3, 1);
-  sharded.remove(3, 1);
-  single.remove_user(7);
-  sharded.remove_user(7);
-  const Bytes image = single.serialize();
-  EXPECT_EQ(sharded.serialize(), image);
+  EXPECT_EQ(table.serialize(), scan.serialize());
+  scan.remove(3, 1);
+  table.remove(3, 1);
+  scan.remove_user(7);
+  table.remove_user(7);
+  const Bytes image = scan.serialize();
+  EXPECT_EQ(table.serialize(), image);
 
-  // Restore the image with a different shard count than the writer used
-  // (and with the writer's): answers must continue exactly where the
-  // snapshot left off.
-  for (const std::size_t shards : {1u, 2u, 4u, 5u}) {
-    auto restored = core::ShardedBidTable::restore(
-        image, core::ShardedBidTable::contiguous_shards(n, shards), shards);
+  // Answers continue exactly where the snapshot left off, on every
+  // thread count the restore may sort with.
+  for (const std::size_t threads : {1u, 3u}) {
+    auto restored = core::EncryptedBidTable::deserialize(image, threads);
     EXPECT_EQ(restored.serialize(), image);
     for (std::size_t r = 0; r < k; ++r) {
-      EXPECT_EQ(restored.argmax_in_column(r), single.argmax_in_column(r));
+      EXPECT_EQ(restored.argmax_in_column(r), scan.argmax_in_column(r));
     }
     EXPECT_FALSE(restored.has(3, 1));
     EXPECT_FALSE(restored.has(7, 0));
   }
 
-  // A shard map that does not fit the image is a typed protocol error.
-  try {
-    core::ShardedBidTable::restore(
-        image, core::ShardedBidTable::contiguous_shards(n + 1, 2), 2);
-    FAIL() << "expected LppaError";
-  } catch (const LppaError& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
+  const auto expect_protocol_error = [](const auto& restore, const char* what) {
+    try {
+      restore();
+      ADD_FAILURE() << what << " accepted";
+    } catch (const LppaError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kProtocol) << what;
+    }
+  };
+  // A truncated image is a typed protocol error, on both tables.
+  const std::span<const std::uint8_t> truncated(image.data(),
+                                                image.size() - 1);
+  expect_protocol_error(
+      [&] { core::EncryptedBidTable::deserialize(truncated); }, "truncated");
+  expect_protocol_error(
+      [&] { oracles::TournamentScanTable::deserialize(truncated); },
+      "truncated (scan)");
+
+  // So is an image of the other backend, in either direction.
+  core::PpbsBidConfig paillier_bid = base_config(k).bid;
+  paillier_bid.backend = crypto::BidBackendId::kPaillier;
+  core::TrustedThirdParty paillier_ttp(paillier_bid, 5);
+  const crypto::BidBackend* paillier = &paillier_ttp.bid_backend();
+  expect_protocol_error(
+      [&] { core::EncryptedBidTable::deserialize(image, 1, paillier); },
+      "HMAC image under Paillier");
+  expect_protocol_error(
+      [&] { oracles::TournamentScanTable::deserialize(image, paillier); },
+      "HMAC image under Paillier (scan)");
+  const core::SuKeyBundle pkeys = paillier_ttp.su_keys();
+  const core::BidSubmitter paillier_submitter(
+      paillier_ttp.config(), pkeys.gb_master, pkeys.gc, pkeys.paillier);
+  std::vector<core::BidSubmission> paillier_subs;
+  for (std::size_t u = 0; u < 3; ++u) {
+    paillier_subs.push_back(paillier_submitter.submit(w.bids[u], rng));
   }
-  try {
-    auto bad_map = core::ShardedBidTable::contiguous_shards(n, 4);
-    core::ShardedBidTable::restore(image, std::move(bad_map),
-                                   /*num_shards=*/2);
-    FAIL() << "expected LppaError";
-  } catch (const LppaError& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
-  }
-  // A damaged image is a typed protocol error too.
-  try {
-    core::ShardedBidTable::restore(
-        std::span<const std::uint8_t>(image.data(), image.size() - 1),
-        core::ShardedBidTable::contiguous_shards(n, 2), 2);
-    FAIL() << "expected LppaError";
-  } catch (const LppaError& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
-  }
+  const Bytes paillier_image =
+      core::EncryptedBidTable(paillier_subs, k,
+                              core::ArgmaxStrategy::kSortedColumns, 1,
+                              paillier)
+          .serialize();
+  EXPECT_EQ(core::EncryptedBidTable::deserialize(paillier_image, 1, paillier)
+                .serialize(),
+            paillier_image);
+  expect_protocol_error(
+      [&] { core::EncryptedBidTable::deserialize(paillier_image); },
+      "Paillier image under HMAC");
+  expect_protocol_error(
+      [&] { oracles::TournamentScanTable::deserialize(paillier_image); },
+      "Paillier image under HMAC (scan)");
 }
 
 // --- Session snapshot interop (PR 3 recovery compatibility) --------------
