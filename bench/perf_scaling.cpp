@@ -283,14 +283,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Scale-out headline: the sharded conflict discovery at n >= 100k SUs.
+  // Scale-out: the conflict discovery at n = 25600 and n >= 100k SUs.
   // The full-auction sweep stays at the sizes above (the all-pairs and
   // tournament references are super-linear); this block runs only the
   // linear-memory phases — location masking, the one-tile indexed build
-  // as the comparison row, and the per-shard halo-exchange build whose
-  // peak index footprint the JSON records.
-  if (args.full) {
-    const std::size_t n = 102400;
+  // at every thread count (so its per-SU cost extends the main sweep's
+  // rows), and the per-shard halo-exchange build whose peak index
+  // footprint the JSON records.
+  std::vector<std::size_t> scale_out_sizes;
+  if (args.full) scale_out_sizes = {25600, 102400};
+  for (const std::size_t n : scale_out_sizes) {
     const std::uint64_t hi =
         ((std::uint64_t{1} << coord_width) - 1) - 2 * lambda;
     std::vector<auction::SuLocation> locations(n);
@@ -306,14 +308,14 @@ int main(int argc, char** argv) {
           subs[i] = protocol.submit(locations[i], su_rngs[i]);
         });
       });
-      samples.push_back(sample("submit_locations_100k", n, multi, ms));
+      samples.push_back(sample("submit_locations", n, multi, ms));
     }
     auction::ConflictGraph indexed(n);
-    {
+    for (const std::size_t t : thread_counts) {
       const double ms = time_ms([&] {
-        indexed = core::PpbsLocation::build_conflict_graph(subs, multi);
+        indexed = core::PpbsLocation::build_conflict_graph(subs, t);
       });
-      samples.push_back(sample("conflict_graph_indexed", n, multi, ms));
+      samples.push_back(sample("conflict_graph_indexed", n, t, ms));
     }
     for (const std::size_t num_shards : shard_counts) {
       const auto plan = shard::ShardPlan::make(coord_width, lambda, num_shards);

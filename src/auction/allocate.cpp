@@ -34,8 +34,9 @@ std::vector<Award> greedy_allocate(BidTableView& table,
 
     // Delete the conflicting neighbours' entries for this channel, then the
     // winner's whole row (the winner only wanted one channel).
-    conflicts.neighbors(*winner).for_each(
-        [&](std::size_t neighbor) { table.remove(neighbor, r); });
+    for (const std::uint32_t neighbor : conflicts.neighbors(*winner)) {
+      table.remove(neighbor, r);
+    }
     table.remove_user(*winner);
   }
   return awards;

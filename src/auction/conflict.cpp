@@ -1,7 +1,10 @@
 #include "auction/conflict.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+
+#include "common/error.h"
 
 namespace lppa::auction {
 
@@ -14,10 +17,31 @@ bool locations_conflict(const SuLocation& a, const SuLocation& b,
   return dx <= 2 * lambda && dy <= 2 * lambda;
 }
 
+namespace {
+
+/// Inserts `v` into the sorted list `list` unless already present.
+/// Builders that add edges in id order hit the append fast path.
+void insert_sorted(std::vector<std::uint32_t>& list, std::uint32_t v) {
+  if (list.empty() || list.back() < v) {
+    list.push_back(v);
+    return;
+  }
+  const auto it = std::lower_bound(list.begin(), list.end(), v);
+  if (*it != v) list.insert(it, v);
+}
+
+void erase_sorted(std::vector<std::uint32_t>& list, std::uint32_t v) {
+  const auto it = std::lower_bound(list.begin(), list.end(), v);
+  if (it != list.end() && *it == v) list.erase(it);
+}
+
+}  // namespace
+
 ConflictGraph::ConflictGraph(std::size_t num_users)
-    : num_users_(num_users),
-      adjacency_(num_users, CellSet(num_users == 0 ? 1 : num_users)) {
+    : num_users_(num_users), adjacency_(num_users) {
   LPPA_REQUIRE(num_users > 0, "ConflictGraph requires at least one user");
+  LPPA_REQUIRE(num_users <= std::numeric_limits<std::uint32_t>::max(),
+               "ConflictGraph user ids must fit in 32 bits");
 }
 
 ConflictGraph ConflictGraph::from_locations(
@@ -62,14 +86,16 @@ ConflictGraph ConflictGraph::from_locations_sweep(
 void ConflictGraph::add_conflict(std::size_t i, std::size_t j) {
   LPPA_REQUIRE(i < num_users_ && j < num_users_, "user index out of range");
   LPPA_REQUIRE(i != j, "a user does not conflict with itself");
-  adjacency_[i].insert(j);
-  adjacency_[j].insert(i);
+  insert_sorted(adjacency_[i], static_cast<std::uint32_t>(j));
+  insert_sorted(adjacency_[j], static_cast<std::uint32_t>(i));
 }
 
 void ConflictGraph::remove_su(std::size_t i) {
   LPPA_REQUIRE(i < num_users_, "user index out of range");
-  adjacency_[i].for_each([&](std::size_t j) { adjacency_[j].erase(i); });
-  adjacency_[i] = CellSet(num_users_);
+  for (const std::uint32_t j : adjacency_[i]) {
+    erase_sorted(adjacency_[j], static_cast<std::uint32_t>(i));
+  }
+  adjacency_[i] = {};
 }
 
 void ConflictGraph::add_su(std::size_t i,
@@ -88,17 +114,18 @@ void ConflictGraph::move_su(std::size_t i,
 bool ConflictGraph::conflicts(std::size_t i, std::size_t j) const {
   LPPA_REQUIRE(i < num_users_ && j < num_users_, "user index out of range");
   if (i == j) return false;
-  return adjacency_[i].contains(j);
+  return std::binary_search(adjacency_[i].begin(), adjacency_[i].end(),
+                            static_cast<std::uint32_t>(j));
 }
 
-const CellSet& ConflictGraph::neighbors(std::size_t i) const {
+std::span<const std::uint32_t> ConflictGraph::neighbors(std::size_t i) const {
   LPPA_REQUIRE(i < num_users_, "user index out of range");
   return adjacency_[i];
 }
 
 std::size_t ConflictGraph::edge_count() const noexcept {
   std::size_t total = 0;
-  for (const auto& adj : adjacency_) total += adj.count();
+  for (const auto& adj : adjacency_) total += adj.size();
   return total / 2;
 }
 

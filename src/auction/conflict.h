@@ -9,9 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
-
-#include "common/cellset.h"
 
 namespace lppa::auction {
 
@@ -54,6 +53,7 @@ class ConflictGraph {
   /// roster); arrivals and departures toggle a slot's edges in place.
 
   /// Detaches slot i from every neighbour: i becomes isolated.
+  /// O(degree) list edits.
   void remove_su(std::size_t i);
 
   /// Attaches slot i (which must currently be isolated) to every slot in
@@ -63,16 +63,21 @@ class ConflictGraph {
   /// remove_su followed by add_su: slot i moved to a new location.
   void move_su(std::size_t i, const std::vector<std::size_t>& neighbors);
 
-  /// N(i): neighbours of user i as a bitset over users.
-  const CellSet& neighbors(std::size_t i) const;
+  /// N(i): neighbours of user i, ascending ids.  Valid until the next
+  /// mutation of the graph.
+  std::span<const std::uint32_t> neighbors(std::size_t i) const;
 
   std::size_t edge_count() const noexcept;
 
+  /// Same user count and same edge set (the lists are canonical: sorted,
+  /// duplicate-free).
   bool operator==(const ConflictGraph&) const = default;
 
  private:
   std::size_t num_users_;
-  std::vector<CellSet> adjacency_;
+  /// Sorted neighbour lists: O(n + E) memory, where a bitset row per
+  /// user cost n² bits.
+  std::vector<std::vector<std::uint32_t>> adjacency_;
 };
 
 }  // namespace lppa::auction

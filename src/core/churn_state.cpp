@@ -38,13 +38,13 @@ ChurnState::ChurnState(const LppaConfig& config,
 
   obs::Span build_span(config_.metrics, "churn.build");
   assignment_ = plan_.assign_live(locations_, live_);
-  // The build's per-tile range indexes are kept: they are exactly what
-  // an arrival's upper-partner probe needs.  The family indexes (lower
-  // partners) are churn-only and hold the members' probe sets.
-  range_index_ = build_tile_indexes(loc_subs_, assignment_,
-                                    config_.num_threads, config_.metrics,
-                                    &build_span);
-  graph_ = probe_tile_indexes(loc_subs_, assignment_, range_index_,
+  // The build's per-tile index pairs are kept: they are exactly what an
+  // arrival's upper-partner probe needs.  The family indexes (lower
+  // partners) are churn-only and hold the members' x-family digests.
+  tile_index_ = build_tile_indexes(loc_subs_, assignment_,
+                                   config_.num_threads, config_.metrics,
+                                   &build_span);
+  graph_ = probe_tile_indexes(loc_subs_, assignment_, tile_index_,
                               config_.num_threads, config_.metrics, nullptr,
                               &build_span);
   family_index_.resize(plan_.num_shards());
@@ -73,16 +73,19 @@ void ChurnState::link_su(std::size_t u) {
   const auction::SuLocation& loc = locations_[u];
   const LocationSubmission& sub = loc_subs_[u];
   const std::uint32_t home = plan_.tile_of(loc);
-  const auto halo_tiles = plan_.halo_tiles_of(loc);
+  // Every tile whose index pair holds u's ranges: its halo tiles, then
+  // its home.
+  std::vector<std::uint32_t> tiles = plan_.halo_tiles_of(loc);
+  tiles.push_back(home);
 
   // Upper partners (u, j) with j > u: in a rebuild, u itself probes its
-  // home index.  The home range index holds exactly the members' +
-  // halo's x-range digests, so the build's own probe reproduces those
-  // tests digest for digest.
+  // home index pair.  The home pair holds exactly the members' + halo's
+  // x-range and y-range digests, so the build's own probe reproduces
+  // those tests digest for digest.
   const std::uint32_t uid = static_cast<std::uint32_t>(u);
-  const std::vector<std::uint32_t> upper =
-      probe_upper_partners(loc_subs_, range_index_[home], uid);
-  std::vector<std::size_t> neighbors(upper.begin(), upper.end());
+  const UpperPartners upper =
+      probe_upper_partners(loc_subs_, tile_index_[home], uid);
+  std::vector<std::size_t> neighbors(upper.ids.begin(), upper.ids.end());
 
   // Lower partners (i, u) with i < u: in a rebuild, i probes ITS home
   // index, which holds u's x-range iff u is a member or halo entry of
@@ -92,10 +95,7 @@ void ChurnState::link_su(std::size_t u) {
   // the rebuild's orientation (i.y_family ∩ u.y_range).
   std::vector<std::uint32_t> lower;
   for (const auto& d : sub.x_range.digests()) {
-    family_index_[home].collect(d, lower);
-    for (const std::uint32_t t : halo_tiles) {
-      family_index_[t].collect(d, lower);
-    }
+    for (const std::uint32_t t : tiles) family_index_[t].collect(d, lower);
   }
   std::sort(lower.begin(), lower.end());
   lower.erase(std::unique(lower.begin(), lower.end()), lower.end());
@@ -110,16 +110,16 @@ void ChurnState::link_su(std::size_t u) {
 
   // Only now publish u's own digests (probe-before-insert: u never
   // discovers itself, and the j > u candidates above cannot include u).
-  range_index_[home].insert_all(sub.x_range, uid);
-  for (const std::uint32_t t : halo_tiles) {
-    range_index_[t].insert_all(sub.x_range, uid);
+  for (const std::uint32_t t : tiles) {
+    tile_index_[t].x_range.insert_all(sub.x_range, uid);
+    tile_index_[t].y_range.insert_all(sub.y_range, uid);
   }
   family_index_[home].insert_all(sub.x_family, uid);
 
   if (config_.metrics != nullptr) {
     config_.metrics->counter("churn.edges_added").inc(neighbors.size());
     config_.metrics->counter("churn.digests_inserted")
-        .inc(sub.x_range.size() * (1 + halo_tiles.size()) +
+        .inc((sub.x_range.size() + sub.y_range.size()) * tiles.size() +
              sub.x_family.size());
   }
 }
@@ -127,7 +127,7 @@ void ChurnState::link_su(std::size_t u) {
 void ChurnState::unlink_su(std::size_t u) {
   if (config_.metrics != nullptr) {
     config_.metrics->counter("churn.edges_removed")
-        .inc(graph_.neighbors(u).count());
+        .inc(graph_.neighbors(u).size());
   }
   graph_.remove_su(u);
 
@@ -135,9 +135,12 @@ void ChurnState::unlink_su(std::size_t u) {
   const LocationSubmission& sub = loc_subs_[u];
   const std::uint32_t home = plan_.tile_of(loc);
   const std::uint32_t uid = static_cast<std::uint32_t>(u);
-  std::size_t erased = range_index_[home].erase_all(sub.x_range, uid);
-  for (const std::uint32_t t : plan_.halo_tiles_of(loc)) {
-    erased += range_index_[t].erase_all(sub.x_range, uid);
+  std::vector<std::uint32_t> tiles = plan_.halo_tiles_of(loc);
+  tiles.push_back(home);
+  std::size_t erased = 0;
+  for (const std::uint32_t t : tiles) {
+    erased += tile_index_[t].x_range.erase_all(sub.x_range, uid);
+    erased += tile_index_[t].y_range.erase_all(sub.y_range, uid);
   }
   erased += family_index_[home].erase_all(sub.x_family, uid);
   if (config_.metrics != nullptr) {

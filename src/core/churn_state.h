@@ -15,14 +15,15 @@
 //     (fully tombstoned in the table), so every maintained structure is
 //     comparable by == / byte equality to a from-scratch rebuild over
 //     the same roster;
-//   * per tile, TWO live prefix::DigestIndex instances persist: the
-//     range index (x-range digests of members + halo — the very indexes
-//     the construction's conflict build made) and a family index
-//     (x-family digests of members only).  An arriving SU u finds its
-//     conflicts (u, j) with j > u exactly as the build's probe step does
-//     — probe_upper_partners against its home tile's range index — and
-//     probes its x-range against the family indexes of every tile its
-//     interference box touches to find conflicts (i, u) with i < u.
+//   * per tile, the construction's conflict build leaves a TileIndex —
+//     the x-range and y-range digests of members + halo — and ChurnState
+//     keeps it live, next to a churn-only family index (x-family digests
+//     of members only).  An arriving SU u finds its conflicts (u, j)
+//     with j > u exactly as the build's probe step does — the two-axis
+//     join of probe_upper_partners against its home tile's index pair —
+//     and probes its x-range against the family indexes of every tile
+//     its interference box touches to find conflicts (i, u) with i < u,
+//     y-confirming those with the sorted-merge i.y_family ∩ u.y_range.
 //     Together these test exactly the digest multisets the rebuild
 //     tests for every pair involving u, so the maintained graph is
 //     IDENTICAL to the rebuilt one (not merely equal w.h.p.);
@@ -155,10 +156,10 @@ class ChurnState {
   std::vector<bool> live_;
   std::size_t live_count_ = 0;
   auction::ConflictGraph graph_;
-  /// Per tile: x-range digests of members + halo (what arrivals probe
-  /// their family against, and what ships in the halo exchange) — the
-  /// indexes the construction's conflict build made.
-  std::vector<prefix::DigestIndex> range_index_;
+  /// Per tile: x-range and y-range digests of members + halo (what
+  /// arrivals probe their families against, and what ships in the halo
+  /// exchange) — the index pairs the construction's conflict build made.
+  std::vector<TileIndex> tile_index_;
   /// Per tile: x-family digests of members only (what arrivals probe
   /// their range against, discovering lower-id partners).
   std::vector<prefix::DigestIndex> family_index_;

@@ -52,14 +52,15 @@ class PpbsLocation {
   static bool conflicts(const LocationSubmission& a,
                         const LocationSubmission& b) noexcept;
 
-  /// Auctioneer side: reconstructs the full conflict graph via a digest
-  /// hash-join — every x-range digest goes into an inverted index
-  /// (prefix::DigestIndex), each SU's x-family probes it, and only the
-  /// x-axis hits get the y-axis confirmation.  O(n·w) expected instead
-  /// of the O(n²·w) all-pairs merge, and bit-identical to it (padding
-  /// digests collide with probability 2⁻²⁵⁶ and both compare the same
-  /// digest multisets).  This is core::build_conflict_graph_sharded over
-  /// one tile (core/shard_conflict.h).  `num_threads` spreads the probe
+  /// Auctioneer side: reconstructs the full conflict graph via a
+  /// two-axis digest hash-join — every x-range and y-range digest goes
+  /// into its axis's inverted index (prefix::DigestIndex), each SU's
+  /// x-family and y-family probe them, and the pairs hit on both axes
+  /// are the edges.  O(n·w) expected instead of the O(n²·w) all-pairs
+  /// merge, and bit-identical to it (padding digests collide with
+  /// probability 2⁻²⁵⁶ and both compare the same digest multisets).
+  /// This is core::build_conflict_graph_sharded over one tile
+  /// (core/shard_conflict.h).  `num_threads` spreads the probe
   /// loop over a thread pool (0 = hardware concurrency); the resulting
   /// graph is independent of the thread count.
   static auction::ConflictGraph build_conflict_graph(

@@ -1,6 +1,7 @@
 #include "core/shard_conflict.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -8,65 +9,89 @@
 
 namespace lppa::core {
 
-std::vector<prefix::DigestIndex> build_tile_indexes(
+namespace {
+
+/// Records the `range` digests of tile `s`'s members and halo into
+/// `index`, pre-sized to that exact occupancy so the build never pays
+/// rehash churn.  The halo exchange ships ONLY the boundary SUs' index
+/// entries — the per-tile working set stays bounded by the tile
+/// population plus a 2λ-wide border strip, never the global index.
+void index_ranges(const std::vector<LocationSubmission>& submissions,
+                  const shard::ShardAssignment& assignment, std::size_t s,
+                  prefix::HashedPrefixSet LocationSubmission::*range,
+                  prefix::DigestIndex& index) {
+  const std::vector<std::uint32_t>* owners[] = {&assignment.members[s],
+                                                &assignment.halo[s]};
+  std::size_t expected = 0;
+  for (const auto* list : owners) {
+    for (const std::uint32_t j : *list) {
+      expected += (submissions[j].*range).size();
+    }
+  }
+  index.reserve(expected);
+  for (const auto* list : owners) {
+    for (const std::uint32_t j : *list) {
+      index.insert_all(submissions[j].*range, j);
+    }
+  }
+}
+
+/// The distinct owners j > i of `family`'s digests in `index`, ascending.
+void upper_hits(const prefix::HashedPrefixSet& family,
+                const prefix::DigestIndex& index, std::uint32_t i,
+                std::vector<std::uint32_t>& out) {
+  for (const auto& d : family.digests()) index.collect(d, out);
+  out.erase(std::remove_if(out.begin(), out.end(),
+                           [i](std::uint32_t j) { return j <= i; }),
+            out.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+}  // namespace
+
+std::vector<TileIndex> build_tile_indexes(
     const std::vector<LocationSubmission>& submissions,
     const shard::ShardAssignment& assignment, std::size_t num_threads,
     obs::MetricsRegistry* metrics, const obs::Span* parent) {
   LPPA_REQUIRE(assignment.shard_of.size() == submissions.size(),
                "shard assignment must cover every submission");
-  std::vector<prefix::DigestIndex> index(assignment.num_shards);
+  std::vector<TileIndex> index(assignment.num_shards);
   parallel_for(index.size(), num_threads, [&](std::size_t s) {
     obs::Span build_span(metrics, "shard.index_build", parent);
-    // Pre-sized to the exact occupancy (members + halo) so the build
-    // never pays rehash churn.
-    std::size_t expected = 0;
-    for (const std::uint32_t j : assignment.members[s]) {
-      expected += submissions[j].x_range.size();
-    }
-    for (const std::uint32_t j : assignment.halo[s]) {
-      expected += submissions[j].x_range.size();
-    }
-    index[s].reserve(expected);
-    for (const std::uint32_t j : assignment.members[s]) {
-      index[s].insert_all(submissions[j].x_range, j);
-    }
-    // The halo exchange: ship ONLY the boundary SUs' index entries —
-    // the per-tile working set stays bounded by the tile population
-    // plus a 2λ-wide border strip, never the global index.
-    for (const std::uint32_t j : assignment.halo[s]) {
-      index[s].insert_all(submissions[j].x_range, j);
-    }
+    // The halo is one SU set for both axes, which is what keeps the
+    // two-axis join exact across tile borders.
+    index_ranges(submissions, assignment, s, &LocationSubmission::x_range,
+                 index[s].x_range);
+    index_ranges(submissions, assignment, s, &LocationSubmission::y_range,
+                 index[s].y_range);
   });
   return index;
 }
 
-std::vector<std::uint32_t> probe_upper_partners(
-    const std::vector<LocationSubmission>& submissions,
-    const prefix::DigestIndex& home, std::uint32_t i) {
-  // Family of the probing SU against indexed ranges, keep candidates
-  // j > i, then y-confirm — one direction suffices, the plaintext
-  // predicate is symmetric.
-  std::vector<std::uint32_t> candidates;
-  for (const auto& d : submissions[i].x_family.digests()) {
-    home.collect(d, candidates);
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  std::vector<std::uint32_t> partners;
-  for (const std::uint32_t j : candidates) {
-    if (j <= i) continue;
-    if (submissions[i].y_family.intersects(submissions[j].y_range)) {
-      partners.push_back(j);
-    }
-  }
-  return partners;
+UpperPartners probe_upper_partners(
+    const std::vector<LocationSubmission>& submissions, const TileIndex& home,
+    std::uint32_t i) {
+  // Family of the probing SU against indexed ranges, per axis, then the
+  // join of the two hit lists — one direction suffices, the plaintext
+  // predicate is symmetric.  Every key comparison is the index's ct_equal
+  // on the full digest.
+  std::vector<std::uint32_t> x_hits;
+  std::vector<std::uint32_t> y_hits;
+  upper_hits(submissions[i].x_family, home.x_range, i, x_hits);
+  upper_hits(submissions[i].y_family, home.y_range, i, y_hits);
+  UpperPartners result;
+  result.x_hits = x_hits.size();
+  result.y_hits = y_hits.size();
+  std::set_intersection(x_hits.begin(), x_hits.end(), y_hits.begin(),
+                        y_hits.end(), std::back_inserter(result.ids));
+  return result;
 }
 
 auction::ConflictGraph probe_tile_indexes(
     const std::vector<LocationSubmission>& submissions,
     const shard::ShardAssignment& assignment,
-    const std::vector<prefix::DigestIndex>& indexes, std::size_t num_threads,
+    const std::vector<TileIndex>& indexes, std::size_t num_threads,
     obs::MetricsRegistry* metrics, ShardConflictStats* stats,
     const obs::Span* parent) {
   const std::size_t n = submissions.size();
@@ -77,27 +102,31 @@ auction::ConflictGraph probe_tile_indexes(
 
   // Each member SU probes its HOME shard's index only.  The loop runs
   // over SUs, not shards, so a single tile keeps per-SU thread
-  // parallelism; hits[i] is written solely by the task probing i, so the
-  // edge set is schedule- and shard-count-independent.
+  // parallelism; probed[i] is written solely by the task probing i, so
+  // the edge set is schedule- and shard-count-independent.
   std::vector<std::uint32_t> probers;
   probers.reserve(n);
   for (const auto& members : assignment.members) {
     probers.insert(probers.end(), members.begin(), members.end());
   }
-  std::vector<std::vector<std::uint32_t>> hits(n);
+  std::vector<UpperPartners> probed(n);
   obs::Span probe_span(metrics, "shard.probe", parent);
   parallel_for(probers.size(), num_threads, [&](std::size_t k) {
     const std::uint32_t i = probers[k];
-    hits[i] = probe_upper_partners(submissions,
-                                   indexes[assignment.shard_of[i]], i);
+    probed[i] = probe_upper_partners(submissions,
+                                     indexes[assignment.shard_of[i]], i);
   });
   probe_span.end();
 
+  // Ascending i over ascending partner lists: every neighbour list of
+  // the graph grows in id order.
   auction::ConflictGraph g(n);
   ShardConflictStats local_stats;
   local_stats.boundary_sus = assignment.boundary_sus;
   for (std::size_t i = 0; i < n; ++i) {
-    for (const std::uint32_t j : hits[i]) {
+    local_stats.x_hits += probed[i].x_hits;
+    local_stats.y_hits += probed[i].y_hits;
+    for (const std::uint32_t j : probed[i].ids) {
       g.add_conflict(i, j);
       if (assignment.shard_of[i] != assignment.shard_of[j]) {
         ++local_stats.halo_edges;
@@ -108,7 +137,8 @@ auction::ConflictGraph probe_tile_indexes(
   }
   for (std::size_t s = 0; s < shards; ++s) {
     for (const std::uint32_t j : assignment.halo[s]) {
-      local_stats.halo_entries += submissions[j].x_range.size();
+      local_stats.halo_entries +=
+          submissions[j].x_range.size() + submissions[j].y_range.size();
     }
     local_stats.peak_index_bytes =
         std::max(local_stats.peak_index_bytes, indexes[s].memory_bytes());
@@ -120,6 +150,10 @@ auction::ConflictGraph probe_tile_indexes(
     metrics->counter("shard.halo_index_entries").inc(local_stats.halo_entries);
     metrics->counter("shard.halo_edges").inc(local_stats.halo_edges);
     metrics->counter("shard.local_edges").inc(local_stats.local_edges);
+    metrics->counter("shard.x_hits").inc(local_stats.x_hits);
+    metrics->counter("shard.y_hits").inc(local_stats.y_hits);
+    metrics->counter("shard.join_edges")
+        .inc(local_stats.halo_edges + local_stats.local_edges);
     metrics->gauge("shard.peak_index_bytes")
         .set(static_cast<double>(local_stats.peak_index_bytes));
   }

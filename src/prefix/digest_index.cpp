@@ -17,6 +17,8 @@ std::size_t next_pow2(std::size_t v) {
 void DigestIndex::reserve(std::size_t expected) {
   entries_.reserve(expected);
   grow(next_pow2(expected * 2 + 1));
+  // After grow: a rehash rebuilds keys_ at its old capacity.
+  keys_.reserve(expected);
 }
 
 std::size_t DigestIndex::find_slot(const crypto::Digest& d) const noexcept {
@@ -28,21 +30,29 @@ std::size_t DigestIndex::find_slot(const crypto::Digest& d) const noexcept {
   // them, so they persist until rehash_to drops them.
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = static_cast<std::size_t>(d.fingerprint()) & mask;
-  while (slots_[i].head != kNil && !ct_equal(slots_[i].key.bytes, d.bytes)) {
+  while (slots_[i].head != kNil &&
+         !ct_equal(keys_[slots_[i].key].bytes, d.bytes)) {
     i = (i + 1) & mask;
   }
   return i;
 }
 
 void DigestIndex::rehash_to(std::size_t capacity) {
-  std::vector<Slot> old = std::move(slots_);
+  const std::vector<Slot> old = std::move(slots_);
+  const std::vector<crypto::Digest> old_keys = std::move(keys_);
   slots_.assign(capacity, Slot{});
-  used_ = 0;
+  keys_ = std::vector<crypto::Digest>();
+  keys_.reserve(old_keys.capacity());
   dead_slots_ = 0;
+  const std::size_t mask = capacity - 1;
   for (const Slot& s : old) {
     if (s.head >= kDeadChain) continue;  // empty or fully-erased: drop
-    slots_[find_slot(s.key)] = s;
-    ++used_;
+    // Surviving keys are distinct, so the first free slot is theirs.
+    const crypto::Digest& key = old_keys[s.key];
+    std::size_t i = static_cast<std::size_t>(key.fingerprint()) & mask;
+    while (slots_[i].head != kNil) i = (i + 1) & mask;
+    slots_[i] = Slot{s.head, static_cast<std::uint32_t>(keys_.size())};
+    keys_.push_back(key);
   }
 }
 
@@ -52,10 +62,10 @@ void DigestIndex::grow(std::size_t min_capacity) {
 }
 
 void DigestIndex::insert(const crypto::Digest& d, std::uint32_t owner) {
-  if (slots_.empty() || (used_ + 1) * 2 > slots_.size()) {
+  if (slots_.empty() || (keys_.size() + 1) * 2 > slots_.size()) {
     // Rehash drops fully-erased slots, so under churn the table only
     // doubles when the *live* digest population actually outgrew it.
-    const std::size_t live = used_ - dead_slots_;
+    const std::size_t live = keys_.size() - dead_slots_;
     rehash_to(std::max(slots_.size(), next_pow2((live + 1) * 2 + 1)));
   }
   const std::size_t i = find_slot(d);
@@ -63,8 +73,8 @@ void DigestIndex::insert(const crypto::Digest& d, std::uint32_t owner) {
   const bool fresh = slot.head == kNil;
   const bool revived = slot.head == kDeadChain;
   if (fresh) {
-    slot.key = d;
-    ++used_;
+    slot.key = static_cast<std::uint32_t>(keys_.size());
+    keys_.push_back(d);
   }
   if (revived) --dead_slots_;
   // Prepend to the owner chain (order is irrelevant: probers dedupe),

@@ -5,19 +5,23 @@
 // intersection over keyed digests — which means the auctioneer's
 // all-pairs conflict scan is really a join on digest equality.  Instead
 // of merge-intersecting every (family, range) pair (O(n²·w) digest
-// comparisons), we index every range digest once and probe each family
-// digest against the table: O(n·w) expected work plus one comparison per
-// actual x-axis hit.  Padding digests (uniform random 32-byte strings)
-// sit harmlessly in the index — they equal a real family digest with
-// probability 2⁻²⁵⁶, and because both the pairwise and the indexed path
-// compare the very same digest multisets, the two paths produce
-// *identical* graphs, not merely equal with high probability.
+// comparisons), the conflict build indexes every range digest once per
+// axis and probes each family digest against the matching axis: O(n·w)
+// expected work, with no digest merge left per candidate pair
+// (core/shard_conflict.h joins the two axes' hit lists).  Padding
+// digests (uniform random 32-byte strings) sit harmlessly in the index
+// — they equal a real family digest with probability 2⁻²⁵⁶, and because
+// both the pairwise and the indexed path compare the very same digest
+// multisets, the two paths produce *identical* graphs, not merely equal
+// with high probability.
 //
-// The table is a flat open-addressing hash map (linear probing) keyed by
-// the full 32-byte digest; HMAC outputs are uniform, so the first eight
-// bytes (Digest::fingerprint) are already a perfect hash seed.  Owners
-// of duplicate digests are chained through a side array, keeping the
-// slot array itself flat and cache-friendly.
+// The table is a flat open-addressing hash map (linear probing).  HMAC
+// outputs are uniform, so the first eight bytes (Digest::fingerprint)
+// are already a perfect hash seed.  A slot is 8 bytes: the head of its
+// owner chain and the position of its key in a dense array holding one
+// 32-byte digest per occupied slot, so the half-empty slot array costs
+// 8 bytes per free slot rather than 40.  Owners of duplicate digests are
+// chained through a side array.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +64,7 @@ class DigestIndex {
 
   /// Number of distinct digests in the table.  Digests whose last owner
   /// was erased still count until the next rehash compacts them away.
-  std::size_t distinct_digests() const noexcept { return used_; }
+  std::size_t distinct_digests() const noexcept { return keys_.size(); }
 
   /// Live (digest, owner) pairs: insertions minus erasures.
   std::size_t entry_count() const noexcept { return live_entries_; }
@@ -70,10 +74,12 @@ class DigestIndex {
   /// insertions never rehash, i.e. slot_capacity() stays constant.
   std::size_t slot_capacity() const noexcept { return slots_.size(); }
 
-  /// Bytes held by the slot array plus the owner chains — the per-shard
-  /// memory figure reported by the sharded conflict build.
+  /// Bytes held by the slot array, the key array and the owner chains —
+  /// the per-shard memory figure reported by the sharded conflict build.
   std::size_t memory_bytes() const noexcept {
-    return slots_.size() * sizeof(Slot) + entries_.capacity() * sizeof(Entry);
+    return slots_.size() * sizeof(Slot) +
+           keys_.capacity() * sizeof(crypto::Digest) +
+           entries_.capacity() * sizeof(Entry);
   }
 
  private:
@@ -84,8 +90,8 @@ class DigestIndex {
   static constexpr std::uint32_t kDeadChain = 0xfffffffeu;
 
   struct Slot {
-    crypto::Digest key{};
     std::uint32_t head = kNil;  ///< chain head into entries_, kNil = empty
+    std::uint32_t key = 0;      ///< index into keys_ while occupied
   };
   struct Entry {
     std::uint32_t owner;
@@ -97,8 +103,8 @@ class DigestIndex {
   std::size_t find_slot(const crypto::Digest& d) const noexcept;
 
   std::vector<Slot> slots_;     // capacity is always a power of two
+  std::vector<crypto::Digest> keys_;  // one per occupied slot (incl. dead)
   std::vector<Entry> entries_;  // chained owner lists
-  std::size_t used_ = 0;        // occupied slots (incl. dead chains)
   std::size_t dead_slots_ = 0;  // occupied slots with an empty chain
   std::size_t live_entries_ = 0;   // entries not on the free list
   std::uint32_t free_head_ = kNil;  // recycled entries_ indices

@@ -81,6 +81,15 @@ class RoundJournal {
   void append_nack(std::uint64_t user, std::uint8_t mask, std::uint64_t wave);
   void append_churn(JournalRecordType type, std::uint64_t user);
 
+  /// Grows the log's capacity by `bytes`: a writer that knows the size of
+  /// records still to come sizes the log for them in one step, so they
+  /// append without copying the log.  Each record costs its payload plus
+  /// kFrameBytes.
+  void plan(std::size_t bytes) { log_.reserve(log_.capacity() + bytes); }
+  static constexpr std::size_t kFrameBytes = 4 + 1 + 4;
+  /// A kNackSent record: frame, u64 user, u8 mask, u64 wave.
+  static constexpr std::size_t kNackRecordBytes = kFrameBytes + 8 + 1 + 8;
+
   /// The durable bytes (what would survive the crash on disk).
   const Bytes& data() const noexcept { return log_; }
   std::size_t num_records() const noexcept { return records_; }

@@ -97,6 +97,7 @@ AuctioneerSession::IngestResult AuctioneerSession::classify_and_store(
   // before it is applied (write-ahead), so a crash between transitions
   // always finds the log covering the session's in-memory state.
   const auto slot = [&](auto parsed, auto& store, auto& wire,
+                        bool& journal_planned,
                         const char* what) -> IngestResult {
     if (store[u].has_value()) {
       if (wire[u] == envelope_bytes) {
@@ -113,6 +114,16 @@ AuctioneerSession::IngestResult AuctioneerSession::classify_and_store(
       return IngestResult::kEquivocation;
     }
     if (journal_ != nullptr) {
+      if (!journal_planned) {
+        // Every SU sends one envelope of this kind, and one config gives
+        // them one size: size the log for all of them now.  Growing it
+        // append by append realloc-copies megabytes of accepted envelopes,
+        // into pages the allocator may first have to fault in, between
+        // two acks of the admission phase.
+        journal_planned = true;
+        journal_->plan(num_users_ *
+                       (envelope_bytes.size() + RoundJournal::kFrameBytes));
+      }
       journal_->append(JournalRecordType::kAccepted, envelope_bytes);
     }
     store[u] = std::move(parsed);
@@ -143,7 +154,8 @@ AuctioneerSession::IngestResult AuctioneerSession::classify_and_store(
       if (auto verr = validator_.validate_location(s)) {
         return strike("invalid location submission: " + *verr);
       }
-      return slot(std::move(s), locations_, location_wire_, "location");
+      return slot(std::move(s), locations_, location_wire_,
+                  location_journal_planned_, "location");
     }
     case MessageType::kBidSubmission: {
       core::BidSubmission s;
@@ -155,7 +167,8 @@ AuctioneerSession::IngestResult AuctioneerSession::classify_and_store(
       if (auto verr = validator_.validate_bid(s)) {
         return strike("invalid bid submission: " + *verr);
       }
-      return slot(std::move(s), bids_, bid_wire_, "bid");
+      return slot(std::move(s), bids_, bid_wire_, bid_journal_planned_,
+                  "bid");
     }
     default:
       fail("unexpected message type for auctioneer");

@@ -251,6 +251,9 @@ class AuctioneerSession {
   std::optional<core::ChargeLedger> ledger_;
   std::size_t churn_ops_ = 0;  ///< applied churn operations (see getter)
   RoundJournal* journal_ = nullptr;  ///< not owned; may be null
+  /// Whether journal_ was planned for every SU's location / bid envelope.
+  bool location_journal_planned_ = false;
+  bool bid_journal_planned_ = false;
 };
 
 /// The periodically-available TTP endpoint.

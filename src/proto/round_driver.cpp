@@ -138,6 +138,18 @@ std::size_t replay_session_journal(const RoundJournal& journal,
   return resume_wave;
 }
 
+namespace {
+
+/// The session's config: a config without a registry records into the
+/// driver's, so the session's build spans land in the round's tree.
+core::LppaConfig with_registry(core::LppaConfig config,
+                               obs::MetricsRegistry* metrics) {
+  if (config.metrics == nullptr) config.metrics = metrics;
+  return config;
+}
+
+}  // namespace
+
 RoundDriver::RoundDriver(const core::LppaConfig& config, std::size_t num_users,
                          RecoverableSessionConfig policy,
                          std::vector<bool> participating, std::uint64_t seed,
@@ -146,7 +158,8 @@ RoundDriver::RoundDriver(const core::LppaConfig& config, std::size_t num_users,
                          const obs::Span* round_span)
     : policy_(std::move(policy)), participating_(std::move(participating)),
       seed_(seed), journal_(journal), report_(report), crashes_(crashes),
-      metrics_(metrics), session_(config, num_users),
+      metrics_(metrics),
+      session_(with_registry(config, metrics), num_users),
       attempt_span_(metrics, "wire.attempt", round_span) {
   LPPA_REQUIRE(participating_.size() == num_users,
                "participating mask must cover every SU");
@@ -174,7 +187,17 @@ RoundDriver::RoundDriver(const core::LppaConfig& config, std::size_t num_users,
   wave_ = replay_session_journal(journal_, session_, num_users, report_,
                                  &attempt_span_);
   session_.attach_journal(&journal_);
-  if (journal_.empty()) journal_.append_round_start(num_users);
+  if (journal_.empty()) {
+    journal_.append_round_start(num_users);
+    // Admission journals at most one nack per SU per wave: plan for the
+    // first waves (a hint — later waves grow the log as before, and the
+    // plan stays bounded whatever max_retries says).  The session plans
+    // the accepted envelopes as the first of each kind arrives.
+    constexpr std::size_t kPlannedNackWaves = 16;
+    journal_.plan(num_users *
+                  std::min(policy_.hardened.max_retries, kPlannedNackWaves) *
+                  RoundJournal::kNackRecordBytes);
+  }
 }
 
 void RoundDriver::checkpoint(CrashPoint point) {

@@ -130,7 +130,9 @@ class RoundDriver {
   /// `participating[u]` == false marks a known non-participant (never
   /// nacked, never awaited).  Nothing is owned; journal and report are
   /// the state that survives a crash and must outlive the driver, and
-  /// the attempt's `wire.attempt` span hangs under `round_span`.
+  /// the attempt's `wire.attempt` span hangs under `round_span`.  When
+  /// `config.metrics` is null the session records into `metrics`, so
+  /// its build spans land under `wire.allocation` either way.
   RoundDriver(const core::LppaConfig& config, std::size_t num_users,
               RecoverableSessionConfig policy, std::vector<bool> participating,
               std::uint64_t seed, RoundJournal& journal, RoundReport& report,

@@ -82,15 +82,21 @@ TEST(DigestIndexTest, ReservePreSizesSoInsertionsNeverRehash) {
   index.reserve(expected);
   const std::size_t capacity = index.slot_capacity();
   EXPECT_GE(capacity, 2 * expected);  // load factor stays <= 0.5
-  EXPECT_GT(index.memory_bytes(), 0u);
+  // A slot is 8 bytes (chain head + key position); the 32-byte keys live
+  // in a dense array with one entry per occupied slot, and reserve
+  // pre-sizes it and the owner chains to `expected` as well.
+  const std::size_t reserved = index.memory_bytes();
+  EXPECT_GE(reserved, capacity * 8 + expected * (32 + 8));
+  EXPECT_LT(reserved, capacity * 32);  // no key stored per empty slot
   for (std::uint32_t i = 0; i < expected; ++i) {
     crypto::Digest d;
     for (auto& b : d.bytes) b = static_cast<std::uint8_t>(rng.below(256));
     index.insert(d, i);
     // The shard build pre-sizes each per-shard index from its exact
     // member+halo digest count; this pin is what makes that sizing a
-    // no-rehash guarantee rather than a heuristic.
+    // no-rehash, no-reallocation guarantee rather than a heuristic.
     ASSERT_EQ(index.slot_capacity(), capacity) << "rehashed at insert " << i;
+    ASSERT_EQ(index.memory_bytes(), reserved) << "regrew at insert " << i;
   }
   EXPECT_EQ(index.entry_count(), expected);
   EXPECT_LE(index.distinct_digests(), expected);
@@ -99,9 +105,45 @@ TEST(DigestIndexTest, ReservePreSizesSoInsertionsNeverRehash) {
   extra.bytes[0] = 0x5a;
   index.insert(extra, 0);
   EXPECT_GE(index.slot_capacity(), capacity);
-  // Each slot stores at least the 32-byte digest key, so the reported
-  // footprint is bounded below by the slot array alone.
-  EXPECT_GT(index.memory_bytes(), index.slot_capacity() * 32);
+  EXPECT_GE(index.memory_bytes(),
+            index.slot_capacity() * 8 + index.distinct_digests() * 32);
+}
+
+TEST(DigestIndexTest, RehashCompactsKeysOfErasedDigests) {
+  // Erased digests keep their key until a rehash drops the dead slot and
+  // compacts the key array; every live digest must survive the move.
+  Rng rng(17);
+  prefix::DigestIndex index;
+  std::vector<crypto::Digest> digests;
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    crypto::Digest d;
+    for (auto& b : d.bytes) b = static_cast<std::uint8_t>(rng.below(256));
+    digests.push_back(d);
+    index.insert(d, i);
+  }
+  for (std::uint32_t i = 0; i < 200; i += 2) {
+    ASSERT_TRUE(index.erase(digests[i], i));
+  }
+  EXPECT_EQ(index.distinct_digests(), 200u);  // dead keys linger
+  // Fresh digests until the table rehashes.
+  const std::size_t capacity = index.slot_capacity();
+  std::uint32_t owner = 1000;
+  while (index.slot_capacity() == capacity) {
+    crypto::Digest d;
+    for (auto& b : d.bytes) b = static_cast<std::uint8_t>(rng.below(256));
+    digests.push_back(d);
+    index.insert(d, owner++);
+  }
+  EXPECT_EQ(index.distinct_digests(), digests.size() - 100);
+  std::vector<std::uint32_t> owners;
+  for (std::uint32_t i = 0; i < digests.size(); ++i) {
+    owners.clear();
+    const bool erased = i < 200 && i % 2 == 0;
+    ASSERT_EQ(index.collect(digests[i], owners), erased ? 0u : 1u) << i;
+    if (!erased) {
+      EXPECT_EQ(owners[0], i < 200 ? i : 1000 + (i - 200));
+    }
+  }
 }
 
 TEST(DigestIndexTest, ReserveZeroIsSafeAndUsable) {

@@ -57,15 +57,38 @@ TEST(ConflictGraph, RejectsSelfAndOutOfRange) {
   EXPECT_THROW(g.neighbors(3), LppaError);
 }
 
-TEST(ConflictGraph, NeighborsBitset) {
+TEST(ConflictGraph, NeighborsAreSortedIds) {
   ConflictGraph g(5);
-  g.add_conflict(0, 1);
   g.add_conflict(0, 3);
-  const auto& n0 = g.neighbors(0);
-  EXPECT_EQ(n0.count(), 2u);
-  EXPECT_TRUE(n0.contains(1));
-  EXPECT_TRUE(n0.contains(3));
-  EXPECT_EQ(g.neighbors(2).count(), 0u);
+  g.add_conflict(0, 1);
+  g.add_conflict(1, 0);  // an edge added twice is one edge
+  const auto n0 = g.neighbors(0);
+  EXPECT_EQ(std::vector<std::uint32_t>(n0.begin(), n0.end()),
+            (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_EQ(g.neighbors(2).size(), 0u);
+  EXPECT_EQ(g.edge_count(), 2u);
+}
+
+TEST(ConflictGraph, RemoveSuDetachesOnlyItsEdgesAndKeepsEquality) {
+  // Sparse lists are canonical (sorted, duplicate-free), so a graph that
+  // reached an edge set by deltas equals one built directly.
+  ConflictGraph g(6);
+  g.add_conflict(4, 1);
+  g.add_conflict(2, 4);
+  g.add_conflict(1, 2);
+  g.add_conflict(5, 0);
+  g.remove_su(4);
+  EXPECT_TRUE(g.neighbors(4).empty());
+  ConflictGraph want(6);
+  want.add_conflict(1, 2);
+  want.add_conflict(0, 5);
+  EXPECT_EQ(g, want);
+  g.add_su(4, {5, 1});
+  want.add_conflict(1, 4);
+  want.add_conflict(4, 5);
+  EXPECT_EQ(g, want);
+  EXPECT_NE(g, ConflictGraph(6));
+  EXPECT_THROW(g.add_su(4, {0}), LppaError);  // 4 is not isolated
 }
 
 TEST(ConflictGraph, FromLocationsMatchesPredicate) {

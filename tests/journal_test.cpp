@@ -84,6 +84,26 @@ std::set<std::size_t> record_boundaries() {
   return boundaries;
 }
 
+TEST(Journal, PlannedRecordsAppendWithoutMovingTheLog) {
+  // plan() sizes the log for records still to come: they append in place
+  // (no realloc-copy of the log), and the bytes are those of an unplanned
+  // journal.
+  const Bytes envelope(100, 0x5c);
+  RoundJournal planned;
+  RoundJournal unplanned;
+  for (RoundJournal* j : {&planned, &unplanned}) j->append_round_start(3);
+  planned.plan(3 * RoundJournal::kNackRecordBytes +
+               2 * (envelope.size() + RoundJournal::kFrameBytes));
+  const std::uint8_t* const base = planned.data().data();
+  for (RoundJournal* j : {&planned, &unplanned}) {
+    for (std::uint64_t u = 0; u < 3; ++u) j->append_nack(u, 0x1, 0);
+    j->append(JournalRecordType::kAccepted, envelope);
+    j->append(JournalRecordType::kAccepted, envelope);
+  }
+  EXPECT_EQ(planned.data().data(), base);
+  EXPECT_EQ(planned.data(), unplanned.data());
+}
+
 TEST(JournalCorpus, EveryTruncationIsBoundaryValidOrTypedError) {
   const RoundJournal journal = sample_journal();
   const Bytes& image = journal.data();

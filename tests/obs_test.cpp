@@ -392,6 +392,43 @@ TEST(SocketSpanTree, MatchesTheBusRoundTree) {
   EXPECT_NE(snapshot.find("net.frames_in"), std::string::npos);
 }
 
+// A socket round observed through ServerConfig::metrics alone: the
+// session takes the driver's registry, so its conflict and table builds
+// still hang under wire.allocation.
+TEST(SocketSpanTree, SessionBuildsUseTheServerRegistryWhenConfigHasNone) {
+  core::LppaConfig config;  // no registry of its own
+  config.num_channels = 2;
+  config.lambda = 100;
+  config.coord_width = 14;
+  config.bid = core::PpbsBidConfig::advanced(
+      15, 3, 4, core::ZeroDisguisePolicy::none(15));
+  Rng rng(92);
+  std::vector<auction::SuLocation> locations;
+  std::vector<auction::BidVector> bids;
+  for (std::size_t i = 0; i < 6; ++i) {
+    locations.push_back({rng.below(5000), rng.below(5000)});
+    bids.push_back({rng.below(16), rng.below(16)});
+  }
+  obs::MetricsRegistry reg;
+  net::ServerConfig server_config;
+  server_config.metrics = &reg;
+  core::TrustedThirdParty ttp(config.bid, 77);
+  const auto socket = net::run_recoverable_socket_auction(
+      config, ttp, locations, bids, /*seed=*/5, server_config);
+  ASSERT_TRUE(socket.report.completed);
+
+  const std::set<std::string> expected = {"wire.round", "wire.attempt",
+                                          "wire.admission", "wire.allocation",
+                                          "wire.charging"};
+  EXPECT_EQ(wire_span_tree(reg), expected);
+  expect_session_builds(reg, {{"wire.allocation", 1}});
+  const std::string snapshot = reg.json();
+  for (const char* counter : {"shard.x_hits", "shard.y_hits",
+                              "shard.join_edges"}) {
+    EXPECT_NE(snapshot.find(counter), std::string::npos) << counter;
+  }
+}
+
 // A session restored from the allocation commit rebuilds its conflict
 // graph and bid table under the recovering wire.attempt.
 TEST(WireSpanTree, RestoredBuildsHangUnderTheAttempt) {

@@ -200,10 +200,10 @@ TEST(ShardConflict, MatchesGlobalBuildAcrossShardAndThreadCounts) {
 }
 
 TEST(ShardConflict, IndexAndProbeStepsComposeTheBuild) {
-  // The two steps ChurnState reuses: the per-tile indexes hold exactly
-  // each tile's member and halo x-range digests, probing them yields the
-  // one-shot build's graph, and probe_upper_partners of SU i against its
-  // home index is exactly i's higher-id neighbour list.
+  // The two steps ChurnState reuses: each tile's index pair holds
+  // exactly its member and halo x-range and y-range digests, probing the
+  // pairs yields the one-shot build's graph, and probe_upper_partners of
+  // SU i against its home pair is exactly i's higher-id neighbour list.
   const core::LppaConfig cfg = base_config(1);
   Rng key_rng(43);
   const crypto::SecretKey g0 = crypto::SecretKey::generate(key_rng);
@@ -222,26 +222,95 @@ TEST(ShardConflict, IndexAndProbeStepsComposeTheBuild) {
         core::build_tile_indexes(subs, assignment, /*num_threads=*/2);
     ASSERT_EQ(indexes.size(), shards);
     for (std::size_t s = 0; s < shards; ++s) {
-      std::size_t entries = 0;
-      for (const std::uint32_t j : assignment.members[s]) {
-        entries += subs[j].x_range.size();
+      std::size_t x_entries = 0;
+      std::size_t y_entries = 0;
+      for (const auto* tile : {&assignment.members[s], &assignment.halo[s]}) {
+        for (const std::uint32_t j : *tile) {
+          x_entries += subs[j].x_range.size();
+          y_entries += subs[j].y_range.size();
+        }
       }
-      for (const std::uint32_t j : assignment.halo[s]) {
-        entries += subs[j].x_range.size();
-      }
-      EXPECT_EQ(indexes[s].entry_count(), entries) << "tile " << s;
+      EXPECT_EQ(indexes[s].x_range.entry_count(), x_entries) << "tile " << s;
+      EXPECT_EQ(indexes[s].y_range.entry_count(), y_entries) << "tile " << s;
     }
     EXPECT_EQ(core::probe_tile_indexes(subs, assignment, indexes, 2),
               reference);
     for (std::uint32_t i = 0; i < subs.size(); ++i) {
       std::vector<std::uint32_t> upper;
-      reference.neighbors(i).for_each([&](std::size_t j) {
-        if (j > i) upper.push_back(static_cast<std::uint32_t>(j));
-      });
-      EXPECT_EQ(core::probe_upper_partners(
-                    subs, indexes[assignment.shard_of[i]], i),
-                upper)
-          << "SU " << i;
+      for (const std::uint32_t j : reference.neighbors(i)) {
+        if (j > i) upper.push_back(j);
+      }
+      const core::UpperPartners probed = core::probe_upper_partners(
+          subs, indexes[assignment.shard_of[i]], i);
+      EXPECT_EQ(probed.ids, upper) << "SU " << i;
+      EXPECT_GE(probed.x_hits, upper.size()) << "SU " << i;
+      EXPECT_GE(probed.y_hits, upper.size()) << "SU " << i;
+    }
+  }
+}
+
+/// Pads every digest set of `sub` to `target` with random digests: the
+/// index and the oracle then compare mostly padding.
+void pad_all(core::LocationSubmission& sub, std::size_t target, Rng& rng) {
+  sub.x_family.pad_to(target, rng);
+  sub.y_family.pad_to(target, rng);
+  sub.x_range.pad_to(target, rng);
+  sub.y_range.pad_to(target, rng);
+}
+
+TEST(ShardConflict, TwoAxisJoinMatchesOracleWhenOnlyOneAxisOverlaps) {
+  // Rosters where one axis hits for (nearly) every pair and the other
+  // almost never: the join must keep exactly the pairs hit on BOTH axes.
+  // A one-axis roster puts every SU in one 2λ band on the overlapping
+  // axis and spaces them > 2λ apart on the other, except every third SU,
+  // which sits within 2λ of its predecessor so a few edges exist.
+  const core::LppaConfig cfg = base_config(1);
+  Rng key_rng(44);
+  const crypto::SecretKey g0 = crypto::SecretKey::generate(key_rng);
+  const core::PpbsLocation proto(g0, cfg.coord_width, cfg.lambda, true);
+  const std::uint64_t band = 2 * cfg.lambda;
+  for (const bool y_overlaps : {true, false}) {
+    SCOPED_TRACE(y_overlaps ? "y bands overlap" : "x bands overlap");
+    Rng rng(y_overlaps ? 71 : 72);
+    std::vector<auction::SuLocation> locations;
+    std::uint64_t spread = band;  // position on the separated axis
+    for (std::size_t i = 0; i < 60; ++i) {
+      spread += (i % 3 == 2) ? rng.below(band + 1) : band + 1 + rng.below(40);
+      const std::uint64_t shared = 8000 + rng.below(cfg.lambda);
+      locations.push_back(y_overlaps ? auction::SuLocation{spread, shared}
+                                     : auction::SuLocation{shared, spread});
+    }
+    std::vector<core::LocationSubmission> subs;
+    for (const auto& loc : locations) {
+      subs.push_back(proto.submit(loc, rng));
+      pad_all(subs.back(), 4 * static_cast<std::size_t>(cfg.coord_width), rng);
+    }
+    const auto reference = oracles::conflict_graph_pairwise(subs);
+    ASSERT_GT(reference.edge_count(), 0u);
+    ASSERT_LT(reference.edge_count(), subs.size());
+    for (const std::size_t shards : {1u, 4u, 16u}) {
+      const auto assignment =
+          shard::ShardPlan::make(cfg.coord_width, cfg.lambda, shards)
+              .assign(locations);
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " threads=" + std::to_string(threads));
+        obs::MetricsRegistry metrics;
+        core::ShardConflictStats stats;
+        EXPECT_EQ(core::build_conflict_graph_sharded(subs, assignment, threads,
+                                                     &metrics, &stats),
+                  reference);
+        // The overlapping axis hits about every upper pair; the other
+        // about only the edges.
+        const std::size_t wide = y_overlaps ? stats.y_hits : stats.x_hits;
+        const std::size_t narrow = y_overlaps ? stats.x_hits : stats.y_hits;
+        EXPECT_GT(wide, 4 * narrow);
+        EXPECT_GE(narrow, reference.edge_count());
+        EXPECT_EQ(metrics.counter("shard.x_hits").value(), stats.x_hits);
+        EXPECT_EQ(metrics.counter("shard.y_hits").value(), stats.y_hits);
+        EXPECT_EQ(metrics.counter("shard.join_edges").value(),
+                  reference.edge_count());
+      }
     }
   }
 }
@@ -306,10 +375,10 @@ TEST(ShardDifferential, SortedTableMatchesScanOracle) {
       const auto winner = sorted.argmax_in_column(r);
       ASSERT_EQ(winner, scan.argmax_in_column(r));
       if (!winner) continue;
-      conflicts.neighbors(*winner).for_each([&](std::size_t v) {
+      for (const std::uint32_t v : conflicts.neighbors(*winner)) {
         sorted.remove(v, r);
         scan.remove(v, r);
-      });
+      }
       sorted.remove_user(*winner);
       scan.remove_user(*winner);
     }
@@ -529,8 +598,8 @@ TEST(ShardChurn, BoundarySuRemovalLeavesNoStaleHaloState) {
 
   // A fresh sharded build over the post-departure roster must report
   // counters consistent with the maintained assignment: every halo index
-  // entry accounted for by a live halo SU's x-range digests, every edge
-  // classified local or halo.
+  // entry accounted for by a live halo SU's x-range and y-range digests,
+  // every edge classified local or halo.
   obs::MetricsRegistry rebuilt_metrics;
   const auction::ConflictGraph rebuilt = core::build_conflict_graph_sharded(
       state.locations(), state.assignment(), /*num_threads=*/1,
@@ -538,7 +607,8 @@ TEST(ShardChurn, BoundarySuRemovalLeavesNoStaleHaloState) {
   std::size_t expected_halo_entries = 0;
   for (const auto& halo : state.assignment().halo) {
     for (const std::uint32_t j : halo) {
-      expected_halo_entries += state.locations()[j].x_range.size();
+      expected_halo_entries += state.locations()[j].x_range.size() +
+                               state.locations()[j].y_range.size();
     }
   }
   EXPECT_EQ(rebuilt_metrics.counter("shard.halo_index_entries").value(),
@@ -573,6 +643,81 @@ TEST(ShardChurn, BoundarySuRemovalLeavesNoStaleHaloState) {
   // erasure count (home + halo copies both ways).
   EXPECT_EQ(arrival_pairs, inserted);
   EXPECT_TRUE(state.graph() == state.rebuild_conflicts());
+}
+
+TEST(ShardChurn, TwoAxisInterleavingEqualsRebuildAfterEveryEvent) {
+  // Arrivals, moves and departures on rosters that straddle the tile
+  // borders in one 2λ band per axis: most pairs hit on one axis only, so
+  // a stale or missing entry in either maintained range index — home or
+  // halo copy — flips an edge.  After every event the maintained graph
+  // must equal the sharded rebuild and the all-pairs oracle.
+  const std::size_t k = 2;
+  core::LppaConfig cfg = base_config(k, /*lambda=*/100, /*coord_width=*/14);
+  cfg.num_shards = 4;  // 2x2 tiles over [0, 16384)^2, borders at 8192
+  const std::size_t capacity = 24;
+
+  core::TrustedThirdParty ttp(cfg.bid, 5);
+  const core::SuKeyBundle keys = ttp.su_keys();
+  const core::PpbsLocation location_protocol(keys.g0, cfg.coord_width,
+                                             cfg.lambda,
+                                             cfg.pad_location_ranges);
+  const core::BidSubmitter submitter(ttp.config(), keys.gb_master, keys.gc);
+
+  // Half the spots share a y band across the x border, half an x band
+  // across the y border; the free coordinate spans four bands.
+  Rng scenario(61);
+  const auto spot = [&] {
+    const std::uint64_t band = 8192 - 150 + scenario.below(100);
+    const std::uint64_t free = 8192 - 400 + scenario.below(800);
+    return scenario.bernoulli(0.5) ? auction::SuLocation{free, band}
+                                   : auction::SuLocation{band, free};
+  };
+  const auto bid = [&] {
+    return auction::BidVector{scenario.below(16), scenario.below(16)};
+  };
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cfg.num_threads = threads;
+    Rng mask(62);
+    std::vector<auction::SuLocation> locations(capacity);
+    std::vector<core::LocationSubmission> loc_subs(capacity);
+    std::vector<core::BidSubmission> bid_subs;
+    std::vector<bool> live(capacity);
+    for (std::size_t u = 0; u < capacity; ++u) {
+      live[u] = u % 2 == 0;
+      if (live[u]) {
+        locations[u] = spot();
+        loc_subs[u] = location_protocol.submit(locations[u], mask);
+      }
+      bid_subs.push_back(submitter.submit(bid(), mask));
+    }
+    core::ChurnState state(cfg, locations, loc_subs, bid_subs, live);
+    ASSERT_GT(state.graph().edge_count(), 0u);
+
+    for (int event = 0; event < 60; ++event) {
+      const std::size_t u = scenario.below(capacity);
+      std::string what;
+      if (!state.live()[u]) {
+        const auction::SuLocation loc = spot();
+        state.add_su(u, loc, location_protocol.submit(loc, mask),
+                     submitter.submit(bid(), mask));
+        what = "add";
+      } else if (state.live_count() > 1 && scenario.bernoulli(0.4)) {
+        state.remove_su(u);
+        what = "remove";
+      } else {
+        const auction::SuLocation loc = spot();
+        state.move_su(u, loc, location_protocol.submit(loc, mask));
+        what = "move";
+      }
+      SCOPED_TRACE("event " + std::to_string(event) + ": " + what + " SU " +
+                   std::to_string(u));
+      ASSERT_EQ(state.graph(), state.rebuild_conflicts());
+      ASSERT_EQ(state.graph(),
+                oracles::conflict_graph_pairwise(state.locations()));
+    }
+  }
 }
 
 TEST(EncryptedTableOracle, RestoredImagesContinueAndDamagedImagesThrow) {
