@@ -4,15 +4,14 @@
 //
 // Phase 1 (soak): a seeded sim::ChurnSchedule drives arrivals,
 // departures, moves and re-bids over a fixed slot roster for hundreds of
-// rounds per (num_shards, threads) cell.  core::ChurnState applies each
-// event as an O(Δ·w) delta; EVERY round the harness rebuilds the
-// conflict graph, the shard assignment, and the encrypted bid table from
-// scratch and asserts the maintained versions are identical —
-// graph/assignment by ==, the table by its serialized byte image — then
-// runs allocation + TTP charging on both sides under the same Rng and
-// asserts byte-identical awards and charges.  The first cell's awards
-// double as the cross-cell reference: every other (shards, threads)
-// combination must reproduce them byte for byte.
+// rounds per thread-count cell.  core::ChurnState applies each event as
+// an O(Δ·w) delta; EVERY round the harness rebuilds the conflict graph
+// and the encrypted bid table from scratch and asserts the maintained
+// versions are identical — the graph by ==, the table by its serialized
+// byte image — then runs allocation + TTP charging on both sides under
+// the same Rng and asserts byte-identical awards and charges.  The first
+// cell's awards double as the cross-cell reference: every other thread
+// count must reproduce them byte for byte.
 //
 // Phase 2 (crash): an AuctioneerSession ingests a round and then applies
 // a churn_depart/churn_return sequence with a CrashPoint::kMidChurn
@@ -41,7 +40,6 @@ using namespace lppa;
 namespace {
 
 struct SoakCell {
-  std::size_t shards = 0;
   std::size_t threads = 0;
   std::size_t rounds = 0;
   std::size_t capacity = 0;
@@ -78,11 +76,10 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 // Phase 1: the soak.
 
 SoakCell run_soak_cell(const sim::ChurnScheduleConfig& schedule_config,
-                       std::size_t rounds, std::size_t num_shards,
-                       std::size_t threads, obs::MetricsRegistry* metrics,
+                       std::size_t rounds, std::size_t threads,
+                       obs::MetricsRegistry* metrics,
                        std::vector<std::vector<auction::Award>>* reference) {
   SoakCell cell;
-  cell.shards = num_shards;
   cell.threads = threads;
   cell.rounds = rounds;
   cell.capacity = schedule_config.capacity;
@@ -94,7 +91,6 @@ SoakCell run_soak_cell(const sim::ChurnScheduleConfig& schedule_config,
   lcfg.bid = core::PpbsBidConfig::advanced(
       schedule_config.bmax, 3, 4,
       core::ZeroDisguisePolicy::none(schedule_config.bmax));
-  lcfg.num_shards = num_shards;
   lcfg.num_threads = threads;
   lcfg.metrics = metrics;
 
@@ -169,20 +165,14 @@ SoakCell run_soak_cell(const sim::ChurnScheduleConfig& schedule_config,
     // --- Rebuild oracles + bit-equality ------------------------------------
     const auto t_rebuild = std::chrono::steady_clock::now();
     const auction::ConflictGraph rebuilt_graph = state.rebuild_conflicts();
-    const shard::ShardAssignment rebuilt_assignment =
-        state.rebuild_assignment();
     core::EncryptedBidTable rebuilt_table = state.rebuild_table();
     const Bytes rebuilt_image = rebuilt_table.serialize();
     cell.rebuild_ms += ms_since(t_rebuild);
 
-    const std::string where = " (shards=" + std::to_string(num_shards) +
-                              " threads=" + std::to_string(threads) +
+    const std::string where = " (threads=" + std::to_string(threads) +
                               " round=" + std::to_string(round) + ")";
     if (!(state.graph() == rebuilt_graph)) {
       fail("maintained conflict graph != rebuilt graph" + where);
-    }
-    if (!(state.assignment() == rebuilt_assignment)) {
-      fail("maintained shard assignment != rebuilt assignment" + where);
     }
     if (state.serialize_table() != rebuilt_image) {
       fail("maintained table image != rebuilt table image" + where);
@@ -208,7 +198,7 @@ SoakCell run_soak_cell(const sim::ChurnScheduleConfig& schedule_config,
     if (first_cell) {
       reference->push_back(maintained.awards);
     } else if (!(maintained.awards == (*reference)[round])) {
-      fail("awards differ from the (shards=1, threads=1) reference" + where);
+      fail("awards differ from the threads=1 reference" + where);
     }
   }
 
@@ -363,7 +353,6 @@ void write_json(const std::string& path, const std::vector<SoakCell>& cells,
   w.key("soak").begin_array();
   for (const SoakCell& c : cells) {
     w.begin_object()
-        .field("shards", c.shards)
         .field("threads", c.threads)
         .field("rounds", c.rounds)
         .field("capacity", c.capacity)
@@ -418,31 +407,27 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   std::vector<std::vector<auction::Award>> reference;
   std::vector<SoakCell> cells;
-  Table table({"shards", "threads", "rounds", "events", "live_final",
-               "maintain_ms", "rebuild_ms", "rebuild/maintain"});
+  Table table({"threads", "rounds", "events", "live_final", "maintain_ms",
+               "rebuild_ms", "rebuild/maintain"});
 
-  const std::vector<std::size_t> shard_counts = {1, 4};
   const std::vector<std::size_t> thread_counts =
       args.threads > 0 ? std::vector<std::size_t>{args.threads}
-                       : std::vector<std::size_t>{1, 4};
-  for (const std::size_t shards : shard_counts) {
-    for (const std::size_t threads : thread_counts) {
-      const SoakCell cell = run_soak_cell(schedule_config, rounds, shards,
-                                          threads, &registry, &reference);
-      const std::size_t events =
-          cell.arrivals + cell.departures + cell.moves + cell.rebids;
-      table.add_row({Table::cell(cell.shards), Table::cell(cell.threads),
-                     Table::cell(cell.rounds), Table::cell(events),
-                     Table::cell(cell.live_final),
-                     Table::cell(cell.maintain_ms, 1),
-                     Table::cell(cell.rebuild_ms, 1),
-                     Table::cell(cell.maintain_ms > 0.0
-                                     ? cell.rebuild_ms / cell.maintain_ms
-                                     : 0.0,
-                                 2) +
-                         "x"});
-      cells.push_back(cell);
-    }
+                       : std::vector<std::size_t>{1, 2, 3, 4};
+  for (const std::size_t threads : thread_counts) {
+    const SoakCell cell = run_soak_cell(schedule_config, rounds, threads,
+                                        &registry, &reference);
+    const std::size_t events =
+        cell.arrivals + cell.departures + cell.moves + cell.rebids;
+    table.add_row({Table::cell(cell.threads), Table::cell(cell.rounds),
+                   Table::cell(events), Table::cell(cell.live_final),
+                   Table::cell(cell.maintain_ms, 1),
+                   Table::cell(cell.rebuild_ms, 1),
+                   Table::cell(cell.maintain_ms > 0.0
+                                   ? cell.rebuild_ms / cell.maintain_ms
+                                   : 0.0,
+                               2) +
+                       "x"});
+    cells.push_back(cell);
   }
 
   const CrashLeg leg = run_crash_leg(&registry);

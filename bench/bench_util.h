@@ -30,8 +30,6 @@ struct BenchArgs {
   std::string json_path;     ///< --json <path>: machine-readable dump target
   std::string metrics_path;  ///< --metrics <path>: obs snapshot target
   std::size_t threads = 0;   ///< --threads N: worker threads (0 = hardware)
-  std::size_t shards = 0;    ///< --shards N: shard count for the
-                             ///< shard_scaling phase (0 = default sweep)
   std::size_t conns = 0;     ///< --conns N: concurrent SU connections for
                              ///< loadgen (0 = profile default)
 
@@ -47,14 +45,12 @@ struct BenchArgs {
         args.metrics_path = argv[++i];
       } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
         args.threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-        args.shards = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
       } else if (std::strcmp(argv[i], "--conns") == 0 && i + 1 < argc) {
         args.conns = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
       } else if (std::strcmp(argv[i], "--help") == 0) {
         std::cout << "usage: " << argv[0]
                   << " [--full] [--smoke] [--csv] [--json <path>]"
-                     " [--metrics <path>] [--threads N] [--shards N]\n"
+                     " [--metrics <path>] [--threads N] [--conns N]\n"
                   << "  --full        paper-scale workload (slower)\n"
                   << "  --smoke       small-n workload (perfsmoke regression gate)\n"
                   << "  --csv         machine-readable output\n"
@@ -63,8 +59,6 @@ struct BenchArgs {
                      " (.prom = Prometheus text)\n"
                   << "  --threads N   worker threads for parallel phases"
                      " (0 = hardware)\n"
-                  << "  --shards N    geo-shard count for perf_scaling's"
-                     " shard_scaling phase (0 = default sweep)\n"
                   << "  --conns N     concurrent SU connections for loadgen"
                      " (0 = profile default)\n";
         std::exit(0);

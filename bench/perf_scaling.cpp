@@ -9,20 +9,17 @@
 //
 // Schema: [{"phase": str, "n": int, "threads": int, "wall_ms": float,
 //           "throughput": float}, ...]   (throughput = SUs per second)
-// shard_scaling_<S> rows additionally carry {"shards", "halo_edges",
-// "boundary_sus", "peak_index_bytes"} — the halo-exchange footprint.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <optional>
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
 #include "core/encrypted_bid_table.h"
+#include "core/conflict_index.h"
 #include "core/lppa_auction.h"
-#include "core/shard_conflict.h"
 #include "oracles.h"
-#include "prefix/digest_index.h"
-#include "shard/shard_plan.h"
 
 namespace {
 
@@ -34,11 +31,6 @@ struct Sample {
   std::size_t threads = 0;
   double wall_ms = 0.0;
   double throughput = 0.0;  // SUs processed per second
-  // shard_scaling rows only: partition count and halo footprint.
-  std::size_t shards = 0;
-  std::size_t halo_edges = 0;
-  std::size_t boundary_sus = 0;
-  std::size_t peak_index_bytes = 0;
 };
 
 template <typename Fn>
@@ -70,14 +62,8 @@ void write_json(const std::string& path, const std::vector<Sample>& samples) {
         .field("n", s.n)
         .field("threads", s.threads)
         .field("wall_ms", s.wall_ms)
-        .field("throughput", s.throughput);
-    if (s.shards > 0) {
-      w.field("shards", s.shards)
-          .field("halo_edges", s.halo_edges)
-          .field("boundary_sus", s.boundary_sus)
-          .field("peak_index_bytes", s.peak_index_bytes);
-    }
-    w.end_object();
+        .field("throughput", s.throughput)
+        .end_object();
   }
   w.end_array();
   out << "\n";
@@ -119,11 +105,6 @@ int main(int argc, char** argv) {
                         : std::max<std::size_t>(4, ThreadPool::hardware_threads());
   std::vector<std::size_t> thread_counts = {1};
   if (multi > 1) thread_counts.push_back(multi);
-
-  // Geo-shard counts for the shard_scaling phase: --shards pins one,
-  // the default sweeps a 2x2 and a 4x4 grid.
-  std::vector<std::size_t> shard_counts = {4, 16};
-  if (args.shards > 0) shard_counts = {args.shards};
 
   Rng rng(20130708);
   const auto g0 = crypto::SecretKey::generate(rng);
@@ -195,8 +176,8 @@ int main(int argc, char** argv) {
     }
 
     {
-      // "auction" is the production path over one conflict tile
-      // (sorted-column argmax; the table construction, including the
+      // "auction" is the production path (sorted-column argmax; the
+      // table construction, including the
       // one-off column sort, is inside the timed region).  "auction_scan"
       // is the seed per-query tournament (tests/oracles.h), kept as the
       // reference both for the speedup headline and for the in-bench
@@ -234,62 +215,15 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
-
-      // The geo-sharded server-side path, end to end: tile assignment,
-      // the sharded conflict build (per-tile indexes + halo exchange),
-      // then the one bid table and allocation — num_shards tiles the
-      // conflict build only.  The result must be byte-identical to the
-      // one-tile run — the graph to `indexed`, the awards to
-      // `sorted_awards` — so the row doubles as a differential gate at
-      // bench scale.
-      for (const std::size_t num_shards : shard_counts) {
-        const auto plan =
-            shard::ShardPlan::make(coord_width, lambda, num_shards);
-        for (const std::size_t t : thread_counts) {
-          Rng run_rng = alloc_rng;
-          shard::ShardAssignment assignment;
-          core::ShardConflictStats stats;
-          auction::ConflictGraph sharded_graph(n);
-          std::vector<auction::Award> awards;
-          const double ms = time_ms([&] {
-            assignment = plan.assign(locations);
-            sharded_graph = core::build_conflict_graph_sharded(
-                subs, assignment, t, nullptr, &stats);
-            core::EncryptedBidTable table(
-                bid_subs, num_channels, core::ArgmaxStrategy::kSortedColumns,
-                t);
-            awards = auction::greedy_allocate(table, sharded_graph, run_rng);
-          });
-          if (!(sharded_graph == indexed)) {
-            std::cerr << "FATAL: sharded conflict graph differs from the "
-                         "one-tile build (shards=" << num_shards << ")\n";
-            return 1;
-          }
-          if (!(awards == sorted_awards)) {
-            std::cerr << "FATAL: sharded awards differ from the "
-                         "one-tile run (shards=" << num_shards
-                      << ")\n";
-            return 1;
-          }
-          Sample s = sample("shard_scaling_" + std::to_string(num_shards), n,
-                            t, ms);
-          s.shards = num_shards;
-          s.halo_edges = stats.halo_edges;
-          s.boundary_sus = stats.boundary_sus;
-          s.peak_index_bytes = stats.peak_index_bytes;
-          samples.push_back(s);
-        }
-      }
     }
   }
 
   // Scale-out: the conflict discovery at n = 25600 and n >= 100k SUs.
   // The full-auction sweep stays at the sizes above (the all-pairs and
   // tournament references are super-linear); this block runs only the
-  // linear-memory phases — location masking, the one-tile indexed build
-  // at every thread count (so its per-SU cost extends the main sweep's
-  // rows), and the per-shard halo-exchange build whose peak index
-  // footprint the JSON records.
+  // linear-memory phases — location masking and the indexed build at
+  // every thread count (so its per-SU cost extends the main sweep's
+  // rows), whose graphs must agree and whose index footprint is printed.
   std::vector<std::size_t> scale_out_sizes;
   if (args.full) scale_out_sizes = {25600, 102400};
   for (const std::size_t n : scale_out_sizes) {
@@ -310,39 +244,24 @@ int main(int argc, char** argv) {
       });
       samples.push_back(sample("submit_locations", n, multi, ms));
     }
-    auction::ConflictGraph indexed(n);
+    std::optional<auction::ConflictGraph> first_graph;
     for (const std::size_t t : thread_counts) {
+      core::ConflictStats stats;
+      auction::ConflictGraph indexed(n);
       const double ms = time_ms([&] {
-        indexed = core::PpbsLocation::build_conflict_graph(subs, t);
+        indexed = core::build_conflict_graph(subs, t, nullptr, &stats);
       });
       samples.push_back(sample("conflict_graph_indexed", n, t, ms));
-    }
-    for (const std::size_t num_shards : shard_counts) {
-      const auto plan = shard::ShardPlan::make(coord_width, lambda, num_shards);
-      shard::ShardAssignment assignment;
-      core::ShardConflictStats stats;
-      auction::ConflictGraph sharded_graph(n);
-      const double ms = time_ms([&] {
-        assignment = plan.assign(locations);
-        sharded_graph = core::build_conflict_graph_sharded(
-            subs, assignment, multi, nullptr, &stats);
-      });
-      if (!(sharded_graph == indexed)) {
-        std::cerr << "FATAL: sharded conflict graph differs at n=" << n
-                  << " (shards=" << num_shards << ")\n";
+      if (!first_graph) {
+        first_graph = std::move(indexed);
+        std::cout << "conflict_graph_indexed n=" << n << ": index pair "
+                  << stats.index_bytes << " bytes, " << stats.join_edges
+                  << " edges\n";
+      } else if (!(indexed == *first_graph)) {
+        std::cerr << "FATAL: conflict graphs differ across thread counts at n="
+                  << n << "\n";
         return 1;
       }
-      Sample s = sample("shard_scaling_" + std::to_string(num_shards), n,
-                        multi, ms);
-      s.shards = num_shards;
-      s.halo_edges = stats.halo_edges;
-      s.boundary_sus = stats.boundary_sus;
-      s.peak_index_bytes = stats.peak_index_bytes;
-      samples.push_back(s);
-      std::cout << "shard_scaling n=" << n << " shards=" << num_shards
-                << ": peak per-shard index " << stats.peak_index_bytes
-                << " bytes, " << stats.halo_edges << " halo edges, "
-                << stats.boundary_sus << " boundary SUs\n";
     }
   }
 
@@ -408,35 +327,6 @@ int main(int argc, char** argv) {
     std::cout << "sorted-column vs tournament-scan auction speedup at n="
               << big << ": " << scan_ms / auc_ms << "x\n";
   }
-  if (thread_counts.size() > 1) {
-    // Sharded-phase thread-scaling gate, armed under the same hardware
-    // condition as the submit gate: shards build and probe as
-    // independent tasks, so with >= 4 physical cores and >= 4 shards the
-    // multi-thread run must beat the serial one.  On a 1-core container
-    // the gate self-skips — same reasoning as the "Thread scaling" note
-    // in docs/performance.md — and the floor is lower than submit's
-    // because the allocation tail of the phase is serial.
-    const std::size_t gate_shards =
-        *std::max_element(shard_counts.begin(), shard_counts.end());
-    const std::string phase = "shard_scaling_" + std::to_string(gate_shards);
-    const double sh1 = wall_of(samples, phase, big, 1);
-    const double sht = wall_of(samples, phase, big, multi);
-    if (sh1 > 0.0 && sht > 0.0) {
-      const double speedup = sh1 / sht;
-      std::cout << phase << " speedup at n=" << big << " with " << multi
-                << " threads: " << speedup << "x\n";
-      const bool gate_armed = ThreadPool::hardware_threads() >= 4 &&
-                              multi >= 4 && big >= 1600 && gate_shards >= 4;
-      if (gate_armed && speedup < 1.2) {
-        std::cerr << "FATAL: " << phase << " speedup " << speedup
-                  << "x with " << multi << " threads on "
-                  << ThreadPool::hardware_threads()
-                  << " cores is below the 1.2x floor\n";
-        gate_verdict = 1;
-      }
-    }
-  }
-
   const std::string json_path =
       args.json_path.empty() ? "BENCH_perf_scaling.json" : args.json_path;
   write_json(json_path, samples);

@@ -17,7 +17,7 @@
 //
 // The backend only owns the per-cell masked representation and its order
 // test.  Everything around it — zero disguise, offset/scale, the sealed
-// TTP payload, conflict graphs, journals, sharding — is backend-agnostic
+// TTP payload, conflict graphs, journals — is backend-agnostic
 // and shared (the differential suite pins the shared invariants).
 //
 // Wire/snapshot compatibility: HMAC cells and images are bit-identical

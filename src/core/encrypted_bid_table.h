@@ -24,9 +24,8 @@
 // O(n log n).  Columns where g_F·g_R > n·(⌈log₂ n⌉ + 1), and every
 // column of a non-HMAC backend (Paillier ciphertexts are randomised, so
 // there are no equal-value classes), keep the per-pair comparator.
-// It is the one bid table every production caller allocates on, whatever
-// LppaConfig::num_shards tiles the conflict build into; the per-query
-// tournament scan it replaced lives in tests/oracles.h as the
+// It is the one bid table every production caller allocates on; the
+// per-query tournament scan it replaced lives in tests/oracles.h as the
 // differential reference.
 #pragma once
 

@@ -2,10 +2,9 @@
 
 #include "common/thread_pool.h"
 #include "core/charging.h"
-#include "core/shard_conflict.h"
+#include "core/conflict_index.h"
 #include "core/submission_validator.h"
 #include "obs/span.h"
-#include "shard/shard_plan.h"
 
 namespace lppa::core {
 
@@ -13,7 +12,6 @@ LppaAuction::LppaAuction(LppaConfig config, std::uint64_t ttp_seed)
     : config_(config), ttp_(config.bid, ttp_seed, config.charging_rule) {
   LPPA_REQUIRE(config_.num_channels > 0, "auction requires channels");
   LPPA_REQUIRE(config_.ttp_batch_size > 0, "TTP batch size must be positive");
-  LPPA_REQUIRE(config_.num_shards >= 1, "shard count must be at least 1");
   if (config_.backend == nullptr) config_.backend = &ttp_.bid_backend();
   LPPA_REQUIRE(config_.backend->id() == config_.bid.backend,
                "LppaConfig backend does not match the bid-config backend id");
@@ -91,25 +89,13 @@ LppaOutcome LppaAuction::run(
       validator.check_bid(view.bids[i]);
     }
   }
-  // The shard plan tiles the grid for the conflict build (one tile when
-  // num_shards is 1) and is computed from the SU-side plaintext locations
-  // this in-process round already holds on the SUs' behalf — the
-  // auctioneer still only ever touches the masked submissions (see
-  // shard/shard_plan.h on routing and tile-granular disclosure).
-  const shard::ShardAssignment assignment =
-      shard::ShardPlan::make(config_.coord_width, config_.lambda,
-                             config_.num_shards)
-          .assign(locations);
   {
     obs::Span conflict_span(m, "auction.conflict_graph", &round_span);
-    view.conflicts =
-        build_conflict_graph_sharded(view.locations, assignment,
-                                     config_.num_threads, m, nullptr,
-                                     &conflict_span);
+    view.conflicts = build_conflict_graph(view.locations, config_.num_threads,
+                                          m, nullptr, &conflict_span);
   }
-  // One table over every user, whatever the tiling.
   obs::Span table_span(m, "auction.table", &round_span);
-  obs::Span build_span(m, "shard.table_build", &table_span);
+  obs::Span build_span(m, "table.build", &table_span);
   EncryptedBidTable table(view.bids, config_.num_channels,
                           ArgmaxStrategy::kSortedColumns, config_.num_threads,
                           config_.backend);

@@ -49,15 +49,11 @@ struct LppaConfig {
   /// sorts each column once and pops O(1) per query; the seed's
   /// per-query tournament scan is a test oracle (tests/oracles.h).
   ArgmaxStrategy argmax_strategy = ArgmaxStrategy::kSortedColumns;
-  /// Tiles of the coordinate grid for the conflict build
-  /// (docs/performance.md, "Sharding"; shard/shard_plan.h).  1 = one
-  /// tile, same code: every round builds per-tile digest indexes, with
-  /// boundary index entries exchanged between tiles (the halo), where
-  /// tiling bounds index memory.  The bid table is one table over every
-  /// user for any value.  Awards, charges, and the winner announcement
-  /// are byte-identical for every shard count and thread count — pinned
-  /// by tests/shard_differential_test against the all-pairs graph and
-  /// the tournament-scan table in tests/oracles.h.
+  /// Source-compatibility shim, like argmax_strategy: nothing reads
+  /// this field.  The conflict build is one index pair over every SU
+  /// (core/conflict_index.h) for any value; geographic tiling would need
+  /// each SU's plaintext tile, a coarse location the masked protocol
+  /// never discloses (docs/performance.md, "Why no tiles").
   std::size_t num_shards = 1;
   /// The resolved crypto backend driving every masked comparison this
   /// round (bid-table sorts, the second-price runner-up scan).  Null means "resolve from bid.backend": LppaAuction's
@@ -67,11 +63,11 @@ struct LppaConfig {
   const crypto::BidBackend* backend = nullptr;
   /// Optional observability sink (obs/metrics.h): when set, every round
   /// records per-phase spans (auction.round > submit / validate /
-  /// conflict_graph / table / allocate / charging, with the shard.*
-  /// index and probe spans under conflict_graph and the one
-  /// shard.table_build span under table), phase counters
+  /// conflict_graph / table / allocate / charging, with the
+  /// conflict.index_build and conflict.probe spans under conflict_graph
+  /// and the one table.build span under table), phase counters
   /// (auction.table.order_tests: the masked tests the table build
-  /// spent) and the shard.* counters into it.  Null (the default)
+  /// spent) and the conflict.* join counters into it.  Null (the default)
   /// makes every instrumentation site a branch-and-skip.  Not owned; the
   /// caller keeps the registry alive for the config's lifetime.
   obs::MetricsRegistry* metrics = nullptr;

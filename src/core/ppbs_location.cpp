@@ -1,6 +1,6 @@
 #include "core/ppbs_location.h"
 
-#include "core/shard_conflict.h"
+#include "core/conflict_index.h"
 
 namespace lppa::core {
 
@@ -74,9 +74,7 @@ bool PpbsLocation::conflicts(const LocationSubmission& a,
 auction::ConflictGraph PpbsLocation::build_conflict_graph(
     const std::vector<LocationSubmission>& submissions,
     std::size_t num_threads) {
-  return build_conflict_graph_sharded(
-      submissions, shard::ShardAssignment::single_tile(submissions.size()),
-      num_threads);
+  return core::build_conflict_graph(submissions, num_threads);
 }
 
 }  // namespace lppa::core

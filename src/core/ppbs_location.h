@@ -59,10 +59,10 @@ class PpbsLocation {
   /// are the edges.  O(n·w) expected instead of the O(n²·w) all-pairs
   /// merge, and bit-identical to it (padding digests collide with
   /// probability 2⁻²⁵⁶ and both compare the same digest multisets).
-  /// This is core::build_conflict_graph_sharded over one tile
-  /// (core/shard_conflict.h).  `num_threads` spreads the probe
-  /// loop over a thread pool (0 = hardware concurrency); the resulting
-  /// graph is independent of the thread count.
+  /// This is core::build_conflict_graph (core/conflict_index.h).
+  /// `num_threads` spreads the index build and the probe loop over a
+  /// thread pool (0 = hardware concurrency); the resulting graph is
+  /// independent of the thread count.
   static auction::ConflictGraph build_conflict_graph(
       const std::vector<LocationSubmission>& submissions,
       std::size_t num_threads = 1);

@@ -1,9 +1,9 @@
-// ShardedBidTable: a source-compatibility name, like ArgmaxStrategy.
-// The auction has one bid table, core::EncryptedBidTable, for every
-// LppaConfig::num_shards (shards tile the conflict build only).  This
-// subclass has no state of its own; existing embedders spell it as the
-// type core::ChurnState::table_for_allocation() returns and copy it
-// with clone().
+// ShardedBidTable: a source-compatibility name, like ArgmaxStrategy and
+// LppaConfig::num_shards.  The auction has one bid table,
+// core::EncryptedBidTable, and nothing is sharded.  This subclass has no
+// state of its own; existing embedders spell it as the type
+// core::ChurnState::table_for_allocation() returns and copy it with
+// clone().
 #pragma once
 
 #include <utility>

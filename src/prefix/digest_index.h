@@ -8,7 +8,7 @@
 // comparisons), the conflict build indexes every range digest once per
 // axis and probes each family digest against the matching axis: O(n·w)
 // expected work, with no digest merge left per candidate pair
-// (core/shard_conflict.h joins the two axes' hit lists).  Padding
+// (core/conflict_index.h joins the two axes' hit lists).  Padding
 // digests (uniform random 32-byte strings) sit harmlessly in the index
 // — they equal a real family digest with probability 2⁻²⁵⁶, and because
 // both the pairwise and the indexed path compare the very same digest
@@ -75,7 +75,7 @@ class DigestIndex {
   std::size_t slot_capacity() const noexcept { return slots_.size(); }
 
   /// Bytes held by the slot array, the key array and the owner chains —
-  /// the per-shard memory figure reported by the sharded conflict build.
+  /// the conflict.index_bytes figure of the conflict build.
   std::size_t memory_bytes() const noexcept {
     return slots_.size() * sizeof(Slot) +
            keys_.capacity() * sizeof(crypto::Digest) +

@@ -2,10 +2,9 @@
 
 #include <numeric>
 
-#include "core/shard_conflict.h"
+#include "core/conflict_index.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "shard/shard_plan.h"
 
 namespace lppa::proto {
 
@@ -356,9 +355,8 @@ void AuctioneerSession::compact_participants(const obs::Span* parent) {
     locations.push_back(*locations_[u]);
     bid_store_.push_back(*bids_[u]);
   }
-  conflicts_ = core::build_conflict_graph_sharded(
-      locations, shard::ShardAssignment::single_tile(m), config_.num_threads,
-      config_.metrics, nullptr, parent);
+  conflicts_ = core::build_conflict_graph(locations, config_.num_threads,
+                                          config_.metrics, nullptr, parent);
 }
 
 void AuctioneerSession::open_ledger(std::vector<auction::Award> awards,
@@ -386,7 +384,7 @@ void AuctioneerSession::run_allocation(Rng& rng, const obs::Span* parent) {
 
   compact_participants(parent);
   {
-    obs::Span build_span(config_.metrics, "shard.table_build", parent);
+    obs::Span build_span(config_.metrics, "table.build", parent);
     table_.emplace(bid_store_, config_.num_channels,
                    core::ArgmaxStrategy::kSortedColumns, config_.num_threads,
                    config_.backend);
@@ -496,8 +494,6 @@ Bytes AuctioneerSession::snapshot() const {
   }
   w.u8(ledger_ ? 1 : 0);
   if (ledger_) {
-    // num_shards does not enter the image, so snapshots taken under any
-    // shard count restore under any other.
     w.bytes(table_->serialize());
     const std::vector<auction::Award>& awards = ledger_->awards();
     w.u32(static_cast<std::uint32_t>(awards.size()));
@@ -603,11 +599,10 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire,
     // submissions — deterministic, no randomness — so only the bid
     // table's consumed-cell state needs the serialized image.
     compact_participants(parent);
-    // The image reproduces the exact table, whatever shard count either
-    // side ran; one whose population does not fit the participants is
-    // rejected.
+    // The image reproduces the exact table; one whose population does
+    // not fit the participants is rejected.
     {
-      obs::Span build_span(config_.metrics, "shard.table_build", parent);
+      obs::Span build_span(config_.metrics, "table.build", parent);
       table_ = core::EncryptedBidTable::deserialize(
           r.bytes(), config_.num_threads, config_.backend);
     }

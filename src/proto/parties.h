@@ -154,8 +154,8 @@ class AuctioneerSession {
   /// (core/charging.h).  Without a prior finalize_participants() call it
   /// requires ready() and runs over everyone (legacy mode).  Award::user
   /// carries original SU ids either way.  With config.metrics set, the
-  /// conflict build's "shard.index_build"/"shard.probe" spans and the
-  /// bid table's one "shard.table_build" span hang under `parent` (when
+  /// conflict build's "conflict.index_build"/"conflict.probe" spans and
+  /// the bid table's one "table.build" span hang under `parent` (when
   /// set).
   void run_allocation(Rng& rng, const obs::Span* parent = nullptr);
 
@@ -242,10 +242,7 @@ class AuctioneerSession {
   /// The masked bid table as the allocator left it (cells consumed).
   /// References bid_store_ on the run_allocation path and owns its
   /// submissions on the restore path; the session is used in place by
-  /// the drivers, never moved, so the reference stays valid.  The wire
-  /// session never sees tile geometry (submissions are masked), so
-  /// num_shards changes nothing here: a journal written under
-  /// num_shards=1 restores into a four-shard session and vice versa.
+  /// the drivers, never moved, so the reference stays valid.
   std::optional<core::EncryptedBidTable> table_;
   /// Awards and their charge progress; present once allocation ran.
   std::optional<core::ChargeLedger> ledger_;

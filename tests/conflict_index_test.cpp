@@ -11,6 +11,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "core/conflict_index.h"
 #include "core/lppa_auction.h"
 #include "core/ppbs_location.h"
 #include "oracles.h"
@@ -92,9 +93,9 @@ TEST(DigestIndexTest, ReservePreSizesSoInsertionsNeverRehash) {
     crypto::Digest d;
     for (auto& b : d.bytes) b = static_cast<std::uint8_t>(rng.below(256));
     index.insert(d, i);
-    // The shard build pre-sizes each per-shard index from its exact
-    // member+halo digest count; this pin is what makes that sizing a
-    // no-rehash, no-reallocation guarantee rather than a heuristic.
+    // The conflict build pre-sizes each axis index from its exact
+    // digest count; this pin is what makes that sizing a no-rehash,
+    // no-reallocation guarantee rather than a heuristic.
     ASSERT_EQ(index.slot_capacity(), capacity) << "rehashed at insert " << i;
     ASSERT_EQ(index.memory_bytes(), reserved) << "regrew at insert " << i;
   }
@@ -324,6 +325,86 @@ LppaOutcome run_with_threads(std::size_t num_threads) {
     bids.push_back(bv);
   }
   return auction.run(locations, bids, rng);
+}
+
+TEST(ConflictIndexTest, JoinDedupesHitsAndCutsOutTheQueryingId) {
+  // Hand-placed digests: the querying SU 1 hits SU 0 through two of its
+  // x digests (one distinct hit), hits itself on both axes (never a
+  // partner), and hits SU 3 on x only (a hit, not a partner).
+  Rng rng(7);
+  const auto digest = [&] {
+    crypto::Digest d;
+    for (auto& b : d.bytes) b = static_cast<std::uint8_t>(rng.below(256));
+    return d;
+  };
+  const crypto::Digest a = digest(), b = digest(), c = digest(), d = digest();
+  const auto set = [](std::vector<crypto::Digest> digests) {
+    return prefix::HashedPrefixSet::from_digests(std::move(digests));
+  };
+  std::vector<LocationSubmission> subs(4);
+  subs[0].x_range = set({a, b});
+  subs[0].y_range = set({c});
+  subs[1].x_range = set({a});
+  subs[1].y_range = set({d});
+  subs[2].x_range = set({b});
+  subs[2].y_range = set({c, d});
+  subs[3].x_range = set({a});
+  const IndexPair index =
+      build_index_pair(subs, &LocationSubmission::x_range,
+                       &LocationSubmission::y_range, /*num_threads=*/1);
+  const prefix::HashedPrefixSet x_query = set({a, b});
+  const prefix::HashedPrefixSet y_query = set({c, d});
+
+  const JoinResult above =
+      join_partners(x_query, y_query, index, 1, JoinCut::kAbove);
+  EXPECT_EQ(above.ids, std::vector<std::uint32_t>({2}));
+  EXPECT_EQ(above.x_hits, 2u);  // SUs 2 and 3
+  EXPECT_EQ(above.y_hits, 1u);  // SU 2
+
+  const JoinResult below =
+      join_partners(x_query, y_query, index, 1, JoinCut::kBelow);
+  EXPECT_EQ(below.ids, std::vector<std::uint32_t>({0}));
+  EXPECT_EQ(below.x_hits, 1u);  // SU 0, reached through a and b
+  EXPECT_EQ(below.y_hits, 1u);
+}
+
+TEST(ConflictIndexTest, EmptySubmissionsIndexAndJoinNothing) {
+  // The churn roster's dead slots hold empty submissions: the index
+  // builder must skip them, a join from one must find nothing, and live
+  // SUs around them keep exactly their pairwise edges.
+  Rng rng(123);
+  const auto g0 = crypto::SecretKey::generate(rng);
+  const PpbsLocation protocol(g0, 10, 20, true);
+  std::vector<LocationSubmission> subs(9);
+  std::size_t x_ranges = 0, y_families = 0;
+  for (std::size_t i = 0; i < subs.size(); i += 2) {
+    subs[i] = protocol.submit({400 + 10 * i, 500 - 5 * i}, rng);
+    x_ranges += subs[i].x_range.size();
+    y_families += subs[i].y_family.size();
+  }
+  const IndexPair ranges =
+      build_index_pair(subs, &LocationSubmission::x_range,
+                       &LocationSubmission::y_range, /*num_threads=*/2);
+  const IndexPair families =
+      build_index_pair(subs, &LocationSubmission::x_family,
+                       &LocationSubmission::y_family, /*num_threads=*/2);
+  EXPECT_EQ(ranges.x.entry_count(), x_ranges);
+  EXPECT_EQ(families.y.entry_count(), y_families);
+  for (std::uint32_t dead = 1; dead < subs.size(); dead += 2) {
+    for (const JoinCut cut : {JoinCut::kAbove, JoinCut::kBelow}) {
+      const JoinResult hit = join_partners(subs[dead].x_family,
+                                           subs[dead].y_family, ranges, dead,
+                                           cut);
+      EXPECT_TRUE(hit.ids.empty());
+      EXPECT_EQ(hit.x_hits + hit.y_hits, 0u);
+    }
+  }
+  const auto graph = build_conflict_graph(subs, /*num_threads=*/3);
+  EXPECT_EQ(graph, oracles::conflict_graph_pairwise(subs));
+  EXPECT_GT(graph.edge_count(), 0u);
+  for (std::size_t dead = 1; dead < subs.size(); dead += 2) {
+    EXPECT_TRUE(graph.neighbors(dead).empty()) << "slot " << dead;
+  }
 }
 
 TEST(ConflictIndexTest, ThreadCountIsObservationallyIrrelevant) {

@@ -277,22 +277,22 @@ TEST(LppaAuction, RevenueNeverExceedsPlainAuction) {
 
 TEST(LppaAuction, TableSpanParentsShardBuildsAndCountsOrderTests) {
   // auction.table hangs under auction.round, the one table build hangs
-  // under auction.table whatever the shard count, every shard.* span has
-  // a parent, and auction.table.order_tests counts the masked tests the
-  // build spent — every ge() of the round, whose sorted-column argmax
-  // pops spend none — identically for every shard count.
+  // under auction.table whatever the thread count, every conflict.* span
+  // has a parent, and auction.table.order_tests counts the masked tests
+  // the build spent — every ge() of the round, whose sorted-column argmax
+  // pops spend none — identically for every thread count.
   World w = make_world(40, 3, 301);
-  Rng spread(302);  // across the whole 2^14 grid, so every tile has SUs
+  Rng spread(302);  // across the whole 2^14 grid
   for (auto& loc : w.locations) {
     loc = {spread.below(16000), spread.below(16000)};
   }
   std::optional<std::uint64_t> first_order_tests;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     obs::MetricsRegistry reg;
     const testing_support::CountingBackend counting(crypto::hmac_backend());
     LppaConfig cfg = make_config(3);
-    cfg.num_shards = shards;
+    cfg.num_threads = threads;
     cfg.metrics = &reg;
     cfg.backend = &counting;
     LppaAuction engine(cfg, 5);
@@ -308,7 +308,7 @@ TEST(LppaAuction, TableSpanParentsShardBuildsAndCountsOrderTests) {
         table_id = span.id;
         table_parent = span.parent;
       }
-      if (span.name.rfind("shard.", 0) == 0) {
+      if (span.name.rfind("conflict.", 0) == 0) {
         EXPECT_NE(span.parent, 0u) << span.name;
       }
     }
@@ -317,13 +317,13 @@ TEST(LppaAuction, TableSpanParentsShardBuildsAndCountsOrderTests) {
     EXPECT_EQ(table_parent, round_id);
     std::size_t table_builds = 0;
     for (const auto& span : reg.spans()) {
-      if (span.name != "shard.table_build") continue;
+      if (span.name != "table.build") continue;
       ++table_builds;
       EXPECT_EQ(span.parent, table_id);
     }
     EXPECT_EQ(table_builds, 1u);
-    // Shards tile the conflict build only: no cross-shard argmax merge.
-    EXPECT_EQ(reg.json().find("shard.argmax_merges"), std::string::npos);
+    // Nothing is sharded: no shard.* metric is left.
+    EXPECT_EQ(reg.json().find("shard."), std::string::npos);
 
     const std::uint64_t order_tests =
         reg.counter("auction.table.order_tests").value();
@@ -334,25 +334,82 @@ TEST(LppaAuction, TableSpanParentsShardBuildsAndCountsOrderTests) {
   }
 }
 
+TEST(LppaAuction, ConflictCountersDescribeTheRoundsGraph) {
+  // The engine records the join it ran: conflict.join_edges is the
+  // published graph's edge count, each axis hit at least every edge, and
+  // the index pair's memory is reported.
+  const World w = make_world(60, 2, 601);
+  obs::MetricsRegistry reg;
+  LppaConfig cfg = make_config(2);
+  cfg.metrics = &reg;
+  LppaAuction engine(cfg, 5);
+  Rng rng(7);
+  const LppaOutcome out = engine.run(w.locations, w.bids, rng);
+  const std::uint64_t edges = out.view.conflicts.edge_count();
+  ASSERT_GT(edges, 0u);
+  EXPECT_EQ(reg.counter("conflict.join_edges").value(), edges);
+  EXPECT_GE(reg.counter("conflict.x_hits").value(), edges);
+  EXPECT_GE(reg.counter("conflict.y_hits").value(), edges);
+  EXPECT_GT(reg.gauge("conflict.index_bytes").value(), 0.0);
+}
+
+TEST(LppaAuction, NumShardsIsReadByNothing) {
+  // num_shards survives only for source compatibility: every value, 0
+  // included, runs the same round byte for byte and records the same
+  // metrics.
+  const World w = make_world(30, 2, 501);
+  std::optional<LppaOutcome> first;
+  std::optional<std::string> first_counters;
+  for (const std::size_t shards :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4}, std::size_t{9}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    obs::MetricsRegistry reg;
+    LppaConfig cfg = make_config(2);
+    cfg.num_shards = shards;
+    cfg.metrics = &reg;
+    LppaAuction engine(cfg, 5);
+    Rng rng(6);
+    const LppaOutcome out = engine.run(w.locations, w.bids, rng);
+    std::string counters;
+    for (const char* name : {"conflict.x_hits", "conflict.y_hits",
+                             "conflict.join_edges",
+                             "auction.table.order_tests", "auction.awards"}) {
+      counters += std::string(name) + "=" +
+                  std::to_string(reg.counter(name).value()) + ";";
+    }
+    if (!first) {
+      first = out;
+      first_counters = counters;
+      EXPECT_FALSE(out.outcome.awards.empty());
+      continue;
+    }
+    EXPECT_EQ(out.view.locations, first->view.locations);
+    EXPECT_EQ(out.view.bids, first->view.bids);
+    EXPECT_EQ(out.view.conflicts, first->view.conflicts);
+    EXPECT_EQ(out.outcome.awards, first->outcome.awards);
+    EXPECT_EQ(counters, *first_counters);
+  }
+}
+
 TEST(LppaAuction, ShardSpansStayBoundedAndNothingIsDropped) {
   // A round with more argmax queries than the span buffer holds (one
   // channel and a sparse field: nearly every SU wins, one query each)
-  // records each shard.* span name at most once per shard — per-shard
-  // index builds, one probe phase and one table build, never one span
-  // per query — so the round's own phase spans survive and the buffer
-  // never overflows.
+  // records each conflict.* and table.* span name once — one index
+  // build, one probe phase and one table build, never one span per
+  // query — so the round's own phase spans survive and the buffer never
+  // overflows.
   const std::size_t n = obs::MetricsRegistry::kMaxSpans + 100;
   World w = make_world(n, 1, 401);
   Rng spread(402);
   for (auto& loc : w.locations) {
     loc = {spread.below(16000), spread.below(16000)};
   }
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     obs::MetricsRegistry reg;
     LppaConfig cfg = make_config(1);
     cfg.lambda = 4;
-    cfg.num_shards = shards;
+    cfg.num_threads = threads;
     cfg.metrics = &reg;
     LppaAuction engine(cfg, 9);
     Rng rng(4);
@@ -363,8 +420,8 @@ TEST(LppaAuction, ShardSpansStayBoundedAndNothingIsDropped) {
     std::map<std::string, std::size_t> per_name;
     for (const auto& span : reg.spans()) ++per_name[span.name];
     for (const auto& [name, count] : per_name) {
-      if (name.rfind("shard.", 0) == 0) {
-        EXPECT_LE(count, shards) << name;
+      if (name.rfind("conflict.", 0) == 0 || name.rfind("table.", 0) == 0) {
+        EXPECT_EQ(count, 1u) << name;
       }
     }
     EXPECT_EQ(per_name["auction.round"], 1u);

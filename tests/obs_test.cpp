@@ -301,7 +301,7 @@ void expect_session_builds(const obs::MetricsRegistry& reg,
   std::map<std::uint64_t, std::string> name_of;
   for (const auto& span : reg.spans()) name_of[span.id] = span.name;
   for (const char* name :
-       {"shard.index_build", "shard.probe", "shard.table_build"}) {
+       {"conflict.index_build", "conflict.probe", "table.build"}) {
     std::map<std::string, std::size_t> hung;
     for (const auto& span : reg.spans()) {
       if (span.name != name) continue;
@@ -372,7 +372,7 @@ TEST(SocketSpanTree, MatchesTheBusRoundTree) {
   EXPECT_EQ(wire_span_tree(socket_reg), expected);
 
   // On both transports the session's conflict build and bid-table build
-  // (one shard) hang under wire.allocation.
+  // hang under wire.allocation.
   expect_session_builds(bus_reg, {{"wire.allocation", 1}});
   expect_session_builds(socket_reg, {{"wire.allocation", 1}});
 
@@ -423,8 +423,8 @@ TEST(SocketSpanTree, SessionBuildsUseTheServerRegistryWhenConfigHasNone) {
   EXPECT_EQ(wire_span_tree(reg), expected);
   expect_session_builds(reg, {{"wire.allocation", 1}});
   const std::string snapshot = reg.json();
-  for (const char* counter : {"shard.x_hits", "shard.y_hits",
-                              "shard.join_edges"}) {
+  for (const char* counter : {"conflict.x_hits", "conflict.y_hits",
+                              "conflict.join_edges", "conflict.index_bytes"}) {
     EXPECT_NE(snapshot.find(counter), std::string::npos) << counter;
   }
 }

@@ -1,9 +1,10 @@
 // Reference implementations the production auction paths are
 // differential-tested against.  None of this ships in the library: the
-// production conflict build is core::build_conflict_graph_sharded and
-// the production bid table is one core::EncryptedBidTable, for every
-// shard count.  These are the seed algorithms, kept deliberately naive so a
-// differential check never compares the production code with itself:
+// production conflict build is core::build_conflict_graph
+// (core/conflict_index.h) and the production bid table is one
+// core::EncryptedBidTable.  These are the seed algorithms, kept
+// deliberately naive so a differential check never compares the
+// production code with itself:
 //
 //   * conflict_graph_pairwise — PpbsLocation::conflicts on every pair
 //     i < j, O(n²·w) masked set intersections, no index;
