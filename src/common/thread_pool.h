@@ -47,8 +47,7 @@ class ThreadPool {
   /// On a stopped pool (stop() ran, or destruction has begun) every
   /// invocation runs inline on the calling thread, in ascending w order.
   /// Without this fallback a run() racing shutdown would enqueue tasks
-  /// no worker will ever pop and block forever on their completion — the
-  /// exact hang a server tearing down with queued frames used to risk.
+  /// no worker will ever pop and block forever on their completion.
   void run(std::size_t workers, const std::function<void(std::size_t)>& job);
 
   /// Deterministic shutdown: wakes every worker, lets them drain the
@@ -56,9 +55,8 @@ class ThreadPool {
   /// and joins.  Idempotent; the destructor calls it.  After stop(),
   /// run() degrades to inline execution (see above), so callers that
   /// own both a pool and work-producing threads can tear down in either
-  /// order without racing the pool destructor — the contract
-  /// net::AuctioneerServer's destructor relies on and
-  /// thread_pool_test / net_transport_test pin.
+  /// order without racing the pool destructor; thread_pool_test and
+  /// net_transport_test pin it.
   void stop();
 
   /// std::thread::hardware_concurrency(), clamped to at least 1.

@@ -186,7 +186,7 @@ BidSubmitter::BidSubmitter(PpbsBidConfig config, crypto::SecretKey gb_master,
                            std::optional<crypto::PaillierPublicKey> paillier)
     : config_(std::move(config)),
       gb_master_(gb_master),
-      box_(gc, config_.sealed_cipher),
+      box_(gc),
       key_ctxs_(std::make_shared<KeyCtxCache>()) {
   config_.enc.validate();
   LPPA_REQUIRE(config_.policy.bmax() == config_.enc.bmax,

@@ -98,9 +98,6 @@ struct PpbsBidConfig {
   ZeroDisguisePolicy policy = ZeroDisguisePolicy::none(15);
   bool per_channel_keys = true;  ///< fix (i)
   bool pad_range_sets = true;    ///< fix (v)
-  /// Symmetric cipher sealing the TTP payload; the protocol treats it as
-  /// a black box (cipher-agility tests pin the equivalence).
-  crypto::SealedCipher sealed_cipher = crypto::SealedCipher::kChaCha20;
   /// Which crypto backend masks the per-channel cells (core/bid_backend.h).
   /// The zero-disguise / offset / scale pipeline and the sealed payload
   /// are backend-agnostic; only the masked representation and its order

@@ -42,7 +42,7 @@ TrustedThirdParty::TrustedThirdParty(PpbsBidConfig config, std::uint64_t seed,
       g0_(derive_key(seed, kDomainG0)),
       gb_master_(derive_key(seed, kDomainGbMaster)),
       gc_(derive_key(seed, kDomainGc)),
-      box_(gc_, config_.sealed_cipher) {
+      box_(gc_) {
   config_.enc.validate();
   if (config_.backend == crypto::BidBackendId::kPaillier) {
     Rng prng(derive_stream_seed(seed, kDomainPaillier));

@@ -1,7 +1,5 @@
 #include "crypto/sealed_box.h"
 
-#include "crypto/aes.h"
-
 namespace lppa::crypto {
 
 Bytes SealedMessage::serialize() const {
@@ -24,30 +22,8 @@ SealedMessage SealedMessage::deserialize(std::span<const std::uint8_t> wire) {
   return m;
 }
 
-SealedBox::SealedBox(const SecretKey& gc, SealedCipher cipher)
-    : cipher_(cipher),
-      // Per-cipher key separation: switching ciphers also switches keys,
-      // so a ciphertext can never be accidentally opened under the wrong
-      // primitive.
-      enc_key_(gc.derive(cipher == SealedCipher::kChaCha20 ? "enc-chacha"
-                                                           : "enc-aes",
-                         0)),
-      mac_key_(gc.derive("mac", static_cast<std::uint64_t>(cipher))) {}
-
-Bytes SealedBox::keystream_xor(const Nonce& nonce,
-                               std::span<const std::uint8_t> data) const {
-  switch (cipher_) {
-    case SealedCipher::kChaCha20:
-      return chacha20_xor(enc_key_, nonce, /*initial_counter=*/1, data);
-    case SealedCipher::kAes128Ctr:
-      return aes128_ctr_xor(
-          std::span<const std::uint8_t>(enc_key_.bytes().data(), 16),
-          std::span<const std::uint8_t>(nonce.data(), nonce.size()),
-          /*initial_counter=*/1, data);
-  }
-  LPPA_REQUIRE(false, "unknown sealed cipher");
-  return {};
-}
+SealedBox::SealedBox(const SecretKey& gc)
+    : enc_key_(gc.derive("enc-chacha", 0)), mac_key_(gc.derive("mac", 0)) {}
 
 namespace {
 Digest compute_tag(const SecretKey& mac_key, const Nonce& nonce,
@@ -63,7 +39,8 @@ SealedMessage SealedBox::seal(std::span<const std::uint8_t> plaintext,
                               Rng& rng) const {
   SealedMessage m;
   for (auto& b : m.nonce) b = static_cast<std::uint8_t>(rng.below(256));
-  m.ciphertext = keystream_xor(m.nonce, plaintext);
+  m.ciphertext = chacha20_xor(enc_key_, m.nonce, /*initial_counter=*/1,
+                              plaintext);
   m.tag = compute_tag(mac_key_, m.nonce, std::span<const std::uint8_t>(m.ciphertext));
   return m;
 }
@@ -72,8 +49,8 @@ std::optional<Bytes> SealedBox::open(const SealedMessage& message) const {
   const Digest expected = compute_tag(
       mac_key_, message.nonce, std::span<const std::uint8_t>(message.ciphertext));
   if (!ct_equal(expected.bytes, message.tag.bytes)) return std::nullopt;
-  return keystream_xor(message.nonce,
-                       std::span<const std::uint8_t>(message.ciphertext));
+  return chacha20_xor(enc_key_, message.nonce, /*initial_counter=*/1,
+                      std::span<const std::uint8_t>(message.ciphertext));
 }
 
 }  // namespace lppa::crypto

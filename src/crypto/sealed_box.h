@@ -1,6 +1,6 @@
 // SealedBox: authenticated symmetric encryption (encrypt-then-MAC).
 //
-// Construction: ChaCha20 under enc_key = derive(gc, "enc"), then
+// Construction: ChaCha20 under enc_key = derive(gc, "enc-chacha"), then
 // HMAC-SHA-256 over nonce||ciphertext under mac_key = derive(gc, "mac").
 // This is what carries the winner's true bid to the TTP; the auctioneer
 // relays boxes opaquely and cannot read or forge them.
@@ -32,19 +32,10 @@ struct SealedMessage {
   bool operator==(const SealedMessage&) const = default;
 };
 
-/// Which stream cipher seals the payload.  The protocol never looks
-/// inside the box, so the choice is free — the cipher-agility tests pin
-/// that both instantiations behave identically at the protocol level.
-enum class SealedCipher : std::uint8_t {
-  kChaCha20,
-  kAes128Ctr,
-};
-
 class SealedBox {
  public:
   /// Both SUs and the TTP construct a SealedBox from the shared key gc.
-  explicit SealedBox(const SecretKey& gc,
-                     SealedCipher cipher = SealedCipher::kChaCha20);
+  explicit SealedBox(const SecretKey& gc);
 
   /// Seals a plaintext; the nonce is drawn from `rng` (the caller owns
   /// nonce-uniqueness by owning the RNG stream).
@@ -55,10 +46,6 @@ class SealedBox {
   std::optional<Bytes> open(const SealedMessage& message) const;
 
  private:
-  Bytes keystream_xor(const Nonce& nonce,
-                      std::span<const std::uint8_t> data) const;
-
-  SealedCipher cipher_;
   SecretKey enc_key_;
   SecretKey mac_key_;
 };

@@ -49,7 +49,7 @@ AuctioneerServer::AuctioneerServer(
       driver_(config, num_users, std::move(round), std::move(participating),
               seed, required(journal), required(report), crashes,
               server_config.metrics, round_span),
-      endpoint_(server_config.endpoint), pool_(1) {
+      endpoint_(server_config.endpoint) {
   LPPA_REQUIRE(server_config_.tick.count() > 0, "tick must be positive");
   listener_ = listen_on(endpoint_, server_config_.listen_backlog);
   server_config.endpoint = endpoint_;  // ephemeral port resolved
@@ -61,9 +61,6 @@ AuctioneerServer::AuctioneerServer(
 AuctioneerServer::~AuctioneerServer() {
   stop();
   if (thread_.joinable()) thread_.join();
-  // Members now tear down in reverse order; pool_.stop() (via its
-  // destructor) runs only after the loop thread is gone, and the
-  // stopped-pool inline fallback covers any other pool user racing us.
 }
 
 void AuctioneerServer::stop() { stop_requested_.store(true); }
@@ -146,7 +143,6 @@ void AuctioneerServer::loop_body() {
 
   std::vector<EventLoop::Event> events;
   std::vector<Bytes> frames;
-  std::vector<std::optional<proto::Envelope>> parsed;
   auto last_deadline_scan = started_at_;
 
   while (!stop_requested_.load()) {
@@ -192,33 +188,16 @@ void AuctioneerServer::loop_body() {
       if (ev.readable || ev.hangup) {
         frames.clear();
         const Connection::Io io = peer.conn.on_readable(frames, now);
-        if (!frames.empty()) {
-          // Envelope parsing (a SHA-256 per frame) fans out over the
-          // server's pool; results land in index-addressed slots so the
-          // schedule is irrelevant.
-          parsed.assign(frames.size(), std::nullopt);
-          const std::size_t workers =
-              std::min(frames.size() >= 4 ? pool_.worker_count() + 1 : 1,
-                       frames.size());
-          pool_.run(workers, [&](std::size_t w) {
-            for (std::size_t i = w; i < frames.size(); i += workers) {
-              try {
-                parsed[i] = proto::Envelope::deserialize(frames[i]);
-              } catch (const LppaError&) {
-              }
-            }
-          });
-          for (std::size_t i = 0; i < frames.size(); ++i) {
-            if (m != nullptr) m->counter("net.frames_in").inc();
-            if (peer.conn.frames_received > server_config_.max_frames_per_conn) {
-              peer.doomed = true;
-              if (m != nullptr) m->counter("net.evicted_budget").inc();
-              break;
-            }
-            handle_frame(peer, frames[i], parsed[i], now);
-            accepted_any = true;
-            if (peer.doomed) break;
+        for (const Bytes& frame : frames) {
+          if (m != nullptr) m->counter("net.frames_in").inc();
+          if (peer.conn.frames_received > server_config_.max_frames_per_conn) {
+            peer.doomed = true;
+            if (m != nullptr) m->counter("net.evicted_budget").inc();
+            break;
           }
+          handle_frame(peer, frame, now);
+          accepted_any = true;
+          if (peer.doomed) break;
         }
         if (peer.doomed) {
           evict(ev.token, /*abortive=*/false, "budget/backpressure");
@@ -272,7 +251,6 @@ void AuctioneerServer::loop_body() {
 }
 
 void AuctioneerServer::handle_frame(Peer& peer, const Bytes& frame,
-                                    const std::optional<proto::Envelope>& env,
                                     SteadyClock::time_point now) {
   // Published: the only service left is handing out the announcement —
   // any frame from any peer (a late joiner, a client that lost the
@@ -281,11 +259,6 @@ void AuctioneerServer::handle_frame(Peer& peer, const Bytes& frame,
     send_to_peer(peer, encode_frame(announcement_), now);
     return;
   }
-
-  const bool is_submission =
-      env.has_value() &&
-      (env->type == proto::MessageType::kLocationSubmission ||
-       env->type == proto::MessageType::kBidSubmission);
 
   switch (driver_.on_submission(frame)) {
     case proto::AuctioneerSession::IngestResult::kAccepted:
@@ -296,8 +269,13 @@ void AuctioneerServer::handle_frame(Peer& peer, const Bytes& frame,
       return;  // no binding, no ack for garbage
   }
 
-  if (!is_submission || env->sender >= num_users_) return;
-  const auto su = static_cast<std::size_t>(env->sender);
+  // The session accepted this frame, so its envelope parses.
+  const proto::Envelope env = proto::Envelope::deserialize(frame);
+  const bool is_submission =
+      env.type == proto::MessageType::kLocationSubmission ||
+      env.type == proto::MessageType::kBidSubmission;
+  if (!is_submission || env.sender >= num_users_) return;
+  const auto su = static_cast<std::size_t>(env.sender);
 
   // (Re)bind the SU to this connection: nacks and the announcement go to
   // the latest socket the SU spoke on.  Duplicates rebind too — after a
@@ -310,10 +288,10 @@ void AuctioneerServer::handle_frame(Peer& peer, const Bytes& frame,
     // Acked for accepted AND duplicate outcomes: under at-least-once
     // delivery the client may be waiting on the ack of a redelivery.
     const std::uint8_t mask =
-        env->type == proto::MessageType::kLocationSubmission
+        env.type == proto::MessageType::kLocationSubmission
             ? proto::RetransmitRequest::kLocation
             : proto::RetransmitRequest::kBid;
-    send_to_peer(peer, make_ack_frame(env->sender, mask), now);
+    send_to_peer(peer, make_ack_frame(env.sender, mask), now);
   }
 }
 

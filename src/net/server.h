@@ -5,7 +5,7 @@
 // proto::RoundDriver — the same sans-IO round state machine the
 // in-process bus adapter runs, with its ticks mapped onto wall time (one
 // tick = ServerConfig::tick).  This layer only does transport work:
-// accept, framing, parallel envelope parsing, binding SUs to their
+// accept, framing, envelope parsing, binding SUs to their
 // latest connection, eviction and broadcast.  A socket round at seed S
 // therefore commits byte-identical awards, charges and announcement to
 // a bus round at seed S (net_session_test pins this, including under
@@ -36,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "proto/round_driver.h"
@@ -104,11 +103,7 @@ class AuctioneerServer {
                    proto::CrashInjector* crashes, std::size_t start_ticks,
                    const obs::Span* round_span = nullptr);
 
-  /// Stops the loop (if still running) and joins.  Deterministic with
-  /// frames still queued: the loop thread is stopped FIRST (so nothing
-  /// new is produced), then pool_.stop() drains — and thanks to
-  /// ThreadPool's stopped-pool inline fallback the teardown cannot hang
-  /// even if a straggling drain races the pool shutdown.
+  /// Stops the loop (if still running) and joins the epoll thread.
   ~AuctioneerServer();
 
   AuctioneerServer(const AuctioneerServer&) = delete;
@@ -136,7 +131,6 @@ class AuctioneerServer {
   void run_loop();
   void loop_body();  ///< throws CrashSignal / LppaError out to run_loop
   void handle_frame(Peer& peer, const Bytes& frame,
-                    const std::optional<proto::Envelope>& env,
                     SteadyClock::time_point now);
   void send_to_peer(Peer& peer, Bytes frame, SteadyClock::time_point now);
   void evict(std::uint64_t id, bool abortive, const char* why);
@@ -167,11 +161,6 @@ class AuctioneerServer {
   SteadyClock::time_point next_wave_at_;
   Bytes announcement_;
   std::size_t ticks_used_ = 0;
-
-  /// Parses drained frame batches in parallel (Envelope checksums are
-  /// the per-frame cost).  Owned by the server so the shutdown ordering
-  /// is explicit — see ~AuctioneerServer.
-  ThreadPool pool_;
 
   // --- cross-thread coordination -----------------------------------------
   mutable std::mutex mutex_;

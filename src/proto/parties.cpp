@@ -249,26 +249,11 @@ void AuctioneerSession::note_ingest(IngestResult result) const {
   }
 }
 
-void AuctioneerSession::ingest(const Bytes& envelope_bytes) {
-  std::string error;
-  const IngestResult result = classify_and_store(envelope_bytes, &error);
-  note_ingest(result);
-  LPPA_PROTOCOL_CHECK(result == IngestResult::kAccepted, error);
-}
-
 AuctioneerSession::IngestResult AuctioneerSession::try_ingest(
     const Bytes& envelope_bytes, std::string* error) {
   const IngestResult result = classify_and_store(envelope_bytes, error);
   note_ingest(result);
   return result;
-}
-
-bool AuctioneerSession::ready() const noexcept {
-  for (std::size_t u = 0; u < num_users_; ++u) {
-    if (absent_[u]) continue;
-    if (!locations_[u].has_value() || !bids_[u].has_value()) return false;
-  }
-  return true;
 }
 
 bool AuctioneerSession::has_location(std::size_t user) const {
@@ -342,7 +327,7 @@ void AuctioneerSession::compact_participants(const obs::Span* parent) {
   // Compact the participants to contiguous indices: the conflict graph,
   // bid table and allocator all run over [0, m); awards are mapped back
   // to original SU ids afterwards.  A fault-free full round compacts to
-  // the identity, so the legacy path is bit-for-bit unchanged.  The
+  // the identity.  The
   // conflict-graph rebuild involves no randomness, which is what lets a
   // restored session recompute it instead of journaling the edges.
   const std::size_t m = participants_.size();
@@ -373,14 +358,7 @@ void AuctioneerSession::open_ledger(std::vector<auction::Award> awards,
 
 void AuctioneerSession::run_allocation(Rng& rng, const obs::Span* parent) {
   LPPA_REQUIRE(!ledger_, "allocation already ran");
-  if (!finalized_) {
-    LPPA_REQUIRE(ready(), "submissions still missing");
-    for (std::size_t u = 0; u < num_users_; ++u) {
-      if (!absent_[u]) participants_.push_back(u);
-    }
-    LPPA_REQUIRE(!participants_.empty(), "every user departed the round");
-    finalized_ = true;
-  }
+  LPPA_REQUIRE(finalized_, "admission is still open");
 
   compact_participants(parent);
   {

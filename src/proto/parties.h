@@ -50,30 +50,24 @@ class SuClient {
 ///
 /// Every submission passes core::SubmissionValidator before it is
 /// stored, so nothing malformed ever reaches the conflict-graph build or
-/// the EncryptedBidTable.  Two ingestion modes share that validation:
-/// the strict ingest() throws on any problem (the classic lock-step
-/// session), while try_ingest() classifies the problem and keeps the
-/// session usable — the round driver uses it to survive Byzantine
+/// the EncryptedBidTable.  try_ingest() classifies each problem and keeps
+/// the session usable — the round driver uses it to survive Byzantine
 /// senders, corrupted links, and benign redeliveries, then finalizes the
 /// round over whichever users delivered valid submissions.
 class AuctioneerSession {
  public:
   AuctioneerSession(const core::LppaConfig& config, std::size_t num_users);
 
-  /// Feeds one envelope from an SU.  Throws LppaError(kProtocol) on
-  /// malformed, duplicate, mistyped or out-of-range submissions.
-  void ingest(const Bytes& envelope_bytes);
-
   /// How try_ingest classified one envelope.
   enum class IngestResult : std::uint8_t {
-    kAccepted,              ///< stored; counts towards readiness
+    kAccepted,              ///< stored; the user may become a participant
     kDuplicateRedelivery,   ///< byte-identical re-arrival; harmless
     kRejected,              ///< unparseable / invalid / unattributable
     kEquivocation,          ///< second, different valid submission: the
                             ///< sender is excluded from the round
   };
 
-  /// Fault-tolerant ingest: never throws on peer-supplied garbage.
+  /// Feeds one envelope from an SU; never throws on peer-supplied garbage.
   /// Rejections with an attributable sender count as strikes against it;
   /// equivocation marks the sender excluded.  `error`, when non-null,
   /// receives the reason for any non-accepted outcome.
@@ -125,10 +119,6 @@ class AuctioneerSession {
   /// of re-issuing operations the journal already made durable.
   std::size_t churn_ops_applied() const noexcept { return churn_ops_; }
 
-  /// True once every present user's location and bid submission has
-  /// arrived (absent/departed users are not awaited).
-  bool ready() const noexcept;
-
   bool has_location(std::size_t user) const;
   bool has_bid(std::size_t user) const;
   /// True when `user` equivocated and is out of the round.
@@ -151,9 +141,8 @@ class AuctioneerSession {
 
   /// Runs conflict-graph construction + greedy allocation (Algorithm 3)
   /// over the participants, then opens the round's core::ChargeLedger
-  /// (core/charging.h).  Without a prior finalize_participants() call it
-  /// requires ready() and runs over everyone (legacy mode).  Award::user
-  /// carries original SU ids either way.  With config.metrics set, the
+  /// (core/charging.h).  Requires admission_closed().  Award::user
+  /// carries original SU ids.  With config.metrics set, the
   /// conflict build's "conflict.index_build"/"conflict.probe" spans and
   /// the bid table's one "table.build" span hang under `parent` (when
   /// set).

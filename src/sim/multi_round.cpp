@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
 #include "core/bcm.h"
 #include "sim/experiments.h"
@@ -21,7 +20,6 @@ MultiRoundResult run_multi_round(Scenario& scenario,
   // channel r to (the pseudonym it believes is) user u.
   std::vector<std::map<std::size_t, std::size_t>> evidence(n);
   std::vector<std::vector<std::size_t>> last_round_sets(n);
-  std::vector<proto::RoundReport> reports;
 
   for (std::size_t round = 0; round < config.rounds; ++round) {
     scenario.rebid(seed + 31 * round);
@@ -40,47 +38,6 @@ MultiRoundResult run_multi_round(Scenario& scenario,
     core::TrustedThirdParty ttp(bid_config, seed + 1000 * round);
     const auto submissions = make_submissions(scenario, bid_config,
                                               ttp.su_keys(), seed + round);
-
-    if (config.faults.enabled) {
-      // Run the same round over the wire under injected faults.  The
-      // bus and injector are per-round (session-scoped channels); the
-      // wire Rng is independent of the attack-model streams above so
-      // enabling faults never perturbs the privacy metrics.
-      proto::MessageBus bus;
-      proto::FaultInjector injector(config.faults.seed + round,
-                                    config.faults.link);
-      for (const std::size_t b : config.faults.byzantine) {
-        if (b < n) injector.mark_byzantine(proto::Address::su(b));
-      }
-      bus.set_fault_injector(&injector);
-
-      core::LppaConfig lppa;
-      lppa.num_channels = scenario.users().front().bids.size();
-      lppa.lambda = scenario.config().lambda_m;
-      lppa.coord_width = scenario.coord_width();
-      lppa.bid = bid_config;
-
-      // Crash layer: the auctioneer dies at seeded checkpoints and
-      // recovers from its journal; a crash-free schedule leaves the
-      // outcome byte-identical to the round without the layer.
-      const MultiRoundCrashes& cr = config.faults.crashes;
-      proto::RecoverableSessionConfig recov;
-      recov.hardened = config.faults.session;
-      std::optional<proto::CrashInjector> crash_injector;
-      if (cr.enabled) {
-        crash_injector = proto::CrashInjector::seeded(
-            cr.seed + round, cr.crash_prob, cr.max_per_round);
-        recov.deadline_ticks = cr.deadline_ticks;
-        recov.min_quorum = cr.min_quorum;
-        recov.recovery_cost_ticks = cr.recovery_cost_ticks;
-      }
-      auto wire = proto::run_recoverable_wire_auction(
-          lppa, ttp, scenario.locations(), scenario.bids(), bus,
-          seed + 4242 * (round + 1), recov,
-          crash_injector ? &*crash_injector : nullptr);
-      wire.report.round = round;
-      reports.push_back(std::move(wire.report));
-    }
 
     const auto ranks = adversary.rank_columns(submissions);
     const auto ordered = core::LppaAdversary::infer_ordered_sets(
@@ -131,7 +88,6 @@ MultiRoundResult run_multi_round(Scenario& scenario,
   MultiRoundResult result;
   result.metrics = core::aggregate(metrics);
   result.mean_channels_used = channels_used / static_cast<double>(n);
-  result.reports = std::move(reports);
   return result;
 }
 

@@ -14,43 +14,9 @@
 #pragma once
 
 #include "core/adversary.h"
-#include "proto/fault.h"
-#include "proto/round_report.h"
-#include "proto/session.h"
 #include "sim/scenario.h"
 
 namespace lppa::sim {
-
-/// Optional fault layer: when enabled, every round additionally runs as
-/// a wire auction (proto::run_recoverable_wire_auction) over a
-/// per-round MessageBus with a seeded FaultInjector attached, and the
-/// resulting RoundReports land in MultiRoundResult::reports.  A fresh
-/// bus per round models session-scoped channels — stale delayed traffic
-/// from round k cannot masquerade as a round-k+1 submission.
-/// Optional crash layer on top of the fault layer: when enabled, each
-/// wire round runs with a per-round seeded CrashInjector and the
-/// deadline / quorum policy below, so the auctioneer dies and recovers
-/// mid-round on a
-/// reproducible schedule.  Per-round recovery counts, journal sizes and
-/// degradations land in the round's RoundReport.
-struct MultiRoundCrashes {
-  bool enabled = false;
-  std::uint64_t seed = 7;          ///< crash-schedule Rng seed base
-  double crash_prob = 0.0;         ///< per-checkpoint crash probability
-  std::size_t max_per_round = 1;   ///< crash budget per round
-  std::size_t deadline_ticks = 0;  ///< round deadline (0 = none)
-  std::size_t min_quorum = 1;      ///< degraded-commit quorum floor
-  std::size_t recovery_cost_ticks = 1;  ///< ticks each restart costs
-};
-
-struct MultiRoundFaults {
-  bool enabled = false;
-  std::uint64_t seed = 99;               ///< injector Rng seed base
-  proto::FaultSpec link;                 ///< default per-sender fault rates
-  std::vector<std::size_t> byzantine;    ///< SU indices that always corrupt
-  proto::HardenedSessionConfig session;  ///< retry / backoff policy
-  MultiRoundCrashes crashes;             ///< auctioneer crash schedule
-};
 
 struct MultiRoundConfig {
   std::size_t rounds = 5;
@@ -66,7 +32,6 @@ struct MultiRoundConfig {
   auction::Money rd = 3;
   std::uint64_t cr = 4;
   double top_fraction = 0.5;  ///< attacker's per-column selection
-  MultiRoundFaults faults;    ///< wire-round fault injection (off by default)
 };
 
 struct MultiRoundResult {
@@ -74,8 +39,6 @@ struct MultiRoundResult {
   /// Mean number of channels the attacker ended up intersecting per
   /// victim (accumulated evidence without mixing; last round with).
   double mean_channels_used = 0.0;
-  /// One report per round when faults are enabled (empty otherwise).
-  std::vector<proto::RoundReport> reports;
 };
 
 /// Runs R auction rounds over a fixed user population (positions pinned,

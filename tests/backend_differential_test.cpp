@@ -6,7 +6,7 @@
 //      announcement) equal goldens captured on the pre-backend tree.
 //   2. The Paillier backend satisfies every backend-agnostic invariant —
 //      conflict-free allocation, charge <= true bid, deterministic
-//      tie-breaks invariant across shard/thread counts and equal to the
+//      tie-breaks invariant across thread counts and equal to the
 //      tournament-scan oracle's, snapshot round-trips — without being
 //      award-identical to HMAC (the two backends draw per-cell
 //      randomness differently).
@@ -85,11 +85,10 @@ std::string run_digest(const core::LppaOutcome& out) {
 }
 
 core::LppaOutcome run_engine(const World& w, core::ChargingRule rule,
-                             std::size_t shards, std::size_t threads,
+                             std::size_t threads,
                              crypto::BidBackendId backend) {
   core::LppaConfig cfg = make_config(3, backend);
   cfg.charging_rule = rule;
-  cfg.num_shards = shards;
   cfg.num_threads = threads;
   core::LppaAuction engine(cfg, kTtpSeed);
   Rng rng(kRoundSeed);
@@ -105,10 +104,9 @@ struct SessionRun {
 };
 
 SessionRun run_session(const World& w, core::ChargingRule rule,
-                       std::size_t shards, crypto::BidBackendId backend) {
+                       crypto::BidBackendId backend) {
   core::LppaConfig cfg = make_config(3, backend);
   cfg.charging_rule = rule;
-  cfg.num_shards = shards;
   core::TrustedThirdParty ttp(cfg.bid, kTtpSeed, rule);
   cfg.backend = &ttp.bid_backend();
   proto::AuctioneerSession session(cfg, w.locations.size());
@@ -117,8 +115,10 @@ SessionRun run_session(const World& w, core::ChargingRule rule,
   for (std::size_t i = 0; i < w.locations.size(); ++i) {
     Rng r = su_master.fork();
     const proto::SuClient client(i, cfg, ttp.su_keys());
-    session.ingest(client.location_envelope(w.locations[i], r));
-    session.ingest(client.bid_envelope(w.bids[i], r));
+    EXPECT_EQ(session.try_ingest(client.location_envelope(w.locations[i], r)),
+              proto::AuctioneerSession::IngestResult::kAccepted);
+    EXPECT_EQ(session.try_ingest(client.bid_envelope(w.bids[i], r)),
+              proto::AuctioneerSession::IngestResult::kAccepted);
   }
   proto::RoundReport report;
   session.finalize_participants(report);
@@ -153,12 +153,9 @@ TEST(HmacGolden, RunDigestsMatchSeedCapture) {
        "552de03b518bfd0d3f009f30195469a7fc7bdce9c81d58b3db7565ffe5d215c9"},
   };
   for (const auto& [rule, digest] : golden) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      const auto out = run_engine(w, rule, shards, /*threads=*/1,
-                                  crypto::BidBackendId::kHmacPrefix);
-      EXPECT_EQ(run_digest(out), digest)
-          << "rule=" << static_cast<int>(rule) << " shards=" << shards;
-    }
+    const auto out = run_engine(w, rule, /*threads=*/1,
+                                crypto::BidBackendId::kHmacPrefix);
+    EXPECT_EQ(run_digest(out), digest) << "rule=" << static_cast<int>(rule);
   }
 }
 
@@ -177,14 +174,11 @@ TEST(HmacGolden, SessionDigestsMatchSeedCapture) {
         "d320173bce64bb7ee79b7ab3065e520891c90544508c8762b149838b5f4817e0"}},
   };
   for (const auto& [rule, g] : golden) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      const SessionRun run = run_session(
-          w, rule, shards, crypto::BidBackendId::kHmacPrefix);
-      EXPECT_EQ(hex(run.snapshot), g.snap)
-          << "rule=" << static_cast<int>(rule) << " shards=" << shards;
-      EXPECT_EQ(hex(run.announcement), g.ann)
-          << "rule=" << static_cast<int>(rule) << " shards=" << shards;
-    }
+    const SessionRun run =
+        run_session(w, rule, crypto::BidBackendId::kHmacPrefix);
+    EXPECT_EQ(hex(run.snapshot), g.snap) << "rule=" << static_cast<int>(rule);
+    EXPECT_EQ(hex(run.announcement), g.ann)
+        << "rule=" << static_cast<int>(rule);
   }
 }
 
@@ -199,7 +193,7 @@ class BackendInvariants
 TEST_P(BackendInvariants, AllocationIsConflictFreeAndChargesAreBounded) {
   const auto [backend, rule] = GetParam();
   const World w = make_world(10, 3, 21);
-  const auto out = run_engine(w, rule, /*shards=*/1, /*threads=*/1, backend);
+  const auto out = run_engine(w, rule, /*threads=*/1, backend);
 
   EXPECT_EQ(out.manipulations_detected, 0u);
   std::set<std::size_t> winners;
@@ -241,35 +235,32 @@ TEST(PaillierEngine, DeterministicAcrossShardsThreadsAndReruns) {
   for (const auto rule :
        {core::ChargingRule::kFirstPrice, core::ChargingRule::kSecondPrice}) {
     std::optional<std::string> reference;
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-        const auto out = run_engine(w, rule, shards, threads,
-                                    crypto::BidBackendId::kPaillier);
-        const std::string digest = run_digest(out);
-        if (!reference.has_value()) {
-          reference = digest;
-          // The first run against the oracle round (pairwise graph,
-          // tournament-scan table) over its own masked submissions.
-          core::LppaConfig cfg = make_config(3, crypto::BidBackendId::kPaillier);
-          cfg.charging_rule = rule;
-          core::LppaAuction engine(cfg, kTtpSeed);
-          auction::ConflictGraph pairwise(1);
-          const auto oracle = oracles::reference_round(
-              engine, out.view, Rng(kRoundSeed), &pairwise);
-          EXPECT_EQ(out.view.conflicts, pairwise);
-          EXPECT_EQ(out.outcome.awards, oracle.awards)
-              << "rule=" << static_cast<int>(rule);
-        } else {
-          EXPECT_EQ(digest, *reference)
-              << "rule=" << static_cast<int>(rule) << " shards=" << shards
-              << " threads=" << threads;
-        }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      const auto out =
+          run_engine(w, rule, threads, crypto::BidBackendId::kPaillier);
+      const std::string digest = run_digest(out);
+      if (!reference.has_value()) {
+        reference = digest;
+        // The first run against the oracle round (pairwise graph,
+        // tournament-scan table) over its own masked submissions.
+        core::LppaConfig cfg = make_config(3, crypto::BidBackendId::kPaillier);
+        cfg.charging_rule = rule;
+        core::LppaAuction engine(cfg, kTtpSeed);
+        auction::ConflictGraph pairwise(1);
+        const auto oracle = oracles::reference_round(
+            engine, out.view, Rng(kRoundSeed), &pairwise);
+        EXPECT_EQ(out.view.conflicts, pairwise);
+        EXPECT_EQ(out.outcome.awards, oracle.awards)
+            << "rule=" << static_cast<int>(rule);
+      } else {
+        EXPECT_EQ(digest, *reference)
+            << "rule=" << static_cast<int>(rule) << " threads=" << threads;
       }
     }
     // A fresh engine over the same seeds reproduces the round exactly
     // (keygen, blinding and encryption randomness all derive from them).
-    const auto rerun = run_engine(w, rule, /*shards=*/1, /*threads=*/1,
-                                  crypto::BidBackendId::kPaillier);
+    const auto rerun =
+        run_engine(w, rule, /*threads=*/1, crypto::BidBackendId::kPaillier);
     EXPECT_EQ(run_digest(rerun), *reference);
   }
 }
@@ -441,8 +432,10 @@ TEST(SnapshotInterop, WireSessionRejectsForeignSnapshot) {
     for (std::size_t i = 0; i < w.locations.size(); ++i) {
       Rng r = su_master.fork();
       const proto::SuClient client(i, cfg, ttp.su_keys());
-      session.ingest(client.location_envelope(w.locations[i], r));
-      session.ingest(client.bid_envelope(w.bids[i], r));
+      EXPECT_EQ(session.try_ingest(client.location_envelope(w.locations[i], r)),
+                proto::AuctioneerSession::IngestResult::kAccepted);
+      EXPECT_EQ(session.try_ingest(client.bid_envelope(w.bids[i], r)),
+                proto::AuctioneerSession::IngestResult::kAccepted);
     }
     proto::RoundReport report;
     session.finalize_participants(report);
@@ -466,8 +459,8 @@ TEST(SnapshotInterop, WireSessionRejectsForeignSnapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Paillier wire session: full round, snapshot round-trip, restore
-//    across shard counts.
+// 5. Paillier wire session: full round, snapshot round-trip, and the
+//    restored session finishing the charges.
 // ---------------------------------------------------------------------------
 
 TEST(PaillierSession, FullRoundAndSnapshotRoundTrip) {
@@ -485,8 +478,10 @@ TEST(PaillierSession, FullRoundAndSnapshotRoundTrip) {
     for (std::size_t i = 0; i < w.locations.size(); ++i) {
       Rng r = su_master.fork();
       const proto::SuClient client(i, cfg, ttp.su_keys());
-      session.ingest(client.location_envelope(w.locations[i], r));
-      session.ingest(client.bid_envelope(w.bids[i], r));
+      EXPECT_EQ(session.try_ingest(client.location_envelope(w.locations[i], r)),
+                proto::AuctioneerSession::IngestResult::kAccepted);
+      EXPECT_EQ(session.try_ingest(client.bid_envelope(w.bids[i], r)),
+                proto::AuctioneerSession::IngestResult::kAccepted);
     }
     proto::RoundReport report;
     session.finalize_participants(report);
@@ -506,20 +501,15 @@ TEST(PaillierSession, FullRoundAndSnapshotRoundTrip) {
       EXPECT_LE(a.charge, w.bids[a.user][a.channel]);
     }
 
-    // Restore into a fresh session — including one reconfigured to a
-    // different shard count, which re-shards the restored global image.
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      core::LppaConfig cfg2 = cfg;
-      cfg2.num_shards = shards;
-      proto::AuctioneerSession restored(cfg2, w.locations.size());
-      restored.restore_from(snap);
-      EXPECT_EQ(restored.snapshot(), snap) << "shards=" << shards;
-      proto::TtpService svc2(ttp);
-      for (const Bytes& q : restored.charge_query_envelopes()) {
-        restored.ingest_charge_results(svc2.handle(q));
-      }
-      EXPECT_EQ(restored.winner_announcement(), ann) << "shards=" << shards;
+    // Restore into a fresh session and finish charging there.
+    proto::AuctioneerSession restored(cfg, w.locations.size());
+    restored.restore_from(snap);
+    EXPECT_EQ(restored.snapshot(), snap);
+    proto::TtpService svc2(ttp);
+    for (const Bytes& q : restored.charge_query_envelopes()) {
+      restored.ingest_charge_results(svc2.handle(q));
     }
+    EXPECT_EQ(restored.winner_announcement(), ann);
   }
 }
 

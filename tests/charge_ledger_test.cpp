@@ -193,8 +193,10 @@ struct AllocatedSession {
         config, ttp.su_keys(), w.locations, w.bids, kRoundSeed,
         std::vector<bool>(w.bids.size(), true));
     for (const auto& su : sus) {
-      session.ingest(su.location);
-      session.ingest(su.bid);
+      EXPECT_EQ(session.try_ingest(su.location),
+                proto::AuctioneerSession::IngestResult::kAccepted);
+      EXPECT_EQ(session.try_ingest(su.bid),
+                proto::AuctioneerSession::IngestResult::kAccepted);
     }
     proto::RoundReport report;
     session.finalize_participants(report);
@@ -346,8 +348,10 @@ TEST_P(ChargeRunnerUp, WireSessionSkipsAnEquivocator) {
   proto::AuctioneerSession session(cfg, kRunnerUpUsers);
   core::AuctioneerView survivors;
   for (const auto& su : sus) {
-    session.ingest(su.location);
-    session.ingest(su.bid);
+    EXPECT_EQ(session.try_ingest(su.location),
+              proto::AuctioneerSession::IngestResult::kAccepted);
+    EXPECT_EQ(session.try_ingest(su.bid),
+              proto::AuctioneerSession::IngestResult::kAccepted);
     if (su.su == kTop) continue;
     survivors.locations.push_back(core::LocationSubmission::deserialize(
         proto::Envelope::deserialize(su.location).payload));

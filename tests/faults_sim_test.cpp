@@ -10,7 +10,6 @@
 
 #include "proto/fault.h"
 #include "proto/session.h"
-#include "sim/multi_round.h"
 
 namespace lppa::proto {
 namespace {
@@ -231,15 +230,13 @@ TEST(FaultsIngest, GarbageNeverWedgesTheSession) {
             AuctioneerSession::IngestResult::kRejected);
   EXPECT_EQ(session.try_ingest(Bytes{0xFF, 0x00, 0x12}),
             AuctioneerSession::IngestResult::kRejected);
-  // Strict ingest still throws for lock-step callers.
-  EXPECT_THROW(session.ingest(Bytes{0xFF, 0x00, 0x12}), LppaError);
 
   const SuClient client(0, w.config, ttp.su_keys());
   EXPECT_EQ(session.try_ingest(client.location_envelope(w.locations[0], rng)),
             AuctioneerSession::IngestResult::kAccepted);
   EXPECT_EQ(session.try_ingest(client.bid_envelope(w.bids[0], rng)),
             AuctioneerSession::IngestResult::kAccepted);
-  EXPECT_TRUE(session.ready());
+  EXPECT_TRUE(session.missing_users().empty());
 }
 
 TEST(FaultsIngest, NobodySurvivingIsATypedProtocolError) {
@@ -256,56 +253,3 @@ TEST(FaultsIngest, NobodySurvivingIsATypedProtocolError) {
 
 }  // namespace
 }  // namespace lppa::proto
-
-namespace lppa::sim {
-namespace {
-
-ScenarioConfig small_config() {
-  ScenarioConfig cfg;
-  cfg.area_id = 3;
-  cfg.fcc.rows = 30;
-  cfg.fcc.cols = 30;
-  cfg.fcc.num_channels = 12;
-  cfg.num_users = 12;
-  cfg.seed = 77;
-  return cfg;
-}
-
-TEST(FaultsMultiRound, EveryRoundCompletesUnderSeededFaults) {
-  Scenario scenario(small_config());
-  MultiRoundConfig cfg;
-  cfg.rounds = 2;
-  cfg.faults.enabled = true;
-  cfg.faults.seed = 1234;
-  cfg.faults.link.drop = 0.10;
-  cfg.faults.byzantine = {0, 5};
-
-  const auto result = run_multi_round(scenario, cfg, 42);
-  ASSERT_EQ(result.reports.size(), 2u);
-  for (const auto& report : result.reports) {
-    EXPECT_TRUE(report.completed) << report.summary();
-    EXPECT_EQ(report.num_users, 12u);
-    EXPECT_GE(report.survivors.size(), 10u);
-    for (const auto& e : report.excluded) {
-      EXPECT_TRUE(e.user == 0 || e.user == 5) << report.summary();
-    }
-    EXPECT_GT(report.faults.messages, 0u);
-  }
-}
-
-TEST(FaultsMultiRound, FaultLayerDoesNotPerturbPrivacyMetrics) {
-  Scenario with(small_config()), without(small_config());
-  MultiRoundConfig cfg;
-  cfg.rounds = 2;
-  const auto baseline = run_multi_round(without, cfg, 42);
-  cfg.faults.enabled = true;
-  cfg.faults.link.drop = 0.10;
-  cfg.faults.byzantine = {1};
-  const auto faulted = run_multi_round(with, cfg, 42);
-  EXPECT_EQ(faulted.metrics.failure_rate, baseline.metrics.failure_rate);
-  EXPECT_EQ(faulted.mean_channels_used, baseline.mean_channels_used);
-  EXPECT_TRUE(baseline.reports.empty());
-}
-
-}  // namespace
-}  // namespace lppa::sim

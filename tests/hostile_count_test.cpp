@@ -104,10 +104,15 @@ struct AllocatedSnapshot {
     Rng rng(17);
     for (std::size_t u = 0; u < n; ++u) {
       const proto::SuClient client(u, config, ttp.su_keys());
-      session.ingest(client.location_envelope(
-          {rng.below(5000), rng.below(5000)}, rng));
-      session.ingest(client.bid_envelope({rng.below(16), rng.below(16)}, rng));
+      EXPECT_EQ(session.try_ingest(client.location_envelope(
+                    {rng.below(5000), rng.below(5000)}, rng)),
+                proto::AuctioneerSession::IngestResult::kAccepted);
+      EXPECT_EQ(session.try_ingest(client.bid_envelope(
+                    {rng.below(16), rng.below(16)}, rng)),
+                proto::AuctioneerSession::IngestResult::kAccepted);
     }
+    proto::RoundReport report;
+    session.finalize_participants(report);
     session.run_allocation(rng);
     image = session.snapshot();
     award_list = image.size() - 4 - kAwardBytes * session.awards().size();

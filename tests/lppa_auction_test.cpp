@@ -191,23 +191,6 @@ TEST(LppaAuction, DeterministicGivenSeeds) {
   EXPECT_EQ(a.outcome.awards, b.outcome.awards);
 }
 
-TEST(LppaAuction, AesSealedCipherRunsEndToEnd) {
-  // Cipher agility at the protocol level: swapping the TTP cipher must
-  // not change anything observable except the sealed bytes.
-  const World w = make_world(12, 3, 271);
-  auto chacha_cfg = make_config(3, 0.0);
-  auto aes_cfg = chacha_cfg;
-  aes_cfg.bid.sealed_cipher = crypto::SealedCipher::kAes128Ctr;
-
-  LppaAuction chacha(chacha_cfg, 44);
-  LppaAuction aes(aes_cfg, 44);
-  Rng r1(66), r2(66);
-  const auto a = chacha.run(w.locations, w.bids, r1);
-  const auto b = aes.run(w.locations, w.bids, r2);
-  EXPECT_EQ(a.outcome.awards, b.outcome.awards);
-  EXPECT_EQ(b.manipulations_detected, 0u);
-}
-
 TEST(LppaAuction, SecondPriceChargesAtMostFirstPrice) {
   const World w = make_world(20, 4, 301);
   auto first_cfg = make_config(4, 0.0);

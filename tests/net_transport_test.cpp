@@ -1,8 +1,9 @@
 // Transport-level robustness of src/net: connection state machine
 // (backpressure bounds, partial writes, progress deadlines), server
-// admission control, slow-loris eviction, and deterministic teardown of
-// an AuctioneerServer with frames still queued (the ThreadPool shutdown
-// ordering contract).
+// admission control, slow-loris eviction, a multi-frame read classified
+// exactly as the in-process driver classifies it, deterministic teardown
+// of an AuctioneerServer with frames still queued, and ThreadPool's
+// stopped-pool shutdown contract.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -13,8 +14,10 @@
 
 #include "common/thread_pool.h"
 #include "net/connection.h"
+#include "net/frame.h"
 #include "net/server.h"
 #include "proto/journal.h"
+#include "proto/parties.h"
 
 namespace lppa::net {
 namespace {
@@ -95,12 +98,16 @@ struct ServerFixture {
   std::unique_ptr<AuctioneerServer> server;
 
   explicit ServerFixture(TransportLimits limits = {},
-                         std::size_t max_connections = 64) {
+                         std::size_t max_connections = 64,
+                         std::size_t backoff_base_ticks = 100,
+                         bool ack_submissions = false) {
     server_config.limits = limits;
     server_config.max_connections = max_connections;
     server_config.tick = std::chrono::microseconds(1000);
-    // Park admission for a long time: waves every ~200 ms, many retries.
-    round.hardened.backoff_base_ticks = 100;
+    server_config.ack_submissions = ack_submissions;
+    // Park admission for a long time: by default waves every ~200 ms,
+    // many retries.
+    round.hardened.backoff_base_ticks = backoff_base_ticks;
     round.hardened.max_retries = 50;
     server = std::make_unique<AuctioneerServer>(
         world.config, world.bids.size(), server_config, round,
@@ -232,11 +239,99 @@ TEST(AuctioneerServer, SlowLorisIsEvictedCompleteTalkerIsNot) {
       << "idle-but-complete client must not trip the read deadline";
 }
 
+TEST(AuctioneerServer, OneReadOfMixedFramesIsClassifiedLikeTheBus) {
+  // One write carries five frames, so one read hands the server a batch:
+  // SU 0's location and bid, SU 1's location with its payload cut short
+  // (valid envelope, attributable strike), SU 2's location with one byte
+  // flipped (checksum fails, unattributable), and SU 0's location again
+  // (byte-identical duplicate).  The server must journal, count and ack
+  // exactly what the bus adapter's driver does with the same bytes.
+  ServerFixture fx({}, 64, /*backoff_base_ticks=*/10000,
+                   /*ack_submissions=*/true);  // first wave after ~20 s
+  const WireWorld& w = fx.world;
+  Rng rng(3);
+  const Bytes loc0 = proto::SuClient(0, w.config, fx.ttp.su_keys())
+                         .location_envelope(w.locations[0], rng);
+  const Bytes bid0 = proto::SuClient(0, w.config, fx.ttp.su_keys())
+                         .bid_envelope(w.bids[0], rng);
+  proto::Envelope cut = proto::Envelope::deserialize(
+      proto::SuClient(1, w.config, fx.ttp.su_keys())
+          .location_envelope(w.locations[1], rng));
+  cut.payload.pop_back();
+  const Bytes strike1 = cut.serialize();
+  Bytes flipped2 = proto::SuClient(2, w.config, fx.ttp.su_keys())
+                       .location_envelope(w.locations[2], rng);
+  flipped2[flipped2.size() / 2] ^= 0x01;
+  const std::vector<Bytes> batch = {loc0, bid0, strike1, flipped2, loc0};
+
+  // The bus adapter's view: one driver fed the same bytes in order.
+  proto::RoundJournal ref_journal;
+  proto::RoundReport ref_report;
+  proto::RoundDriver ref(w.config, w.bids.size(), fx.round,
+                         std::vector<bool>(w.bids.size(), true), /*seed=*/5,
+                         ref_journal, ref_report);
+  ref.start();
+  std::vector<proto::AuctioneerSession::IngestResult> verdicts;
+  std::vector<std::uint8_t> want_acks;
+  for (const Bytes& env : batch) {
+    verdicts.push_back(ref.on_submission(env));
+    if (verdicts.back() == proto::AuctioneerSession::IngestResult::kRejected) {
+      continue;
+    }
+    want_acks.push_back(proto::Envelope::deserialize(env).type ==
+                                proto::MessageType::kLocationSubmission
+                            ? proto::RetransmitRequest::kLocation
+                            : proto::RetransmitRequest::kBid);
+  }
+  using R = proto::AuctioneerSession::IngestResult;
+  ASSERT_EQ(verdicts, (std::vector<R>{R::kAccepted, R::kAccepted,
+                                      R::kRejected, R::kRejected,
+                                      R::kDuplicateRedelivery}));
+
+  Fd client = connect_to(fx.server->endpoint());
+  wait_writable(client.get());
+  Bytes wire;
+  for (const Bytes& env : batch) {
+    const Bytes frame = encode_frame(env);
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  send_all(client.get(), wire);
+
+  std::vector<std::uint8_t> acks;
+  FrameDecoder decoder;
+  std::uint8_t buf[4096];
+  const auto deadline = SteadyClock::now() + 5s;
+  while (acks.size() < want_acks.size() && SteadyClock::now() < deadline) {
+    pollfd p{client.get(), POLLIN, 0};
+    if (::poll(&p, 1, 50) <= 0) continue;
+    const ssize_t n = ::recv(client.get(), buf, sizeof buf, 0);
+    ASSERT_GT(n, 0) << "server closed the connection";
+    decoder.feed(
+        std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
+    while (auto frame = decoder.next()) {
+      const proto::Envelope ack = proto::Envelope::deserialize(*frame);
+      ASSERT_EQ(ack.type, proto::MessageType::kSubmissionAck);
+      EXPECT_EQ(ack.sender, 0u);
+      acks.push_back(proto::SubmissionAck::deserialize(ack.payload).mask);
+    }
+  }
+  EXPECT_EQ(acks, want_acks);
+  EXPECT_FALSE(closed_within(client.get(), 50));
+
+  fx.server.reset();  // joins the loop thread; its state is ours now
+  EXPECT_EQ(fx.journal.data(), ref_journal.data());
+  EXPECT_EQ(fx.report.rejected_messages, 2u);
+  EXPECT_EQ(fx.report.duplicate_redeliveries, 1u);
+  std::size_t strikes = 0;
+  for (const auto& record : proto::RoundJournal::read(fx.journal.data())) {
+    if (record.type == proto::JournalRecordType::kStrike) ++strikes;
+  }
+  EXPECT_EQ(strikes, 1u);
+}
+
 TEST(AuctioneerServer, DestructionWithQueuedFramesIsDeterministic) {
   // Frames still in flight / queued when the server dies: teardown must
-  // drain or cancel deterministically — never hang, never crash.  This
-  // pins the ThreadPool::stop ordering contract the destructor relies
-  // on.
+  // drain or cancel deterministically — never hang, never crash.
   for (int iteration = 0; iteration < 3; ++iteration) {
     ServerFixture fx;
     std::vector<Fd> clients;

@@ -105,22 +105,24 @@ TEST(AuctioneerSession, RejectsDuplicateAndForeignSubmissions) {
   Rng rng(1);
   const SuClient client(0, w.config, ttp.su_keys());
   const Bytes loc = client.location_envelope(w.locations[0], rng);
-  session.ingest(loc);
-  EXPECT_THROW(session.ingest(loc), LppaError);  // duplicate
+  EXPECT_EQ(session.try_ingest(loc),
+            AuctioneerSession::IngestResult::kAccepted);
+  EXPECT_EQ(session.try_ingest(loc),
+            AuctioneerSession::IngestResult::kDuplicateRedelivery);
 
   const SuClient stranger(7, w.config, ttp.su_keys());  // index out of range
-  EXPECT_THROW(
-      session.ingest(stranger.location_envelope(w.locations[0], rng)),
-      LppaError);
+  EXPECT_EQ(
+      session.try_ingest(stranger.location_envelope(w.locations[0], rng)),
+      AuctioneerSession::IngestResult::kRejected);
 }
 
 TEST(AuctioneerSession, RefusesToRunIncomplete) {
   const WireWorld w = make_world(2, 2, 71);
   core::TrustedThirdParty ttp(w.config.bid, 9);
   AuctioneerSession session(w.config, 2);
-  EXPECT_FALSE(session.ready());
+  EXPECT_EQ(session.missing_users(), (std::vector<std::size_t>{0, 1}));
   Rng rng(1);
-  EXPECT_THROW(session.run_allocation(rng), LppaError);
+  EXPECT_THROW(session.run_allocation(rng), LppaError);  // admission open
   EXPECT_THROW(session.charge_query_envelopes(), LppaError);
 }
 
@@ -132,8 +134,8 @@ TEST(AuctioneerSession, RejectsWrongChannelCount) {
   auto bad_config = w.config;
   bad_config.num_channels = 3;  // SU encodes 3 channels, auction expects 2
   const SuClient client(0, bad_config, ttp.su_keys());
-  EXPECT_THROW(session.ingest(client.bid_envelope({1, 2, 3}, rng)),
-               LppaError);
+  EXPECT_EQ(session.try_ingest(client.bid_envelope({1, 2, 3}, rng)),
+            AuctioneerSession::IngestResult::kRejected);
 }
 
 TEST(AuctioneerSession, DepartedThenReturnedSuIsNotAnEquivocator) {
@@ -244,9 +246,8 @@ TEST(AuctioneerSession, ChurnRecordsReplayAndSnapshotRoundTrip) {
   EXPECT_FALSE(restored.is_absent(2));
   EXPECT_EQ(restored.snapshot(), session.snapshot());
 
-  // ready() ignores absent slots: everyone live has submitted, so the
+  // Absent slots are not awaited: everyone live has submitted, so the
   // round can close without user 1.
-  EXPECT_TRUE(session.ready());
   EXPECT_EQ(session.missing_users(), std::vector<std::size_t>{});
 }
 

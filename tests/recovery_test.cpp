@@ -15,7 +15,6 @@
 #include "proto/fault.h"
 #include "proto/journal.h"
 #include "proto/session.h"
-#include "sim/multi_round.h"
 
 namespace lppa::proto {
 namespace {
@@ -354,47 +353,3 @@ TEST(RecoveryBackoff, CappedScheduleIsPinned) {
 
 }  // namespace
 }  // namespace lppa::proto
-
-namespace lppa::sim {
-namespace {
-
-TEST(RecoveryMultiRound, SeededCrashScheduleRecoversEveryRound) {
-  ScenarioConfig scfg;
-  scfg.area_id = 3;
-  scfg.fcc.rows = 30;
-  scfg.fcc.cols = 30;
-  scfg.fcc.num_channels = 12;
-  scfg.num_users = 10;
-  scfg.seed = 77;
-  Scenario scenario(scfg);
-
-  MultiRoundConfig cfg;
-  cfg.rounds = 2;
-  cfg.faults.enabled = true;
-  cfg.faults.crashes.enabled = true;
-  cfg.faults.crashes.crash_prob = 1.0;  // first checkpoint of each round
-  cfg.faults.crashes.max_per_round = 1;
-
-  const auto result = run_multi_round(scenario, cfg, 42);
-  ASSERT_EQ(result.reports.size(), 2u);
-  for (const auto& report : result.reports) {
-    EXPECT_TRUE(report.completed) << report.summary();
-    EXPECT_EQ(report.crash_recoveries, 1u) << report.summary();
-    EXPECT_GT(report.journal_records, 0u);
-    EXPECT_EQ(report.survivors.size(), 10u);
-  }
-
-  // The crash layer does not change outcomes: the same rounds without
-  // crashes produce the same survivors (recovery is deterministic).
-  Scenario scenario_b(scfg);
-  cfg.faults.crashes.crash_prob = 0.0;
-  const auto baseline = run_multi_round(scenario_b, cfg, 42);
-  ASSERT_EQ(baseline.reports.size(), 2u);
-  for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(result.reports[r].survivors, baseline.reports[r].survivors);
-    EXPECT_EQ(baseline.reports[r].crash_recoveries, 0u);
-  }
-}
-
-}  // namespace
-}  // namespace lppa::sim
