@@ -12,8 +12,10 @@
 //     et al., JSAC'11) on crypto/paillier.h: each cell carries one
 //     Paillier ciphertext of the scaled bid, and order tests go through
 //     a TTP-held PaillierCompareOracle (blinded-difference decryption).
-//     Combined with ChargingRule::kSecondPrice this yields the
-//     PPS-style strategyproof tier (arXiv 1307.7792).
+//     Combined with ChargingRule::kSecondPrice the winner pays its
+//     column's runner-up bid, which is strategyproof only where the
+//     column is one clique; strategyproofness under spatial reuse, the
+//     aim of PPS (arXiv 1307.7792), is an open question.
 //
 // The backend only owns the per-cell masked representation and its order
 // test.  Everything around it — zero disguise, offset/scale, the sealed

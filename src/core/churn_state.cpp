@@ -6,25 +6,23 @@
 namespace lppa::core {
 
 ChurnState::ChurnState(const LppaConfig& config,
-                       std::vector<auction::SuLocation> locations,
+                       std::vector<auction::SuLocation> /*locations*/,
                        std::vector<LocationSubmission> loc_subs,
                        std::vector<BidSubmission> bid_subs,
                        std::vector<bool> live)
     : config_(config),
       channels_(config.num_channels),
-      locations_(std::move(locations)),
       loc_subs_(std::move(loc_subs)),
       bid_subs_(std::move(bid_subs)),
       live_(std::move(live)),
-      graph_(locations_.size()) {
-  const std::size_t n = locations_.size();
+      graph_(loc_subs_.size()) {
+  const std::size_t n = loc_subs_.size();
   LPPA_REQUIRE(n >= 1, "churn roster requires at least one slot");
   LPPA_REQUIRE(crypto::resolve_backend(config_.backend).id() ==
                    config_.bid.backend,
                "ChurnState needs config.backend set to the TTP's backend "
                "for a non-HMAC bid config");
-  LPPA_REQUIRE(loc_subs_.size() == n && bid_subs_.size() == n &&
-                   live_.size() == n,
+  LPPA_REQUIRE(bid_subs_.size() == n && live_.size() == n,
                "roster vectors must have equal size");
   for (std::size_t u = 0; u < n; ++u) {
     if (live_[u]) ++live_count_;
@@ -106,7 +104,7 @@ void ChurnState::unlink_su(std::size_t u) {
   }
 }
 
-void ChurnState::add_su(std::size_t u, const auction::SuLocation& loc,
+void ChurnState::add_su(std::size_t u, const auction::SuLocation& /*loc*/,
                         LocationSubmission loc_sub, BidSubmission bid_sub) {
   LPPA_REQUIRE(u < capacity(), "churn slot out of range");
   LPPA_REQUIRE(!live_[u], "add_su requires a dead slot");
@@ -119,7 +117,6 @@ void ChurnState::add_su(std::size_t u, const auction::SuLocation& loc,
 
   live_[u] = true;
   ++live_count_;
-  locations_[u] = loc;
   loc_subs_[u] = std::move(loc_sub);
   link_su(u);
   bid_subs_[u] = std::move(bid_sub);
@@ -137,15 +134,14 @@ void ChurnState::remove_su(std::size_t u) {
   unlink_su(u);
   table_->remove_user(u);
   // The slot reverts to the dead-roster convention: empty location
-  // submission (no digests), origin location, stale-but-shape-valid bid
-  // submission left in place for the table.
-  locations_[u] = auction::SuLocation{};
+  // submission (no digests), stale-but-shape-valid bid submission left
+  // in place for the table.
   loc_subs_[u] = LocationSubmission{};
   live_[u] = false;
   --live_count_;
 }
 
-void ChurnState::move_su(std::size_t u, const auction::SuLocation& loc,
+void ChurnState::move_su(std::size_t u, const auction::SuLocation& /*loc*/,
                          LocationSubmission loc_sub) {
   LPPA_REQUIRE(u < capacity(), "churn slot out of range");
   LPPA_REQUIRE(live_[u], "move_su requires a live slot");
@@ -155,7 +151,6 @@ void ChurnState::move_su(std::size_t u, const auction::SuLocation& loc,
   }
 
   unlink_su(u);
-  locations_[u] = loc;
   loc_subs_[u] = std::move(loc_sub);
   link_su(u);
 }

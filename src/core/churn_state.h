@@ -57,9 +57,9 @@ namespace lppa::core {
 
 class ChurnState {
  public:
-  /// Builds the maintained state over an initial roster.  All four
-  /// vectors must have the same size (the roster capacity, >= 1); slots
-  /// with live[u] == false must carry an empty (default-constructed)
+  /// Builds the maintained state over an initial roster.  The three
+  /// named vectors must have the same size (the roster capacity, >= 1);
+  /// slots with live[u] == false must carry an empty (default-constructed)
   /// LocationSubmission and a shape-valid placeholder BidSubmission
   /// covering every channel (e.g. a masked all-zero bid) — the table
   /// needs the shape, but the values are never consulted while dead.
@@ -68,22 +68,24 @@ class ChurnState {
   /// config.metrics set, the build records a "churn.build" span with the
   /// two conflict.index_build spans (range pair, family pair), the
   /// conflict.probe span and one table.build span under it.
+  /// The SuLocation parameters here and in add_su / move_su are unused
+  /// (the auctioneer holds no plaintext coordinates); callers pass them.
   ChurnState(const LppaConfig& config,
-             std::vector<auction::SuLocation> locations,
+             std::vector<auction::SuLocation> /*locations*/,
              std::vector<LocationSubmission> loc_subs,
              std::vector<BidSubmission> bid_subs, std::vector<bool> live);
 
   /// An SU arrives into dead slot u with a fresh masked submission pair.
-  void add_su(std::size_t u, const auction::SuLocation& loc,
+  void add_su(std::size_t u, const auction::SuLocation& /*loc*/,
               LocationSubmission loc_sub, BidSubmission bid_sub);
 
   /// Live SU u departs: its edges, digests and table row are retired;
   /// the slot becomes dead (and reusable).
   void remove_su(std::size_t u);
 
-  /// Live SU u moves: location/graph/indexes update; its bid
+  /// Live SU u moves: location submission/graph/indexes update; its bid
   /// row is untouched (a move without a re-bid keeps the old bids).
-  void move_su(std::size_t u, const auction::SuLocation& loc,
+  void move_su(std::size_t u, const auction::SuLocation& /*loc*/,
                LocationSubmission loc_sub);
 
   /// Live SU u replaces its bid submission (fresh masks each round, as
@@ -91,12 +93,9 @@ class ChurnState {
   void rebid_su(std::size_t u, BidSubmission bid_sub);
 
   // --- Maintained state (the auctioneer's round inputs) ------------------
-  std::size_t capacity() const noexcept { return locations_.size(); }
+  std::size_t capacity() const noexcept { return loc_subs_.size(); }
   std::size_t live_count() const noexcept { return live_count_; }
   const std::vector<bool>& live() const noexcept { return live_; }
-  const std::vector<auction::SuLocation>& plain_locations() const noexcept {
-    return locations_;
-  }
   const std::vector<LocationSubmission>& locations() const noexcept {
     return loc_subs_;
   }
@@ -137,7 +136,6 @@ class ChurnState {
 
   LppaConfig config_;
   std::size_t channels_ = 0;
-  std::vector<auction::SuLocation> locations_;
   std::vector<LocationSubmission> loc_subs_;
   std::vector<BidSubmission> bid_subs_;
   std::vector<bool> live_;

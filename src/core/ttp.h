@@ -38,9 +38,12 @@ struct SuKeyBundle {
 
 /// How winners are charged.  The paper uses first-price (§V-C.1) and
 /// leaves truthfulness to future work; kSecondPrice is this library's
-/// extension implementing that future work: the winner pays the
-/// second-highest (TTP-validated) bid of its column, which makes
-/// truthful bidding a dominant strategy per column.
+/// extension towards it: the winner pays min(own bid, the column's
+/// TTP-validated runner-up bid).  Truthful bidding is dominant only where
+/// the column is one clique; under spatial reuse the runner-up is usually
+/// a non-neighbour bidding at least the winner, so the charge is the
+/// first price.  A critical price under reuse (PPS, arXiv 1307.7792) is
+/// open.
 enum class ChargingRule {
   kFirstPrice,
   kSecondPrice,

@@ -1,6 +1,6 @@
 #include "net/client.h"
 
-#include <algorithm>
+#include <unordered_set>
 
 #include "obs/metrics.h"
 
@@ -35,19 +35,15 @@ ClientPool::ClientPool(ClientPoolConfig config,
                        std::vector<proto::SuEnvelopes> sus)
     : config_(std::move(config)) {
   LPPA_REQUIRE(!sus.empty(), "client pool needs at least one SU");
-  std::size_t max_su = 0;
-  for (const proto::SuEnvelopes& e : sus) max_su = std::max(max_su, e.su);
-  su_to_peer_.assign(max_su + 1, static_cast<std::size_t>(-1));
+  std::unordered_set<std::size_t> seen;
   peers_.reserve(sus.size());
   for (proto::SuEnvelopes& e : sus) {
-    LPPA_REQUIRE(su_to_peer_[e.su] == static_cast<std::size_t>(-1),
-                 "duplicate SU in client pool");
+    LPPA_REQUIRE(seen.insert(e.su).second, "duplicate SU in client pool");
     auto peer = std::make_unique<SuPeer>();
     peer->su = e.su;
     peer->slot = peers_.size();
     peer->location = std::move(e.location);
     peer->bid = std::move(e.bid);
-    su_to_peer_[e.su] = peer->slot;
     peers_.push_back(std::move(peer));
   }
 }
@@ -59,13 +55,6 @@ const Bytes& ClientPool::announcement() const {
     if (peer->state == SuPeer::State::kDone) return peer->announcement;
   }
   throw LppaError(ErrorKind::kState, "no SU finished the round yet");
-}
-
-const Bytes& ClientPool::announcement_of(std::size_t su) const {
-  LPPA_REQUIRE(su < su_to_peer_.size() &&
-                   su_to_peer_[su] != static_cast<std::size_t>(-1),
-               "unknown SU");
-  return peers_[su_to_peer_[su]]->announcement;
 }
 
 void ClientPool::start_connects(SteadyClock::time_point now) {

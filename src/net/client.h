@@ -64,8 +64,6 @@ class ClientPool {
   /// The announcement envelope bytes (identical for every SU — the
   /// parity tests assert it); requires at least one finished SU.
   const Bytes& announcement() const;
-  /// Per-SU announcement (empty until that SU finished).
-  const Bytes& announcement_of(std::size_t su) const;
 
   /// Connection attempts made after a loss (initial connects excluded).
   std::size_t reconnects() const noexcept { return reconnects_; }
@@ -98,7 +96,6 @@ class ClientPool {
   ClientPoolConfig config_;
   EventLoop loop_;
   std::vector<std::unique_ptr<SuPeer>> peers_;
-  std::vector<std::size_t> su_to_peer_;  ///< SU index -> peers_ slot
   struct DelayedFrame {
     SteadyClock::time_point due;
     std::size_t peer;  ///< peers_ slot

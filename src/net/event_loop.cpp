@@ -1,6 +1,8 @@
 #include "net/event_loop.h"
 
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <array>
 #include <cerrno>
@@ -19,11 +21,15 @@ std::uint32_t interest(bool want_read, bool want_write) {
 
 }  // namespace
 
-EventLoop::EventLoop() : epoll_(::epoll_create1(EPOLL_CLOEXEC)) {
-  if (!epoll_.valid()) {
+EventLoop::EventLoop()
+    : epoll_(::epoll_create1(EPOLL_CLOEXEC)),
+      wake_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (!epoll_.valid() || !wake_.valid()) {
     throw LppaError(ErrorKind::kState,
-                    std::string("epoll_create1: ") + std::strerror(errno));
+                    std::string("epoll_create1/eventfd: ") +
+                        std::strerror(errno));
   }
+  add(wake_.get(), kWakeToken, /*want_read=*/true, /*want_write=*/false);
 }
 
 void EventLoop::add(int fd, std::uint64_t token, bool want_read,
@@ -68,12 +74,22 @@ void EventLoop::wait(int timeout_ms, std::vector<Event>& out) {
   for (int i = 0; i < n; ++i) {
     Event e;
     e.token = events[static_cast<std::size_t>(i)].data.u64;
+    if (e.token == kWakeToken) {
+      std::uint64_t count = 0;
+      (void)::read(wake_.get(), &count, sizeof count);  // re-arm
+      continue;
+    }
     const std::uint32_t mask = events[static_cast<std::size_t>(i)].events;
     e.readable = (mask & EPOLLIN) != 0;
     e.writable = (mask & EPOLLOUT) != 0;
     e.hangup = (mask & (EPOLLHUP | EPOLLERR | EPOLLRDHUP)) != 0;
     out.push_back(e);
   }
+}
+
+void EventLoop::wake() noexcept {
+  const std::uint64_t one = 1;
+  (void)::write(wake_.get(), &one, sizeof one);  // fails only if one is pending
 }
 
 }  // namespace lppa::net

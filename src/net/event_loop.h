@@ -26,18 +26,27 @@ class EventLoop {
 
   EventLoop();
 
-  /// Registers `fd` under `token` (returned verbatim in events).
+  /// Registers `fd` under `token` (returned verbatim in events); ~0 is
+  /// the wake eventfd's.
   void add(int fd, std::uint64_t token, bool want_read, bool want_write);
   void mod(int fd, std::uint64_t token, bool want_read, bool want_write);
   /// Unregisters; tolerates an fd that was already closed.
   void del(int fd) noexcept;
 
   /// Blocks up to timeout_ms (0 = poll, <0 = forever) and fills `out`.
-  /// EINTR retries internally.
+  /// EINTR retries internally.  A wake() ends the wait early; the wake
+  /// itself is consumed here and reported as no event.
   void wait(int timeout_ms, std::vector<Event>& out);
+
+  /// Ends the current wait(), or the next one if none is in progress,
+  /// through an eventfd the loop watches.  The loop's only cross-thread
+  /// entry.
+  void wake() noexcept;
 
  private:
   Fd epoll_;
+  static constexpr std::uint64_t kWakeToken = ~std::uint64_t{0};
+  Fd wake_;  ///< eventfd, registered under kWakeToken
 };
 
 }  // namespace lppa::net

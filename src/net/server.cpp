@@ -9,6 +9,7 @@ namespace lppa::net {
 namespace {
 
 constexpr std::uint64_t kListenerToken = 0;
+constexpr std::chrono::milliseconds kDeadlineSweep{50};
 
 Bytes make_ack_frame(std::uint64_t su, std::uint8_t mask) {
   proto::Envelope ack;
@@ -44,7 +45,7 @@ AuctioneerServer::AuctioneerServer(
     std::uint64_t seed, proto::RoundJournal* journal,
     proto::RoundReport* report, proto::CrashInjector* crashes,
     std::size_t start_ticks, const obs::Span* round_span)
-    : num_users_(num_users), server_config_(server_config),
+    : server_config_(server_config),
       start_ticks_(start_ticks), ttp_service_(ttp),
       driver_(config, num_users, std::move(round), std::move(participating),
               seed, required(journal), required(report), crashes,
@@ -63,7 +64,10 @@ AuctioneerServer::~AuctioneerServer() {
   if (thread_.joinable()) thread_.join();
 }
 
-void AuctioneerServer::stop() { stop_requested_.store(true); }
+void AuctioneerServer::stop() {
+  stop_requested_.store(true);
+  loop_.wake();
+}
 
 AuctioneerServer::Status AuctioneerServer::status() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -146,14 +150,14 @@ void AuctioneerServer::loop_body() {
   auto last_deadline_scan = started_at_;
 
   while (!stop_requested_.load()) {
-    int timeout_ms = 20;
-    if (driver_.admission_open()) {
-      const auto now = SteadyClock::now();
-      const auto until_wave = std::chrono::duration_cast<
-          std::chrono::milliseconds>(next_wave_at_ - now).count();
-      timeout_ms = static_cast<int>(std::clamp<long long>(until_wave, 0, 20));
-    }
-    loop_.wait(timeout_ms, events);
+    // Block until the next timer (the deadline sweep, or the next wave
+    // while admission is open), rounded up so the loop never spins on a
+    // zero timeout before it; stop() wakes the wait.
+    auto next = last_deadline_scan + kDeadlineSweep;
+    if (driver_.admission_open()) next = std::min(next, next_wave_at_);
+    const auto wait_ms = std::chrono::ceil<std::chrono::milliseconds>(
+        next - SteadyClock::now()).count();
+    loop_.wait(static_cast<int>(std::max<std::int64_t>(wait_ms, 0)), events);
     const auto now = SteadyClock::now();
 
     bool accepted_any = false;
@@ -232,7 +236,7 @@ void AuctioneerServer::loop_body() {
     }
 
     // Slow-loris / slow-reader sweep, amortised to 20 Hz.
-    if (now - last_deadline_scan > std::chrono::milliseconds(50)) {
+    if (now - last_deadline_scan >= kDeadlineSweep) {
       last_deadline_scan = now;
       std::vector<std::uint64_t> expired;
       for (const auto& [id, peer] : peers_) {
@@ -260,22 +264,12 @@ void AuctioneerServer::handle_frame(Peer& peer, const Bytes& frame,
     return;
   }
 
-  switch (driver_.on_submission(frame)) {
-    case proto::AuctioneerSession::IngestResult::kAccepted:
-    case proto::AuctioneerSession::IngestResult::kDuplicateRedelivery:
-      break;
-    case proto::AuctioneerSession::IngestResult::kRejected:
-    case proto::AuctioneerSession::IngestResult::kEquivocation:
-      return;  // no binding, no ack for garbage
+  using Result = proto::AuctioneerSession::IngestResult;
+  const auto verdict = driver_.on_submission(frame);
+  if (verdict != Result::kAccepted && verdict != Result::kDuplicateRedelivery) {
+    return;  // no binding, no ack for garbage
   }
-
-  // The session accepted this frame, so its envelope parses.
-  const proto::Envelope env = proto::Envelope::deserialize(frame);
-  const bool is_submission =
-      env.type == proto::MessageType::kLocationSubmission ||
-      env.type == proto::MessageType::kBidSubmission;
-  if (!is_submission || env.sender >= num_users_) return;
-  const auto su = static_cast<std::size_t>(env.sender);
+  const std::size_t su = verdict.sender;
 
   // (Re)bind the SU to this connection: nacks and the announcement go to
   // the latest socket the SU spoke on.  Duplicates rebind too — after a
@@ -288,10 +282,10 @@ void AuctioneerServer::handle_frame(Peer& peer, const Bytes& frame,
     // Acked for accepted AND duplicate outcomes: under at-least-once
     // delivery the client may be waiting on the ack of a redelivery.
     const std::uint8_t mask =
-        env.type == proto::MessageType::kLocationSubmission
+        verdict.type == proto::MessageType::kLocationSubmission
             ? proto::RetransmitRequest::kLocation
             : proto::RetransmitRequest::kBid;
-    send_to_peer(peer, make_ack_frame(env.sender, mask), now);
+    send_to_peer(peer, make_ack_frame(su, mask), now);
   }
 }
 

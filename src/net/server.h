@@ -5,8 +5,9 @@
 // proto::RoundDriver — the same sans-IO round state machine the
 // in-process bus adapter runs, with its ticks mapped onto wall time (one
 // tick = ServerConfig::tick).  This layer only does transport work:
-// accept, framing, envelope parsing, binding SUs to their
-// latest connection, eviction and broadcast.  A socket round at seed S
+// accept, framing, binding SUs to their latest connection, eviction and
+// broadcast; the session parses each frame once, and the server binds
+// and acks from the driver's verdict.  A socket round at seed S
 // therefore commits byte-identical awards, charges and announcement to
 // a bus round at seed S (net_session_test pins this, including under
 // crash and fault injection).
@@ -118,7 +119,7 @@ class AuctioneerServer {
   /// Rethrows the stored error after a kFailed status.
   [[noreturn]] void rethrow_failure();
 
-  /// Asks the loop to exit (idempotent; the destructor calls it).
+  /// Wakes the loop and asks it to exit (idempotent; the destructor calls it).
   void stop();
 
   /// Ticks consumed by this attempt (start_ticks + elapsed wall time /
@@ -141,7 +142,6 @@ class AuctioneerServer {
   void set_status(Status s);
 
   // --- immutable configuration ------------------------------------------
-  std::size_t num_users_;
   ServerConfig server_config_;
   std::size_t start_ticks_;
   proto::TtpService ttp_service_;

@@ -117,9 +117,7 @@ class SocketFaultInjector {
   /// when a delayed frame could land after the round commits.
   void require_within_deadline(std::size_t deadline_ticks) const;
 
-  const SocketFaultSpec& spec() const noexcept { return spec_; }
   const SocketFaultCounters& counters() const noexcept { return counters_; }
-  void reset_counters() noexcept { counters_ = SocketFaultCounters{}; }
 
  private:
   std::uint64_t seed_;

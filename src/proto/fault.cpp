@@ -36,10 +36,6 @@ void FaultInjector::mark_byzantine(const Address& party) {
   byzantine_.insert(key_of(party));
 }
 
-bool FaultInjector::is_byzantine(const Address& party) const {
-  return byzantine_.count(key_of(party)) > 0;
-}
-
 void FaultInjector::set_metrics(obs::MetricsRegistry* metrics) noexcept {
   metrics_ = metrics;
 }
@@ -54,7 +50,7 @@ FaultDecision FaultInjector::decide(const Address& from, const Address&) {
   ++counters_.messages;
 
   FaultDecision d;
-  d.corrupt = is_byzantine(from);
+  d.corrupt = byzantine_.count(key_of(from)) > 0;
 
   // One uniform draw cascaded through the delivery faults keeps them
   // mutually exclusive and makes the probabilities read off the spec.
@@ -104,17 +100,6 @@ FaultDecision FaultInjector::decide(const Address& from, const Address&) {
   return d;
 }
 
-CrashInjector CrashInjector::seeded(std::uint64_t seed, double crash_prob,
-                                    std::size_t max_crashes) {
-  LPPA_REQUIRE(crash_prob >= 0.0 && crash_prob <= 1.0,
-               "crash probability must be in [0, 1]");
-  CrashInjector injector;
-  injector.rng_.emplace(seed);
-  injector.crash_prob_ = crash_prob;
-  injector.max_crashes_ = max_crashes;
-  return injector;
-}
-
 void CrashInjector::arm(CrashPoint point, std::size_t nth) {
   armed_.push_back({point, nth, false});
 }
@@ -127,12 +112,6 @@ void CrashInjector::checkpoint(CrashPoint point) {
       ++crashes_;
       throw CrashSignal{point, hit};
     }
-  }
-  // Seeded mode consumes one draw per checkpoint whether or not it
-  // fires, so the schedule is a pure function of the checkpoint sequence.
-  if (rng_ && crashes_ < max_crashes_ && rng_->bernoulli(crash_prob_)) {
-    ++crashes_;
-    throw CrashSignal{point, hit};
   }
 }
 

@@ -17,7 +17,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -107,7 +106,6 @@ class FaultInjector {
   /// delivery faults still apply on top).  Models a bidder that always
   /// submits garbage.
   void mark_byzantine(const Address& party);
-  bool is_byzantine(const Address& party) const;
 
   /// Rules on one message from `from`; advances the fault Rng stream.
   FaultDecision decide(const Address& from, const Address& to);
@@ -117,7 +115,6 @@ class FaultInjector {
   void corrupt_in_place(Bytes& message);
 
   const FaultCounters& counters() const noexcept { return counters_; }
-  void reset_counters() noexcept { counters_ = FaultCounters{}; }
 
   /// Attaches (or detaches, with nullptr) an observability sink: decide()
   /// mirrors FaultCounters into per-fault-type counters `fault.messages`
@@ -159,25 +156,17 @@ struct CrashSignal {
   std::size_t hit = 0;  ///< which occurrence of the point fired
 };
 
-/// CrashInjector: kills the auctioneer at seeded or explicitly armed
-/// crash points.  Sibling of FaultInjector — the injector owns the crash
-/// schedule so a crashy run is a pure function of (seed / armed points,
+/// CrashInjector: kills the auctioneer at explicitly armed crash
+/// points.  Sibling of FaultInjector — the injector owns the crash
+/// schedule so a crashy run is a pure function of (armed points,
 /// checkpoint sequence), independent of the parties' randomness.
 ///
-/// Three modes:
-///   * default-constructed: pure counter (never crashes) — a dry run
-///     measures how many times each point is reached, which the
-///     crash-matrix test sweeps exhaustively;
-///   * arm(point, nth): crash exactly at the nth hit of a point, once;
-///   * seeded(seed, prob, max): each checkpoint crashes with probability
-///     `prob` until `max` crashes fired — the multi-round sim schedule.
+/// Default-constructed it is a pure counter (never crashes): a dry run
+/// measures how many times each point is reached, which the crash-matrix
+/// test sweeps exhaustively.  arm(point, nth) crashes exactly at the nth
+/// hit of a point, once.
 class CrashInjector {
  public:
-  CrashInjector() = default;
-
-  static CrashInjector seeded(std::uint64_t seed, double crash_prob,
-                              std::size_t max_crashes);
-
   /// Arms one crash: the nth (0-based) future hit of `point` throws.
   void arm(CrashPoint point, std::size_t nth);
 
@@ -199,9 +188,6 @@ class CrashInjector {
 
   std::array<std::size_t, kNumCrashPoints> hits_{};
   std::vector<Armed> armed_;
-  std::optional<Rng> rng_;  ///< engaged in seeded mode
-  double crash_prob_ = 0.0;
-  std::size_t max_crashes_ = 0;
   std::size_t crashes_ = 0;
 };
 

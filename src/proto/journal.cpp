@@ -19,6 +19,12 @@ bool known_type(std::uint8_t raw) {
          raw <= static_cast<std::uint8_t>(JournalRecordType::kChurnArrival);
 }
 
+void put_u32(Bytes& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
 }  // namespace
 
 JournalRecord::UserNote JournalRecord::user_note() const {
@@ -67,15 +73,22 @@ std::uint64_t JournalRecord::round_start_users() const {
 
 void RoundJournal::append(JournalRecordType type,
                           std::span<const std::uint8_t> payload) {
-  ByteWriter body;
-  body.u8(static_cast<std::uint8_t>(type));
-  body.raw(payload);
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(body.size()));
-  frame.raw(body.data());
-  frame.u32(body_checksum(body.data()));
-  const Bytes framed = frame.take();
-  log_.insert(log_.end(), framed.begin(), framed.end());
+  LPPA_REQUIRE(known_type(static_cast<std::uint8_t>(type)),
+               "unknown journal record type");
+  const std::size_t start = log_.size();
+  // Grow once per record, to twice the log plus the record.  A plain
+  // range insert would fit a record larger than the log (the
+  // kAllocated snapshot) exactly, and the small records after it would
+  // reallocate and copy the whole log a second time.
+  const std::size_t end = start + kFrameBytes + payload.size();
+  if (end > log_.capacity()) log_.reserve(start + end);
+  put_u32(log_, static_cast<std::uint32_t>(1 + payload.size()));
+  log_.push_back(static_cast<std::uint8_t>(type));
+  log_.insert(log_.end(), payload.begin(), payload.end());
+  const std::uint32_t checksum =
+      body_checksum(std::span<const std::uint8_t>(log_).subspan(start + 4));
+  put_u32(log_, checksum);
+  type_bytes_[static_cast<std::size_t>(type) - 1] += log_.size() - start;
   ++records_;
 }
 

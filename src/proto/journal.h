@@ -20,6 +20,7 @@
 // round — which the journal corpus tests exercise bit by bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,6 +43,7 @@ enum class JournalRecordType : std::uint8_t {
   kChurnDeparture = 10, ///< payload: u64 user — SU left; its slot cleared
   kChurnArrival = 11,   ///< payload: u64 user — SU (re)joined; slot open
 };
+inline constexpr std::size_t kNumJournalRecordTypes = 11;
 
 struct JournalRecord {
   JournalRecordType type = JournalRecordType::kRoundStart;
@@ -72,6 +74,8 @@ struct JournalRecord {
 /// recovering auctioneer must never rebuild state from a damaged log.
 class RoundJournal {
  public:
+  /// Frames the record in place in the log (one payload copy); `payload`
+  /// must not point into data().
   void append(JournalRecordType type, std::span<const std::uint8_t> payload = {});
 
   // Typed appenders for the structured payloads.
@@ -94,6 +98,10 @@ class RoundJournal {
   const Bytes& data() const noexcept { return log_; }
   std::size_t num_records() const noexcept { return records_; }
   bool empty() const noexcept { return records_ == 0; }
+  /// Log bytes (framing included) of `type`'s records; sums to data().size().
+  std::size_t bytes_of(JournalRecordType type) const noexcept {
+    return type_bytes_[static_cast<std::size_t>(type) - 1];
+  }
 
   /// Decodes a journal byte image back into records.  Throws
   /// LppaError(kProtocol) on any truncated, corrupted, or mistyped
@@ -104,6 +112,7 @@ class RoundJournal {
  private:
   Bytes log_;
   std::size_t records_ = 0;
+  std::array<std::size_t, kNumJournalRecordTypes> type_bytes_{};
 };
 
 }  // namespace lppa::proto

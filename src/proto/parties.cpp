@@ -59,7 +59,7 @@ AuctioneerSession::AuctioneerSession(const core::LppaConfig& config,
 }
 
 AuctioneerSession::IngestResult AuctioneerSession::classify_and_store(
-    const Bytes& envelope_bytes, std::string* error) {
+    const Bytes& envelope_bytes, std::string* error, IngestVerdict& verdict) {
   const auto fail = [error](const std::string& msg) {
     if (error != nullptr) *error = msg;
   };
@@ -76,6 +76,8 @@ AuctioneerSession::IngestResult AuctioneerSession::classify_and_store(
     return IngestResult::kRejected;
   }
   const std::size_t u = e.sender;
+  verdict.sender = u;
+  verdict.type = e.type;
   if (equivocated_[u]) {
     fail("sender already excluded for equivocation");
     return IngestResult::kRejected;
@@ -230,30 +232,19 @@ bool AuctioneerSession::is_absent(std::size_t user) const {
   return absent_[user];
 }
 
-void AuctioneerSession::note_ingest(IngestResult result) const {
-  obs::MetricsRegistry* const m = config_.metrics;
-  if (m == nullptr) return;
-  switch (result) {
-    case IngestResult::kAccepted:
-      m->counter("session.accepted").inc();
-      break;
-    case IngestResult::kDuplicateRedelivery:
-      m->counter("session.duplicates").inc();
-      break;
-    case IngestResult::kRejected:
-      m->counter("session.rejected").inc();
-      break;
-    case IngestResult::kEquivocation:
-      m->counter("session.equivocations").inc();
-      break;
-  }
-}
-
-AuctioneerSession::IngestResult AuctioneerSession::try_ingest(
+AuctioneerSession::IngestVerdict AuctioneerSession::try_ingest(
     const Bytes& envelope_bytes, std::string* error) {
-  const IngestResult result = classify_and_store(envelope_bytes, error);
-  note_ingest(result);
-  return result;
+  IngestVerdict verdict;
+  verdict.result = classify_and_store(envelope_bytes, error, verdict);
+  if (config_.metrics != nullptr) {
+    // Indexed by IngestResult.
+    static constexpr const char* kCounters[] = {
+        "session.accepted", "session.duplicates", "session.rejected",
+        "session.equivocations"};
+    const auto index = static_cast<std::size_t>(verdict.result);
+    config_.metrics->counter(kCounters[index]).inc();
+  }
+  return verdict;
 }
 
 bool AuctioneerSession::has_location(std::size_t user) const {

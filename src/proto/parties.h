@@ -29,8 +29,6 @@ class SuClient {
   SuClient(std::size_t user_index, const core::LppaConfig& config,
            const core::SuKeyBundle& keys);
 
-  std::size_t user_index() const noexcept { return user_index_; }
-
   /// The PPBS location submission as a wire envelope.
   Bytes location_envelope(const auction::SuLocation& location, Rng& rng) const;
 
@@ -67,6 +65,17 @@ class AuctioneerSession {
                             ///< sender is excluded from the round
   };
 
+  /// try_ingest's classification plus the parsed sender and submission
+  /// kind (meaningful for kAccepted and kDuplicateRedelivery), so a
+  /// transport binds and acks without parsing the frame again.
+  struct IngestVerdict {
+    IngestResult result = IngestResult::kRejected;
+    std::size_t sender = 0;
+    MessageType type = MessageType::kLocationSubmission;
+
+    operator IngestResult() const noexcept { return result; }
+  };
+
   /// Feeds one envelope from an SU; never throws on peer-supplied garbage.
   /// Rejections with an attributable sender count as strikes against it;
   /// equivocation marks the sender excluded.  `error`, when non-null,
@@ -75,8 +84,8 @@ class AuctioneerSession {
   /// When the session config carries an obs::MetricsRegistry, each
   /// classification increments `session.accepted` / `session.duplicates`
   /// / `session.rejected` / `session.equivocations`.
-  IngestResult try_ingest(const Bytes& envelope_bytes,
-                          std::string* error = nullptr);
+  IngestVerdict try_ingest(const Bytes& envelope_bytes,
+                           std::string* error = nullptr);
 
   /// Attaches (or detaches, with nullptr) a write-ahead journal: from
   /// then on every state transition — accepted submissions, strikes,
@@ -204,9 +213,9 @@ class AuctioneerSession {
   const auction::ConflictGraph& conflicts() const;
 
  private:
+  /// Fills `verdict`'s sender and type once the envelope parses.
   IngestResult classify_and_store(const Bytes& envelope_bytes,
-                                  std::string* error);
-  void note_ingest(IngestResult result) const;
+                                  std::string* error, IngestVerdict& verdict);
   void compact_participants(const obs::Span* parent);
   /// Opens the ledger over `awards`, the participants as candidates;
   /// `priced` is a restored snapshot's charge progress.

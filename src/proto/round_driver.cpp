@@ -223,10 +223,10 @@ void RoundDriver::start() {
   }
 }
 
-AuctioneerSession::IngestResult RoundDriver::on_submission(
+AuctioneerSession::IngestVerdict RoundDriver::on_submission(
     const Bytes& envelope) {
-  const auto result = session_.try_ingest(envelope);
-  switch (result) {
+  const auto verdict = session_.try_ingest(envelope);
+  switch (verdict.result) {
     case AuctioneerSession::IngestResult::kAccepted:
       checkpoint(CrashPoint::kAfterIngest);
       break;
@@ -238,7 +238,7 @@ AuctioneerSession::IngestResult RoundDriver::on_submission(
       ++report_.rejected_messages;
       break;
   }
-  return result;
+  return verdict;
 }
 
 bool RoundDriver::submissions_complete() const {
@@ -343,6 +343,15 @@ Bytes RoundDriver::publish() {
       m.counter("auction.manipulations").inc(manipulations);
     }
     m.gauge("wire.journal_bytes").set(static_cast<double>(report_.journal_bytes));
+    static constexpr const char* kRecordNames[kNumJournalRecordTypes] = {
+        "round_start", "accepted",  "strike",    "equivocation",
+        "nack_sent",   "finalized", "allocated", "charge_commit",
+        "committed",   "churn_departure",        "churn_arrival"};
+    for (std::size_t t = 0; t < kNumJournalRecordTypes; ++t) {
+      const auto type = static_cast<JournalRecordType>(t + 1);
+      m.gauge(std::string("wire.journal_bytes.") + kRecordNames[t])
+          .set(static_cast<double>(journal_.bytes_of(type)));
+    }
   }
   return announcement;
 }

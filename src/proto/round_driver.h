@@ -148,9 +148,11 @@ class RoundDriver {
   /// closed admission — commits straight through to charging.
   void start();
 
-  /// Feeds one envelope addressed to the auctioneer during admission.
-  /// Accepted submissions reach CrashPoint::kAfterIngest.
-  AuctioneerSession::IngestResult on_submission(const Bytes& envelope);
+  /// Feeds one envelope addressed to the auctioneer during admission and
+  /// returns the session's verdict — for an accepted or duplicate
+  /// submission, its sender and kind too.  Accepted submissions reach
+  /// CrashPoint::kAfterIngest.
+  AuctioneerSession::IngestVerdict on_submission(const Bytes& envelope);
 
   bool admission_open() const noexcept { return !session_.admission_closed(); }
   /// True when no participating SU is missing a submission.

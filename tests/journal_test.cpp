@@ -66,6 +66,21 @@ TEST(Journal, RecordsRoundTripWithTypedPayloads) {
   EXPECT_TRUE(RoundJournal::read({}).empty());
 }
 
+TEST(Journal, PerTypeByteCountsSumToTheLog) {
+  const RoundJournal journal = sample_journal();
+  std::size_t total = 0;
+  for (std::size_t t = 1; t <= kNumJournalRecordTypes; ++t) {
+    total += journal.bytes_of(static_cast<JournalRecordType>(t));
+  }
+  EXPECT_EQ(total, journal.data().size());
+  // Each record is charged to its own type, framing included.
+  EXPECT_EQ(journal.bytes_of(JournalRecordType::kAccepted),
+            5 + RoundJournal::kFrameBytes);
+  EXPECT_EQ(journal.bytes_of(JournalRecordType::kNackSent),
+            RoundJournal::kNackRecordBytes);
+  EXPECT_EQ(journal.bytes_of(JournalRecordType::kChurnArrival), 0u);
+}
+
 /// Offsets at which a truncation leaves a valid (shorter) journal: the
 /// record boundaries, i.e. exactly the states a crash between appends
 /// can leave on disk.

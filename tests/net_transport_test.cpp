@@ -2,18 +2,21 @@
 // (backpressure bounds, partial writes, progress deadlines), server
 // admission control, slow-loris eviction, a multi-frame read classified
 // exactly as the in-process driver classifies it, deterministic teardown
-// of an AuctioneerServer with frames still queued, and ThreadPool's
-// stopped-pool shutdown contract.
+// of an AuctioneerServer with frames still queued, stop() waking an idle
+// server and EventLoop::wake, and ThreadPool's stopped-pool shutdown
+// contract.
 #include <gtest/gtest.h>
 
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
 #include "common/thread_pool.h"
 #include "net/connection.h"
+#include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/server.h"
 #include "proto/journal.h"
@@ -345,6 +348,70 @@ TEST(AuctioneerServer, DestructionWithQueuedFramesIsDeterministic) {
     fx.server.reset();
   }
   SUCCEED();
+}
+
+TEST(AuctioneerServer, StopWakesAnIdleLoop) {
+  // A published server with no traffic blocks in its event-loop wait;
+  // stop() must end that wait rather than let it run to its timeout.
+  std::vector<double> destroy_ms;
+  for (std::uint64_t run = 0; run < 5; ++run) {
+    ServerFixture fx({}, 64, /*backoff_base_ticks=*/10000);
+    const WireWorld& w = fx.world;
+    Rng rng(run);
+    Bytes wire;
+    for (std::size_t u = 0; u < w.bids.size(); ++u) {
+      const proto::SuClient su(u, w.config, fx.ttp.su_keys());
+      for (const Bytes& env : {su.location_envelope(w.locations[u], rng),
+                               su.bid_envelope(w.bids[u], rng)}) {
+        const Bytes frame = encode_frame(env);
+        wire.insert(wire.end(), frame.begin(), frame.end());
+      }
+    }
+    Fd client = connect_to(fx.server->endpoint());
+    wait_writable(client.get());
+    send_all(client.get(), wire);
+    // The complete submission set closes admission at once.
+    ASSERT_EQ(fx.server->await_terminal(),
+              AuctioneerServer::Status::kPublished);
+    std::this_thread::sleep_for(5ms);  // the loop is back in its wait
+
+    const auto start = SteadyClock::now();
+    fx.server.reset();
+    destroy_ms.push_back(std::chrono::duration<double, std::milli>(
+                             SteadyClock::now() - start)
+                             .count());
+  }
+  std::sort(destroy_ms.begin(), destroy_ms.end());
+  EXPECT_LT(destroy_ms[2], 5.0) << "median destructor time, ms";
+}
+
+TEST(EventLoop, WakeReturnsABlockedWaitFromAnotherThread) {
+  EventLoop loop;
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  Fd a(sv[0]);
+  Fd b(sv[1]);
+  loop.add(a.get(), /*token=*/7, /*want_read=*/true, /*want_write=*/false);
+
+  std::thread waker([&] {
+    std::this_thread::sleep_for(20ms);
+    loop.wake();
+  });
+  std::vector<EventLoop::Event> events;
+  loop.wait(-1, events);  // would block forever without the wake
+  waker.join();
+  EXPECT_TRUE(events.empty()) << "the wake fd is not reported";
+
+  // The wake was consumed: a poll finds nothing, and the registered fd
+  // still reports as before.
+  loop.wait(0, events);
+  EXPECT_TRUE(events.empty());
+  const std::uint8_t byte = 1;
+  ASSERT_EQ(::send(b.get(), &byte, 1, MSG_NOSIGNAL), 1);
+  loop.wait(1000, events);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].token, 7u);
+  EXPECT_TRUE(events[0].readable);
 }
 
 TEST(ThreadPool, RunAfterStopExecutesInlineInOrder) {

@@ -386,6 +386,20 @@ TEST(SocketSpanTree, MatchesTheBusRoundTree) {
   EXPECT_EQ(socket_reg.counter("wire.completed_rounds").value(), 1u);
   EXPECT_EQ(socket_reg.counter("wire.retry_waves").value(),
             bus_reg.counter("wire.retry_waves").value());
+  // The per-record-type journal gauges attribute every journal byte.
+  EXPECT_EQ(socket_reg.gauge("wire.journal_bytes.nack_sent").value(),
+            static_cast<double>(journaled_nacks *
+                                proto::RoundJournal::kNackRecordBytes));
+  double by_type = 0.0;
+  for (const char* type :
+       {"round_start", "accepted", "strike", "equivocation", "nack_sent",
+        "finalized", "allocated", "charge_commit", "committed",
+        "churn_departure", "churn_arrival"}) {
+    by_type += socket_reg.gauge(std::string("wire.journal_bytes.") + type)
+                   .value();
+  }
+  EXPECT_EQ(by_type, static_cast<double>(socket.journal.size()));
+  EXPECT_EQ(socket_reg.gauge("wire.journal_bytes").value(), by_type);
   const std::string snapshot = socket_reg.json();
   EXPECT_EQ(snapshot.find("net.nacks"), std::string::npos);
   EXPECT_EQ(snapshot.find("net.published_rounds"), std::string::npos);
