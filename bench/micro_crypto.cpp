@@ -8,7 +8,11 @@
 //      HmacKeyCtx path (2 compressions) — the per-digest win behind the
 //      submit-phase speedup.
 //   3. The batched API (hmac_sha256_u64_batch semantics through a held
-//      context), which is what prefix/hashed_set actually calls.
+//      context), which is what prefix/hashed_set actually calls: the
+//      fixed two-block kernel on its lanes, over one long batch and over
+//      family-sized batches (5: one bid value family; 21: a range
+//      cover), plus the portable two-block kernel the CPUID dispatch
+//      falls back to.
 //
 // Schema matches perf_scaling's conventions: a JSON array of flat
 // objects, one per (bench, iters) sample, throughput in ops/s (or MB/s
@@ -18,6 +22,7 @@
 
 #include "bench_util.h"
 #include "crypto/hmac.h"
+#include "crypto/sha256_kernel.h"
 
 namespace {
 
@@ -96,7 +101,8 @@ int main(int argc, char** argv) {
   }
 
   // --- 2. one-shot vs midstate-cached HMAC over u64 ----------------------
-  std::vector<std::uint64_t> values(hmac_iters);
+  // A multiple of both family sizes, so every batch row covers all values.
+  std::vector<std::uint64_t> values(hmac_iters - hmac_iters % (5 * 21));
   for (auto& v : values) v = rng.next();
 
   std::uint64_t oneshot_acc = 0, midstate_acc = 0, batch_acc = 0;
@@ -106,8 +112,8 @@ int main(int argc, char** argv) {
         oneshot_acc ^= crypto::hmac_sha256_u64(key, v).fingerprint();
       }
     });
-    samples.push_back({"hmac_u64_oneshot", hmac_iters, ms,
-                       bench::rate_per_sec(static_cast<double>(hmac_iters), ms),
+    samples.push_back({"hmac_u64_oneshot", values.size(), ms,
+                       bench::rate_per_sec(static_cast<double>(values.size()), ms),
                        "ops/s"});
   }
   {
@@ -117,29 +123,73 @@ int main(int argc, char** argv) {
         midstate_acc ^= ctx.mac_u64(v).fingerprint();
       }
     });
-    samples.push_back({"hmac_u64_midstate", hmac_iters, ms,
-                       bench::rate_per_sec(static_cast<double>(hmac_iters), ms),
+    samples.push_back({"hmac_u64_midstate", values.size(), ms,
+                       bench::rate_per_sec(static_cast<double>(values.size()), ms),
                        "ops/s"});
   }
 
   // --- 3. the batch API (what hashed_set calls) ---------------------------
-  {
+  const crypto::HmacKeyCtx ctx(key);
+  const auto batch_sample = [&](const char* name, std::size_t batch,
+                                const auto& run) {
     std::vector<crypto::Digest> out(values.size());
+    const std::size_t n = values.size();
     const double ms = time_ms([&] {
-      crypto::hmac_sha256_u64_batch(key, values, out);
+      for (std::size_t i = 0; i < n; i += batch) {
+        run(std::span<const std::uint64_t>(values).subspan(i, batch),
+            std::span<crypto::Digest>(out).subspan(i, batch));
+      }
     });
-    for (const auto& d : out) batch_acc ^= d.fingerprint();
-    samples.push_back({"hmac_u64_batch", hmac_iters, ms,
-                       bench::rate_per_sec(static_cast<double>(hmac_iters), ms),
+    std::uint64_t acc = 0;
+    for (std::size_t i = 0; i < n; ++i) acc ^= out[i].fingerprint();
+    samples.push_back({name, n, ms,
+                       bench::rate_per_sec(static_cast<double>(n), ms),
                        "ops/s"});
-  }
+    return acc;
+  };
+  const auto batched = [&](std::span<const std::uint64_t> v,
+                           std::span<crypto::Digest> out) {
+    ctx.mac_u64_batch(v, out);
+  };
+  batch_acc = batch_sample("hmac_u64_batch", values.size(),
+                           [&](auto v, auto out) {
+                             crypto::hmac_sha256_u64_batch(key, v, out);
+                           });
+  const std::uint64_t family_acc[2] = {
+      batch_sample("hmac_u64_batch5", 5, batched),
+      batch_sample("hmac_u64_batch21", 21, batched)};
 
-  // The three paths must be digest-identical — this is the property the
-  // hmac tests pin; re-checked here so a bench run can never publish
-  // numbers for a broken fast path.
-  if (oneshot_acc != midstate_acc || oneshot_acc != batch_acc) {
-    std::cerr << "FATAL: one-shot / midstate / batch HMAC digests disagree\n";
-    return 1;
+  // The portable kernel, from midstates built the way HmacKeyCtx builds
+  // them (key ^ ipad / key ^ opad, one compression each).
+  crypto::kernel::State inner = crypto::kernel::kInitialState;
+  crypto::kernel::State outer = crypto::kernel::kInitialState;
+  {
+    std::array<std::uint8_t, 64> pad{};
+    const auto kb = key.bytes();
+    for (std::size_t i = 0; i < pad.size(); ++i) {
+      pad[i] = (i < kb.size() ? kb[i] : 0) ^ 0x36;
+    }
+    crypto::kernel::compress_scalar(inner, pad.data(), 1);
+    for (std::size_t i = 0; i < pad.size(); ++i) {
+      pad[i] = (i < kb.size() ? kb[i] : 0) ^ 0x5c;
+    }
+    crypto::kernel::compress_scalar(outer, pad.data(), 1);
+  }
+  const std::uint64_t scalar_acc = batch_sample(
+      "hmac_u64_batch_scalar", values.size(), [&](auto v, auto out) {
+        crypto::kernel::hmac_u64_scalar(inner, outer, v.data(), out.data(),
+                                        v.size());
+      });
+
+  // Every path must be digest-identical — this is the property the hmac
+  // tests pin; re-checked here so a bench run can never publish numbers
+  // for a broken fast path.
+  for (const std::uint64_t acc :
+       {midstate_acc, batch_acc, family_acc[0], family_acc[1], scalar_acc}) {
+    if (acc != oneshot_acc) {
+      std::cerr << "FATAL: one-shot / midstate / batch HMAC digests disagree\n";
+      return 1;
+    }
   }
 
   Table table({"bench", "iters", "wall_ms", "throughput", "unit"});

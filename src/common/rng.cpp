@@ -1,15 +1,10 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 
 namespace lppa {
-
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
 
 std::uint64_t derive_stream_seed(std::uint64_t seed,
                                  std::uint64_t domain) noexcept {
@@ -21,33 +16,6 @@ std::uint64_t derive_stream_seed(std::uint64_t seed,
 Rng::Rng(std::uint64_t seed) noexcept {
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.next();
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t n) {
-  LPPA_REQUIRE(n > 0, "Rng::below requires n > 0");
-  // Lemire's nearly-divisionless method.
-  __uint128_t m = static_cast<__uint128_t>(next()) * n;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < n) {
-    const std::uint64_t threshold = (0 - n) % n;
-    while (lo < threshold) {
-      m = static_cast<__uint128_t>(next()) * n;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -99,7 +67,7 @@ std::size_t Rng::discrete(const std::vector<double>& weights) {
 
 Rng Rng::fork() noexcept {
   // Mixing two fresh outputs through SplitMix gives an independent stream.
-  SplitMix64 sm(next() ^ rotl(next(), 31));
+  SplitMix64 sm(next() ^ std::rotl(next(), 31));
   return Rng(sm.next());
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -112,5 +113,34 @@ class Rng {
  private:
   std::array<std::uint64_t, 4> s_;
 };
+
+// next() and below() are inline: padding digests and sealed-box nonces
+// draw one byte per below(256) call.
+inline std::uint64_t Rng::next() noexcept {
+  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = std::rotl(s_[3], 45);
+  return result;
+}
+
+inline std::uint64_t Rng::below(std::uint64_t n) {
+  LPPA_REQUIRE(n > 0, "Rng::below requires n > 0");
+  // Lemire's nearly-divisionless method.
+  __uint128_t m = static_cast<__uint128_t>(next()) * n;
+  auto lo = static_cast<std::uint64_t>(m);
+  if (lo < n) {
+    const std::uint64_t threshold = (0 - n) % n;
+    while (lo < threshold) {
+      m = static_cast<__uint128_t>(next()) * n;
+      lo = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
 
 }  // namespace lppa

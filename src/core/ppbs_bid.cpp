@@ -172,14 +172,34 @@ crypto::SecretKey derive_channel_key(const crypto::SecretKey& gb_master,
   return per_channel_keys ? gb_master.derive("gb", r) : gb_master;
 }
 
-/// Grow-only memo of per-channel HmacKeyCtx values.  Readers take a
-/// snapshot shared_ptr under the mutex (one lock per submit call, not per
-/// digest); growth copies the old vector so existing snapshots stay valid.
-struct BidSubmitter::KeyCtxCache {
+struct ChannelKeyCtxs::Cache {
   std::mutex mutex;
   std::shared_ptr<const std::vector<crypto::HmacKeyCtx>> ctxs =
       std::make_shared<const std::vector<crypto::HmacKeyCtx>>();
 };
+
+ChannelKeyCtxs::ChannelKeyCtxs(const crypto::SecretKey& gb_master,
+                               bool per_channel_keys)
+    : gb_master_(gb_master),
+      per_channel_keys_(per_channel_keys),
+      cache_(std::make_shared<Cache>()) {}
+
+std::shared_ptr<const std::vector<crypto::HmacKeyCtx>>
+ChannelKeyCtxs::covering(std::size_t k) const {
+  // Without per-channel keys one context serves every channel.
+  const std::size_t need = per_channel_keys_ ? k : std::min<std::size_t>(k, 1);
+  std::lock_guard<std::mutex> lock(cache_->mutex);
+  if (cache_->ctxs->size() < need) {
+    auto grown =
+        std::make_shared<std::vector<crypto::HmacKeyCtx>>(*cache_->ctxs);
+    grown->reserve(need);
+    for (std::size_t r = grown->size(); r < need; ++r) {
+      grown->emplace_back(derive_channel_key(gb_master_, r, per_channel_keys_));
+    }
+    cache_->ctxs = std::move(grown);
+  }
+  return cache_->ctxs;
+}
 
 BidSubmitter::BidSubmitter(PpbsBidConfig config, crypto::SecretKey gb_master,
                            crypto::SecretKey gc,
@@ -187,7 +207,7 @@ BidSubmitter::BidSubmitter(PpbsBidConfig config, crypto::SecretKey gb_master,
     : config_(std::move(config)),
       gb_master_(gb_master),
       box_(gc),
-      key_ctxs_(std::make_shared<KeyCtxCache>()) {
+      key_ctxs_(gb_master, config_.per_channel_keys) {
   config_.enc.validate();
   LPPA_REQUIRE(config_.policy.bmax() == config_.enc.bmax,
                "disguise policy must cover exactly 0..bmax");
@@ -207,29 +227,10 @@ crypto::SecretKey BidSubmitter::channel_key(ChannelId r) const {
   return derive_channel_key(gb_master_, r, config_.per_channel_keys);
 }
 
-std::shared_ptr<const std::vector<crypto::HmacKeyCtx>>
-BidSubmitter::channel_ctxs(std::size_t k) const {
-  // Without per-channel keys every channel shares gb_master, so one
-  // context suffices regardless of k.
-  const std::size_t need = config_.per_channel_keys ? k : std::min<std::size_t>(k, 1);
-  std::lock_guard<std::mutex> lock(key_ctxs_->mutex);
-  if (key_ctxs_->ctxs->size() < need) {
-    auto grown = std::make_shared<std::vector<crypto::HmacKeyCtx>>(
-        *key_ctxs_->ctxs);
-    grown->reserve(need);
-    for (std::size_t r = grown->size(); r < need; ++r) {
-      grown->emplace_back(channel_key(r));
-    }
-    key_ctxs_->ctxs = std::move(grown);
-  }
-  return key_ctxs_->ctxs;
-}
-
 ChannelBidSubmission BidSubmitter::encode_bid(ChannelId r, Money true_bid,
                                               Rng& rng) const {
-  const auto ctxs = channel_ctxs(r + 1);
-  return encode_bid_with((*ctxs)[config_.per_channel_keys ? r : 0], true_bid,
-                         rng);
+  const auto ctxs = key_ctxs_.covering(r + 1);
+  return encode_bid_with((*ctxs)[key_ctxs_.slot(r)], true_bid, rng);
 }
 
 ChannelBidSubmission BidSubmitter::encode_bid_with(
@@ -270,12 +271,12 @@ ChannelBidSubmission BidSubmitter::encode_bid_with(
 BidSubmission BidSubmitter::submit(const BidVector& bids, Rng& rng) const {
   // One cache lookup for the whole vector; the snapshot keeps every
   // channel context alive for the duration of the encode loop.
-  const auto ctxs = channel_ctxs(bids.size());
+  const auto ctxs = key_ctxs_.covering(bids.size());
   BidSubmission out;
   out.channels.reserve(bids.size());
   for (ChannelId r = 0; r < bids.size(); ++r) {
-    out.channels.push_back(encode_bid_with(
-        (*ctxs)[config_.per_channel_keys ? r : 0], bids[r], rng));
+    out.channels.push_back(
+        encode_bid_with((*ctxs)[key_ctxs_.slot(r)], bids[r], rng));
   }
   return out;
 }

@@ -170,9 +170,36 @@ struct BidSubmission {
   bool operator==(const BidSubmission&) const = default;
 };
 
+/// Grow-only memo of the per-channel HMAC key contexts under gb_master
+/// (gb_r = derive_channel_key(gb_master, r, per_channel_keys)): each
+/// context is derived once, then shared by copies and across threads.
+/// Readers take a snapshot under a mutex (one lock per call, not per
+/// digest); growth copies the old vector so existing snapshots stay
+/// valid.
+class ChannelKeyCtxs {
+ public:
+  ChannelKeyCtxs(const crypto::SecretKey& gb_master, bool per_channel_keys);
+
+  /// A snapshot covering channels [0, k): channel r's context is
+  /// (*snapshot)[slot(r)].
+  std::shared_ptr<const std::vector<crypto::HmacKeyCtx>> covering(
+      std::size_t k) const;
+
+  /// Without per-channel keys every channel shares gb_master's context.
+  std::size_t slot(ChannelId r) const noexcept {
+    return per_channel_keys_ ? r : 0;
+  }
+
+ private:
+  crypto::SecretKey gb_master_;
+  bool per_channel_keys_;
+  struct Cache;
+  std::shared_ptr<Cache> cache_;
+};
+
 /// SU-side encoder.  Thread-safe for concurrent submit() calls: the
-/// per-channel HMAC key contexts are memoised in a grow-only cache behind
-/// a mutex, and everything else is immutable after construction.
+/// per-channel HMAC key contexts are memoised in a ChannelKeyCtxs, and
+/// everything else is immutable after construction.
 class BidSubmitter {
  public:
   /// `paillier` is the TTP-published public key, required (and only
@@ -195,20 +222,13 @@ class BidSubmitter {
   const PpbsBidConfig& config() const noexcept { return config_; }
 
  private:
-  /// Midstate-cached HMAC contexts for channels [0, k): derived once per
-  /// submitter (not once per SU bid), then shared.  Returns a snapshot
-  /// covering at least `k` channels.
-  std::shared_ptr<const std::vector<crypto::HmacKeyCtx>> channel_ctxs(
-      std::size_t k) const;
-
   ChannelBidSubmission encode_bid_with(const crypto::HmacKeyCtx& key_ctx,
                                        Money true_bid, Rng& rng) const;
 
   PpbsBidConfig config_;
   crypto::SecretKey gb_master_;
   crypto::SealedBox box_;
-  struct KeyCtxCache;
-  std::shared_ptr<KeyCtxCache> key_ctxs_;  ///< shared across copies
+  ChannelKeyCtxs key_ctxs_;  ///< derived once per submitter, not per bid
   /// The cell encoder (never null): the HMAC singleton, or an SU-side
   /// (encode-only) PaillierBackend owning the published public key.
   std::shared_ptr<const crypto::BidBackend> backend_;

@@ -28,6 +28,11 @@ constexpr std::uint64_t kDomainGc = 0x6763ULL;
 // untouched by the backend choice.
 constexpr std::uint64_t kDomainPaillier = 0x7061696cULL;
 
+// The family check memoises the key contexts of channels below this
+// index.  The index arrives in a relayed query, so a larger one derives
+// its key per query instead (the same bytes) and cannot grow the memo.
+constexpr ChannelId kCachedChannels = 256;
+
 crypto::SecretKey derive_key(std::uint64_t seed, std::uint64_t domain) {
   Rng rng(derive_stream_seed(seed, domain));
   return crypto::SecretKey::generate(rng);
@@ -42,7 +47,8 @@ TrustedThirdParty::TrustedThirdParty(PpbsBidConfig config, std::uint64_t seed,
       g0_(derive_key(seed, kDomainG0)),
       gb_master_(derive_key(seed, kDomainGbMaster)),
       gc_(derive_key(seed, kDomainGc)),
-      box_(gc_) {
+      box_(gc_),
+      channel_ctxs_(gb_master_, config_.per_channel_keys) {
   config_.enc.validate();
   if (config_.backend == crypto::BidBackendId::kPaillier) {
     Rng prng(derive_stream_seed(seed, kDomainPaillier));
@@ -133,10 +139,16 @@ std::optional<SealedBidPayload> TrustedThirdParty::open_and_verify(
       return std::nullopt;
     }
   } else {
-    const crypto::SecretKey key =
-        derive_channel_key(gb_master_, channel, config_.per_channel_keys);
-    const auto expected = prefix::HashedPrefixSet::of_value(
-        key, payload.scaled, enc.scaled_width());
+    const auto expected =
+        channel < kCachedChannels
+            ? prefix::HashedPrefixSet::of_value(
+                  (*channel_ctxs_.covering(channel + 1))[channel_ctxs_.slot(
+                      channel)],
+                  payload.scaled, enc.scaled_width())
+            : prefix::HashedPrefixSet::of_value(
+                  derive_channel_key(gb_master_, channel,
+                                     config_.per_channel_keys),
+                  payload.scaled, enc.scaled_width());
     if (expected != family) return std::nullopt;
   }
 

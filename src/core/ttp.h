@@ -162,6 +162,9 @@ class TrustedThirdParty {
   crypto::SecretKey gb_master_;
   crypto::SecretKey gc_;
   crypto::SealedBox box_;
+  /// HMAC backend: the per-channel contexts the family check hashes
+  /// under, derived once (see kCachedChannels in ttp.cpp).
+  ChannelKeyCtxs channel_ctxs_;
   /// kPaillier backend only (both null otherwise); shared_ptr keeps the
   /// TTP copyable and bid_backend() references stable across copies.
   std::shared_ptr<const crypto::PaillierCompareOracle> oracle_;

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "crypto/sha256_kernel.h"
 
 namespace lppa::crypto {
 
@@ -13,9 +14,11 @@ constexpr std::size_t kBlockSize = 64;
 void HmacKeyCtx::init(std::span<const std::uint8_t> padded_key) noexcept {
   std::array<std::uint8_t, kBlockSize> pad;
   for (std::size_t i = 0; i < kBlockSize; ++i) pad[i] = padded_key[i] ^ 0x36;
-  inner_mid_.update(std::span<const std::uint8_t>(pad));
+  inner_ = kernel::kInitialState;
+  kernel::compress(inner_, pad.data(), 1);
   for (std::size_t i = 0; i < kBlockSize; ++i) pad[i] = padded_key[i] ^ 0x5c;
-  outer_mid_.update(std::span<const std::uint8_t>(pad));
+  outer_ = kernel::kInitialState;
+  kernel::compress(outer_, pad.data(), 1);
 }
 
 HmacKeyCtx::HmacKeyCtx(const SecretKey& key) noexcept {
@@ -41,32 +44,35 @@ HmacKeyCtx HmacKeyCtx::from_raw_key(
 }
 
 Digest HmacKeyCtx::finish_outer(const Digest& inner_digest) const noexcept {
-  Sha256 outer = outer_mid_;
+  Sha256 outer = Sha256::resume(outer_, 1);
   outer.update(std::span<const std::uint8_t>(inner_digest.bytes));
   return outer.finalize();
 }
 
 Digest HmacKeyCtx::mac(std::span<const std::uint8_t> message) const noexcept {
-  Sha256 inner = inner_mid_;
+  Sha256 inner = Sha256::resume(inner_, 1);
   inner.update(message);
   return finish_outer(inner.finalize());
 }
 
 Digest HmacKeyCtx::mac_u64(std::uint64_t value) const noexcept {
-  std::uint8_t buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  return mac(std::span<const std::uint8_t>(buf, 8));
+  Digest out;
+  kernel::hmac_u64(inner_, outer_, &value, &out, 1);
+  return out;
 }
 
 void HmacKeyCtx::mac_u64_batch(std::span<const std::uint64_t> values,
                                std::span<Digest> out) const {
   LPPA_REQUIRE(values.size() == out.size(),
                "hmac batch output span must match input size");
-  for (std::size_t i = 0; i < values.size(); ++i) out[i] = mac_u64(values[i]);
+  kernel::hmac_u64(inner_, outer_, values.data(), out.data(), values.size());
 }
 
 HmacSha256::HmacSha256(const SecretKey& key) noexcept
-    : ctx_(key), inner_(ctx_.inner_midstate()) {}
+    : HmacSha256(HmacKeyCtx(key)) {}
+
+HmacSha256::HmacSha256(const HmacKeyCtx& ctx) noexcept
+    : ctx_(ctx), inner_(Sha256::resume(ctx.inner_, 1)) {}
 
 Digest HmacSha256::finalize() noexcept {
   return ctx_.finish_outer(inner_.finalize());

@@ -9,12 +9,23 @@
 // compressions — ipad block, inner finalise, opad block, outer finalise.
 // Every prefix family / range cover hashes dozens of 8-byte messages
 // under the SAME key, so HmacKeyCtx absorbs the ipad and opad blocks once
-// per key and clones the cached midstates per message, cutting the
-// steady-state cost to 2 compressions per digest.  All entry points below
-// (including the RFC-vector raw-key path) are built on the midstate cache,
-// so the RFC 4231 suite exercises it directly.
+// per key and keeps the two midstates, cutting the steady-state cost to
+// 2 compressions per digest.  All entry points below (including the
+// RFC-vector raw-key path) are built on the midstate cache, so the RFC
+// 4231 suite exercises it directly.
+//
+// mac_u64 / mac_u64_batch go one step further: an 8-byte message makes
+// the inner and outer blocks fixed-format (value | 0x80 | zeros | 576,
+// then inner digest | 0x80 | zeros | 768), so both are built in
+// registers and compressed straight from the midstates
+// (crypto/sha256_kernel.h) — no Sha256 copy, no update()/finalize().
+// On CPUs with the x86 SHA extensions the batch runs four MACs side by
+// side and its remainder one at a time.  On a 4-vCPU Xeon with SHA-NI
+// that takes a batched digest from ~200 ns (two Sha256 copies plus the
+// generic padding) to ~49 ns; see docs/performance.md, "Submit phase".
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -28,7 +39,7 @@ namespace lppa::crypto {
 /// and opad blocks.  Construction costs 2 compressions; each mac() then
 /// costs 2 (for messages up to 55 bytes) instead of the one-shot 4.
 /// Immutable after construction, so one context can be shared freely
-/// across threads.
+/// across threads; 64 bytes, so cheap to cache per key.
 class HmacKeyCtx {
  public:
   /// Protocol keys are always 32 bytes (< block size): zero-padded.
@@ -44,30 +55,27 @@ class HmacKeyCtx {
   Digest mac(std::span<const std::uint8_t> message) const noexcept;
 
   /// HMAC over a single little-endian 64-bit integer — the numericalised
-  /// prefix hot path.
+  /// prefix hot path; the fixed two-block kernel, one lane.
   Digest mac_u64(std::uint64_t value) const noexcept;
 
   /// Batched form of mac_u64: out[i] = HMAC(key, values[i]).  Requires
-  /// out.size() == values.size().  Equivalent digest-for-digest to the
-  /// per-call API (pinned by a property test); exists so callers hashing
-  /// a whole prefix family make one call and the key schedule is paid
-  /// exactly once per key instead of once per digest.
+  /// out.size() == values.size().  Equivalent digest-for-digest to mac()
+  /// over the 8 little-endian bytes (pinned by a property test); callers
+  /// hashing a whole prefix family make one call so the kernel can run
+  /// its lanes.
   void mac_u64_batch(std::span<const std::uint64_t> values,
                      std::span<Digest> out) const;
 
-  /// The inner-hash midstate (ipad block absorbed).  Streaming callers
-  /// (HmacSha256) clone this and keep update()ing.
-  const Sha256& inner_midstate() const noexcept { return inner_mid_; }
+ private:
+  friend class HmacSha256;
 
+  HmacKeyCtx() = default;
+  void init(std::span<const std::uint8_t> padded_key) noexcept;
   /// Finishes the outer hash over an inner digest.
   Digest finish_outer(const Digest& inner_digest) const noexcept;
 
- private:
-  HmacKeyCtx() = default;
-  void init(std::span<const std::uint8_t> padded_key) noexcept;
-
-  Sha256 inner_mid_;  ///< state after absorbing key ^ ipad
-  Sha256 outer_mid_;  ///< state after absorbing key ^ opad
+  std::array<std::uint32_t, 8> inner_{};  ///< after absorbing key ^ ipad
+  std::array<std::uint32_t, 8> outer_{};  ///< after absorbing key ^ opad
 };
 
 /// One-shot HMAC-SHA-256 over a byte message.
@@ -98,6 +106,8 @@ void hmac_sha256_u64_batch(const SecretKey& key,
 class HmacSha256 {
  public:
   explicit HmacSha256(const SecretKey& key) noexcept;
+  /// Starts from a held context: no key schedule.
+  explicit HmacSha256(const HmacKeyCtx& ctx) noexcept;
 
   void update(std::span<const std::uint8_t> data) noexcept {
     inner_.update(data);

@@ -23,12 +23,12 @@ SealedMessage SealedMessage::deserialize(std::span<const std::uint8_t> wire) {
 }
 
 SealedBox::SealedBox(const SecretKey& gc)
-    : enc_key_(gc.derive("enc-chacha", 0)), mac_key_(gc.derive("mac", 0)) {}
+    : enc_key_(gc.derive("enc-chacha", 0)), mac_ctx_(gc.derive("mac", 0)) {}
 
 namespace {
-Digest compute_tag(const SecretKey& mac_key, const Nonce& nonce,
+Digest compute_tag(const HmacKeyCtx& mac_ctx, const Nonce& nonce,
                    std::span<const std::uint8_t> ciphertext) {
-  HmacSha256 mac(mac_key);
+  HmacSha256 mac(mac_ctx);
   mac.update(std::span<const std::uint8_t>(nonce));
   mac.update(ciphertext);
   return mac.finalize();
@@ -41,13 +41,13 @@ SealedMessage SealedBox::seal(std::span<const std::uint8_t> plaintext,
   for (auto& b : m.nonce) b = static_cast<std::uint8_t>(rng.below(256));
   m.ciphertext = chacha20_xor(enc_key_, m.nonce, /*initial_counter=*/1,
                               plaintext);
-  m.tag = compute_tag(mac_key_, m.nonce, std::span<const std::uint8_t>(m.ciphertext));
+  m.tag = compute_tag(mac_ctx_, m.nonce, std::span<const std::uint8_t>(m.ciphertext));
   return m;
 }
 
 std::optional<Bytes> SealedBox::open(const SealedMessage& message) const {
   const Digest expected = compute_tag(
-      mac_key_, message.nonce, std::span<const std::uint8_t>(message.ciphertext));
+      mac_ctx_, message.nonce, std::span<const std::uint8_t>(message.ciphertext));
   if (!ct_equal(expected.bytes, message.tag.bytes)) return std::nullopt;
   return chacha20_xor(enc_key_, message.nonce, /*initial_counter=*/1,
                       std::span<const std::uint8_t>(message.ciphertext));

@@ -47,7 +47,7 @@ class SealedBox {
 
  private:
   SecretKey enc_key_;
-  SecretKey mac_key_;
+  HmacKeyCtx mac_ctx_;  ///< the MAC key's schedule, built once
 };
 
 }  // namespace lppa::crypto

@@ -1,118 +1,10 @@
 #include "crypto/sha256.h"
 
-#include <bit>
 #include <cstring>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <cpuid.h>
-#include <immintrin.h>
-#define LPPA_SHA_NI_DISPATCH 1
-#endif
+#include "crypto/sha256_kernel.h"
 
 namespace lppa::crypto {
-
-namespace {
-
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-constexpr std::array<std::uint32_t, 8> kInitialState = {
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
-inline std::uint32_t rotr(std::uint32_t x, int n) noexcept {
-  return std::rotr(x, n);
-}
-
-#ifdef LPPA_SHA_NI_DISPATCH
-
-// Hardware compression via the x86 SHA extensions (sha256rnds2 does two
-// rounds per instruction; sha256msg1/msg2 run the message schedule).
-// Register layout follows Intel's reference: STATE0 holds {A,B,E,F},
-// STATE1 holds {C,D,G,H}, and the schedule keeps four 4-word message
-// blocks rotating through msgs[0..3].  Bit-identical to the scalar path —
-// the RFC/FIPS vector tests exercise whichever path dispatch picks.
-__attribute__((target("sha,sse4.1,ssse3"))) void process_block_shani(
-    std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept {
-  const __m128i kBswapMask =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-  __m128i state1 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);        // CDAB
-  state1 = _mm_shuffle_epi32(state1, 0x1B);  // EFGH
-  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);    // ABEF
-  state1 = _mm_blend_epi16(state1, tmp, 0xF0);         // CDGH
-
-  const __m128i abef_save = state0;
-  const __m128i cdgh_save = state1;
-
-  __m128i msgs[4];
-  for (int g = 0; g < 16; ++g) {
-    __m128i x0;
-    if (g < 4) {
-      x0 = _mm_shuffle_epi8(
-          _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(block + 16 * g)),
-          kBswapMask);
-      msgs[g] = x0;
-    } else {
-      x0 = msgs[g & 3];
-    }
-    __m128i msg = _mm_add_epi32(
-        x0, _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    if (g >= 3 && g < 15) {
-      // W[4(g+1)..4(g+1)+3] = msg2(msg1-partial + W[i-7] terms, x0).
-      const __m128i w_im7 = _mm_alignr_epi8(x0, msgs[(g + 3) & 3], 4);
-      msgs[(g + 1) & 3] = _mm_sha256msg2_epu32(
-          _mm_add_epi32(msgs[(g + 1) & 3], w_im7), x0);
-    }
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    if (g >= 1 && g < 13) {
-      msgs[(g + 3) & 3] = _mm_sha256msg1_epu32(msgs[(g + 3) & 3], x0);
-    }
-  }
-
-  state0 = _mm_add_epi32(state0, abef_save);
-  state1 = _mm_add_epi32(state1, cdgh_save);
-
-  tmp = _mm_shuffle_epi32(state0, 0x1B);     // FEBA
-  state1 = _mm_shuffle_epi32(state1, 0xB1);  // DCHG
-  state0 = _mm_blend_epi16(tmp, state1, 0xF0);      // DCBA
-  state1 = _mm_alignr_epi8(state1, tmp, 8);         // HGFE
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
-}
-
-bool detect_sha_ni() noexcept {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
-  const bool sha = (b >> 29) & 1u;
-  if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
-  const bool ssse3 = (c >> 9) & 1u;
-  const bool sse41 = (c >> 19) & 1u;
-  return sha && ssse3 && sse41;
-}
-
-const bool kHasShaNi = detect_sha_ni();
-
-#endif  // LPPA_SHA_NI_DISPATCH
-
-}  // namespace
 
 std::uint64_t Digest::fingerprint() const noexcept {
   std::uint64_t v = 0;
@@ -123,7 +15,7 @@ std::uint64_t Digest::fingerprint() const noexcept {
 Sha256::Sha256() noexcept { reset(); }
 
 void Sha256::reset() noexcept {
-  state_ = kInitialState;
+  state_ = kernel::kInitialState;
   buffer_len_ = 0;
   total_len_ = 0;
 }
@@ -142,13 +34,13 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      kernel::compress(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  if (const std::size_t blocks = (data.size() - offset) / 64; blocks > 0) {
+    kernel::compress(state_, data.data() + offset, blocks);
+    offset += 64 * blocks;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -156,48 +48,12 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
   }
 }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-#ifdef LPPA_SHA_NI_DISPATCH
-  if (kHasShaNi) {
-    process_block_shani(state_, block);
-    return;
-  }
-#endif
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
-           static_cast<std::uint32_t>(block[4 * i + 1]) << 16 |
-           static_cast<std::uint32_t>(block[4 * i + 2]) << 8 |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
+Sha256 Sha256::resume(const std::array<std::uint32_t, 8>& midstate,
+                      std::uint64_t absorbed_blocks) noexcept {
+  Sha256 h;
+  h.state_ = midstate;
+  h.total_len_ = 64 * absorbed_blocks;
+  return h;
 }
 
 Digest Sha256::finalize() noexcept {
@@ -236,12 +92,6 @@ Digest Sha256::hash(std::string_view data) noexcept {
   return h.finalize();
 }
 
-bool Sha256::accelerated() noexcept {
-#ifdef LPPA_SHA_NI_DISPATCH
-  return kHasShaNi;
-#else
-  return false;
-#endif
-}
+bool Sha256::accelerated() noexcept { return kernel::sha_ni(); }
 
 }  // namespace lppa::crypto

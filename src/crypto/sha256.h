@@ -44,6 +44,11 @@ class Sha256 {
 
   void reset() noexcept;
 
+  /// Resumes a hash whose first `absorbed_blocks` 64-byte blocks left
+  /// the chaining value `midstate` (HMAC's cached ipad/opad states).
+  static Sha256 resume(const std::array<std::uint32_t, 8>& midstate,
+                       std::uint64_t absorbed_blocks) noexcept;
+
   /// One-shot convenience.
   static Digest hash(std::span<const std::uint8_t> data) noexcept;
   static Digest hash(std::string_view data) noexcept;
@@ -54,8 +59,6 @@ class Sha256 {
   static bool accelerated() noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_;

@@ -1,6 +1,7 @@
 #include "net/server.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "obs/metrics.h"
 
@@ -229,9 +230,16 @@ void AuctioneerServer::loop_body() {
     }
 
     // Completing the submission set runs the next wave now, which closes
-    // admission without waiting for the timer.
+    // admission without waiting for the timer.  That wave commits the
+    // round on this thread for milliseconds.  An SU client on this host
+    // that the last acks woke may be queued on this CPU, and the
+    // scheduler lets a running thread finish its time slice (~2-3 ms)
+    // before a woken one: yield once so the last ack is read first.
     if (driver_.admission_open()) {
-      if (accepted_any && driver_.submissions_complete()) next_wave_at_ = now;
+      if (accepted_any && driver_.submissions_complete()) {
+        next_wave_at_ = now;
+        std::this_thread::yield();
+      }
       run_wave(now);
     }
 

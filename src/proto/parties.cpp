@@ -262,13 +262,16 @@ bool AuctioneerSession::is_excluded(std::size_t user) const {
   return equivocated_[user];
 }
 
+bool AuctioneerSession::is_missing(std::size_t user) const {
+  LPPA_REQUIRE(user < num_users_, "user index out of range");
+  return !equivocated_[user] && !absent_[user] &&
+         (!locations_[user].has_value() || !bids_[user].has_value());
+}
+
 std::vector<std::size_t> AuctioneerSession::missing_users() const {
   std::vector<std::size_t> missing;
   for (std::size_t u = 0; u < num_users_; ++u) {
-    if (equivocated_[u] || absent_[u]) continue;
-    if (!locations_[u].has_value() || !bids_[u].has_value()) {
-      missing.push_back(u);
-    }
+    if (is_missing(u)) missing.push_back(u);
   }
   return missing;
 }

@@ -133,8 +133,11 @@ class AuctioneerSession {
   /// True when `user` equivocated and is out of the round.
   bool is_excluded(std::size_t user) const;
 
-  /// Users still missing a valid location or bid (equivocators are not
-  /// listed — retransmission cannot repair a forked identity).
+  /// True when `user` still owes a valid location or bid: not an
+  /// equivocator (retransmission cannot repair a forked identity) and
+  /// not departed.
+  bool is_missing(std::size_t user) const;
+  /// Every user for which is_missing() holds, ascending.
   std::vector<std::size_t> missing_users() const;
 
   /// Closes admission: users missing a valid submission (or excluded for

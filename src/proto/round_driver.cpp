@@ -187,6 +187,8 @@ RoundDriver::RoundDriver(const core::LppaConfig& config, std::size_t num_users,
   wave_ = replay_session_journal(journal_, session_, num_users, report_,
                                  &attempt_span_);
   session_.attach_journal(&journal_);
+  awaited_.assign(num_users, false);
+  for (const std::size_t u : session_.missing_users()) refresh_awaited(u);
   if (journal_.empty()) {
     journal_.append_round_start(num_users);
     // Admission journals at most one nack per SU per wave: plan for the
@@ -219,6 +221,7 @@ void RoundDriver::start() {
     } else {
       session_.churn_return(op.user);
     }
+    refresh_awaited(op.user);
     checkpoint(CrashPoint::kMidChurn);
   }
 }
@@ -228,23 +231,32 @@ AuctioneerSession::IngestVerdict RoundDriver::on_submission(
   const auto verdict = session_.try_ingest(envelope);
   switch (verdict.result) {
     case AuctioneerSession::IngestResult::kAccepted:
+      refresh_awaited(verdict.sender);
       checkpoint(CrashPoint::kAfterIngest);
       break;
     case AuctioneerSession::IngestResult::kDuplicateRedelivery:
       ++report_.duplicate_redeliveries;
       break;
-    case AuctioneerSession::IngestResult::kRejected:
     case AuctioneerSession::IngestResult::kEquivocation:
+      refresh_awaited(verdict.sender);
+      ++report_.rejected_messages;
+      break;
+    case AuctioneerSession::IngestResult::kRejected:
       ++report_.rejected_messages;
       break;
   }
   return verdict;
 }
 
-bool RoundDriver::submissions_complete() const {
-  const std::vector<std::size_t> missing = session_.missing_users();
-  return std::none_of(missing.begin(), missing.end(),
-                      [&](std::size_t u) { return participating_[u]; });
+void RoundDriver::refresh_awaited(std::size_t u) {
+  const bool awaited = participating_[u] && session_.is_missing(u);
+  if (awaited == awaited_[u]) return;
+  awaited_[u] = awaited;
+  if (awaited) {
+    ++num_awaited_;
+  } else {
+    --num_awaited_;
+  }
 }
 
 std::vector<RoundDriver::Nack> RoundDriver::wave(std::size_t ticks) {

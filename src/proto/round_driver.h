@@ -155,8 +155,9 @@ class RoundDriver {
   AuctioneerSession::IngestVerdict on_submission(const Bytes& envelope);
 
   bool admission_open() const noexcept { return !session_.admission_closed(); }
-  /// True when no participating SU is missing a submission.
-  bool submissions_complete() const;
+  /// True when no participating SU is missing a submission.  O(1): the
+  /// driver counts the awaited SUs as it changes the session.
+  bool submissions_complete() const noexcept { return num_awaited_ == 0; }
   /// The backoff of the next wave.  The caller waits it twice per wave:
   /// once for the nacks to land and be answered, once for the answers.
   std::size_t backoff_ticks() const noexcept {
@@ -195,9 +196,15 @@ class RoundDriver {
   /// allocation), then opens the charging phase.
   void commit();
   void checkpoint(CrashPoint point);
+  /// Re-reads whether SU `u` is awaited after the session changed it.
+  void refresh_awaited(std::size_t u);
 
   RecoverableSessionConfig policy_;
   std::vector<bool> participating_;
+  /// awaited_[u]: participating and session_.is_missing(u); kept by
+  /// every driver call that changes a slot, counted in num_awaited_.
+  std::vector<bool> awaited_;
+  std::size_t num_awaited_ = 0;
   std::uint64_t seed_;
   RoundJournal& journal_;
   RoundReport& report_;

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "crypto/sha256_kernel.h"
 
 namespace lppa::crypto {
 namespace {
@@ -140,6 +141,18 @@ TEST(HmacIncremental, MatchesOneShot) {
   EXPECT_EQ(mac.finalize(), hmac_sha256(key, msg));
 }
 
+TEST(HmacIncremental, HeldContextMatchesKeyConstructor) {
+  lppa::Rng rng(16);
+  const SecretKey key = SecretKey::generate(rng);
+  const HmacKeyCtx ctx(key);
+  const Bytes msg = str_bytes("nonce||ciphertext");
+  HmacSha256 from_key(key);
+  HmacSha256 from_ctx(ctx);
+  from_key.update(msg);
+  from_ctx.update(msg);
+  EXPECT_EQ(from_ctx.finalize(), from_key.finalize());
+}
+
 // ------------------------------------------------------------------ ctx
 
 // Every RFC 4231 case, driven explicitly through HmacKeyCtx::from_raw_key
@@ -219,6 +232,89 @@ TEST(HmacBatch, EquivalentToPerCallForRandomKeysAndValues) {
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_EQ(batch[i], hmac_sha256_u64(key, values[i]))
           << "trial " << trial << " index " << i;
+    }
+  }
+}
+
+// mac_u64 and mac_u64_batch run the fixed two-block kernel; mac() over
+// the same 8 little-endian bytes runs the generic Sha256 update/finalize
+// path.  Batch sizes 0..17, 21, 38 and 64 cover every lane remainder and
+// several full lane groups; the raw-key contexts (short, block-sized and
+// oversized keys) cover from_raw_key's midstates.
+TEST(HmacBatch, FixedTwoBlockKernelMatchesGenericMac) {
+  lppa::Rng rng(14);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 17; ++n) sizes.push_back(n);
+  sizes.insert(sizes.end(), {21, 38, 64});
+  const auto generic = [](const HmacKeyCtx& ctx, std::uint64_t v) {
+    std::uint8_t le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    return ctx.mac(std::span<const std::uint8_t>(le, 8));
+  };
+  for (const std::size_t raw_len : {0, 20, 32, 64, 131}) {
+    Bytes raw(raw_len);
+    for (auto& b : raw) b = static_cast<std::uint8_t>(rng.below(256));
+    const HmacKeyCtx ctxs[] = {HmacKeyCtx(SecretKey::generate(rng)),
+                               HmacKeyCtx::from_raw_key(raw)};
+    for (const HmacKeyCtx& ctx : ctxs) {
+      for (const std::size_t n : sizes) {
+        std::vector<std::uint64_t> values(n);
+        for (auto& v : values) v = rng.next();
+        std::vector<Digest> batch(n);
+        ctx.mac_u64_batch(values, batch);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Digest expect = generic(ctx, values[i]);
+          EXPECT_EQ(batch[i], expect) << "raw key " << raw_len << " batch "
+                                      << n << " index " << i;
+          EXPECT_EQ(ctx.mac_u64(values[i]), expect);
+        }
+      }
+    }
+  }
+}
+
+// Both two-block kernels, whatever CPUID picks, against the RFC 2104
+// construction over the generic path.  Midstates are built here from the
+// key the way HmacKeyCtx builds them.
+TEST(HmacKernel, ScalarAndShaNiTwoBlockKernelsMatchGenericMac) {
+  lppa::Rng rng(15);
+  for (int trial = 0; trial < 20; ++trial) {
+    const SecretKey key = SecretKey::generate(rng);
+    std::array<std::uint8_t, 64> ipad{}, opad{};
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::uint8_t k = i < key.bytes().size() ? key.bytes()[i] : 0;
+      ipad[i] = k ^ 0x36;
+      opad[i] = k ^ 0x5c;
+    }
+    kernel::State inner = kernel::kInitialState;
+    kernel::State outer = kernel::kInitialState;
+    kernel::compress_scalar(inner, ipad.data(), 1);
+    kernel::compress_scalar(outer, opad.data(), 1);
+
+    const std::size_t n = 1 + rng.below(11);
+    std::vector<std::uint64_t> values(n);
+    for (auto& v : values) v = rng.next();
+    std::vector<Digest> scalar(n);
+    kernel::hmac_u64_scalar(inner, outer, values.data(), scalar.data(), n);
+#ifdef LPPA_SHA_NI_DISPATCH
+    std::vector<Digest> shani(n);
+    if (kernel::sha_ni()) {
+      kernel::hmac_u64_shani(inner, outer, values.data(), shani.data(), n);
+    }
+#endif
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint8_t le[8];
+      for (int b = 0; b < 8; ++b) {
+        le[b] = static_cast<std::uint8_t>(values[i] >> (8 * b));
+      }
+      const Digest expect =
+          hmac_sha256(key, std::span<const std::uint8_t>(le, 8));
+      EXPECT_EQ(scalar[i], expect) << "trial " << trial << " index " << i;
+#ifdef LPPA_SHA_NI_DISPATCH
+      if (kernel::sha_ni()) {
+        EXPECT_EQ(shani[i], expect);
+      }
+#endif
     }
   }
 }

@@ -199,6 +199,72 @@ TEST(RoundDriver, BelowQuorumIsTypedProtocolError) {
   }
 }
 
+// submissions_complete() is a running count, not a scan: it must flip
+// exactly when the last awaited SU's second half lands, and ignore what
+// changes no slot (duplicates, traffic from a departed SU) or closes one
+// (an equivocator, a non-participant, a departure).  A driver rebuilt
+// from the journal mid-admission resumes the same count.
+TEST(RoundDriver, SubmissionsCompleteFlipsOnTheLastAwaitedSubmission) {
+  using R = AuctioneerSession::IngestResult;
+  Fixture f(6);
+  constexpr std::size_t kDeparted = 3, kOutsider = 4, kEquivocator = 5;
+  // The same SUs masked under another seed: valid, but different bytes.
+  const std::vector<SuEnvelopes> forks =
+      mask_submissions(f.config, f.ttp.su_keys(), f.locations, f.bids,
+                       kSeed + 1, std::vector<bool>(f.n(), true));
+  std::vector<bool> participating(f.n(), true);
+  participating[kOutsider] = false;
+  RecoverableSessionConfig policy;
+  policy.churn = {{/*depart=*/true, kDeparted}};
+  RoundJournal journal;
+  RoundReport report;
+  RoundDriver driver(f.config, f.n(), policy, participating, kSeed, journal,
+                     report);
+  EXPECT_FALSE(driver.submissions_complete());
+  driver.start();
+
+  EXPECT_EQ(driver.on_submission(f.sus[kEquivocator].location), R::kAccepted);
+  EXPECT_EQ(driver.on_submission(forks[kEquivocator].location),
+            R::kEquivocation);
+  EXPECT_EQ(driver.on_submission(f.sus[kDeparted].location), R::kRejected);
+  for (std::size_t u = 0; u < 3; ++u) {
+    EXPECT_EQ(driver.on_submission(f.sus[u].location), R::kAccepted);
+    EXPECT_EQ(driver.on_submission(f.sus[u].location),
+              R::kDuplicateRedelivery);
+  }
+  EXPECT_EQ(driver.on_submission(f.sus[0].bid), R::kAccepted);
+  EXPECT_EQ(driver.on_submission(f.sus[1].bid), R::kAccepted);
+  EXPECT_FALSE(driver.submissions_complete());
+
+  // Mid-admission recovery: SU 2's bid is still awaited.
+  RoundJournal mid = journal;
+  RoundReport mid_report;
+  RoundDriver recovered(f.config, f.n(), policy, participating, kSeed, mid,
+                        mid_report);
+  recovered.start();
+  EXPECT_FALSE(recovered.submissions_complete());
+
+  EXPECT_EQ(driver.on_submission(f.sus[2].bid), R::kAccepted);
+  EXPECT_TRUE(driver.submissions_complete());
+  EXPECT_EQ(driver.on_submission(f.sus[2].bid), R::kDuplicateRedelivery);
+  EXPECT_TRUE(driver.submissions_complete());
+
+  EXPECT_EQ(recovered.on_submission(f.sus[2].bid), R::kAccepted);
+  EXPECT_TRUE(recovered.submissions_complete());
+
+  // Recovery from the full journal starts complete.
+  RoundJournal full = journal;
+  RoundReport full_report;
+  RoundDriver replayed(f.config, f.n(), policy, participating, kSeed, full,
+                       full_report);
+  EXPECT_TRUE(replayed.submissions_complete());
+
+  // The equivocator, the departed SU and the outsider are not waited for.
+  EXPECT_TRUE(driver.wave(/*ticks=*/0).empty());
+  EXPECT_FALSE(driver.admission_open());
+  EXPECT_EQ(report.survivors.size(), 3u);
+}
+
 /// One round driven by hand through crashes.  Envelopes wait in an inbox
 /// and are consumed as they are fed, so a recovered driver sees only
 /// what was never fed — the rest it must rebuild from the journal.

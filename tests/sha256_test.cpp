@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "crypto/sha256_kernel.h"
 
 namespace lppa::crypto {
 namespace {
@@ -117,6 +118,40 @@ TEST(Digest, StdHashIsUsable) {
   const Digest b = Sha256::hash("y");
   const std::hash<Digest> hasher;
   EXPECT_NE(hasher(a), hasher(b));
+}
+
+// The portable and SHA-NI compressions are one function: random chaining
+// values, one to four blocks per call.  The vector tests above only run
+// the kernel CPUID picks; this pins the other one against it.
+TEST(Sha256Kernel, ScalarAndShaNiCompressionsAgree) {
+#ifdef LPPA_SHA_NI_DISPATCH
+  if (!kernel::sha_ni()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  lppa::Rng rng(2026);
+  for (int trial = 0; trial < 200; ++trial) {
+    kernel::State state;
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng.next());
+    const std::size_t blocks = 1 + trial % 4;
+    Bytes data(64 * blocks);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+    kernel::State scalar = state, shani = state;
+    kernel::compress_scalar(scalar, data.data(), blocks);
+    kernel::compress_shani(shani, data.data(), blocks);
+    EXPECT_EQ(scalar, shani) << "trial " << trial;
+  }
+#else
+  GTEST_SKIP() << "no SHA-NI kernel on this target";
+#endif
+}
+
+TEST(Sha256Kernel, ResumeContinuesFromAMidstate) {
+  lppa::Rng rng(2027);
+  Bytes msg(64 * 3 + 17);
+  for (auto& b : msg) b = static_cast<std::uint8_t>(rng.below(256));
+  kernel::State mid = kernel::kInitialState;
+  kernel::compress(mid, msg.data(), 2);
+  Sha256 resumed = Sha256::resume(mid, 2);
+  resumed.update(std::span<const std::uint8_t>(msg).subspan(128));
+  EXPECT_EQ(resumed.finalize(), Sha256::hash(msg));
 }
 
 // Avalanche-style property sweep: flipping any single input byte changes

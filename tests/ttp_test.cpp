@@ -114,6 +114,31 @@ TEST_F(TtpTest, WrongChannelKeyFlagsManipulation) {
   EXPECT_TRUE(ttp.process(query).manipulated);
 }
 
+// The family check memoises key contexts for low channel indices only;
+// an index from a relayed query past that (or absurdly large) derives its
+// key per query and verifies the same way.
+TEST_F(TtpTest, FamilyCheckVerifiesOnEveryChannelIndex) {
+  const crypto::SealedBox box(ttp.su_keys().gc);
+  const std::uint64_t scaled = cfg.enc.cr * (9 + cfg.enc.rd);
+  const Bytes plain = SealedBidPayload{9, scaled}.serialize();
+  for (const ChannelId r : {ChannelId{0}, ChannelId{255}, ChannelId{256},
+                            ChannelId{1} << 40}) {
+    const auto family = prefix::HashedPrefixSet::of_value(
+        derive_channel_key(ttp.su_keys().gb_master, r, true), scaled,
+        cfg.enc.scaled_width());
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const ChargeQuery query{0, r, box.seal(plain, rng), family, 0,
+                              std::nullopt, std::nullopt, 0};
+      const auto result = ttp.process(query);
+      EXPECT_TRUE(result.valid) << "channel " << r;
+      EXPECT_EQ(result.charge, 9u);
+    }
+    const ChargeQuery moved{0, r + 1, box.seal(plain, rng), family, 0,
+                            std::nullopt, std::nullopt, 0};
+    EXPECT_TRUE(ttp.process(moved).manipulated) << "channel " << r;
+  }
+}
+
 TEST_F(TtpTest, BatchProcessingCountsLoad) {
   std::vector<ChargeQuery> batch;
   batch.push_back(query_for(0, 5));
