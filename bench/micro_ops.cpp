@@ -1,9 +1,13 @@
 // Micro-benchmarks backing the paper's §IV-C.4 claim that the scheme's
 // hash-based machinery is cheap: HMAC, prefix conversion, masked
 // comparisons, conflict-graph construction and full auction rounds,
-// scaling in N and k.
+// scaling in N and k.  The commit-phase rows (ct_equal, the digest-index
+// bulk build and probe, the bid-table build) run on the n = 6400 city
+// world of lppa_bench's city_sparse workload.
 #include <benchmark/benchmark.h>
 
+#include "core/conflict_index.h"
+#include "core/encrypted_bid_table.h"
 #include "core/lppa_auction.h"
 #include "core/ppbs_location.h"
 #include "crypto/hmac.h"
@@ -74,6 +78,102 @@ void BM_MaskedIntersection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaskedIntersection);
+
+void BM_CtEqualDigest(benchmark::State& state) {
+  Rng rng(5);
+  crypto::Digest a;
+  for (auto& b : a.bytes) b = static_cast<std::uint8_t>(rng.below(256));
+  crypto::Digest b = a;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(b);
+    benchmark::DoNotOptimize(ct_equal(a.bytes, b.bytes));
+  }
+}
+BENCHMARK(BM_CtEqualDigest);
+
+void BM_CtEqualFamily(benchmark::State& state) {
+  // A value family of a 4-bit scaled bid: five digests, 160 bytes.
+  Rng rng(5);
+  Bytes a(5 * crypto::Digest::kSize);
+  for (auto& b : a) b = static_cast<std::uint8_t>(rng.below(256));
+  const Bytes b = a;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a.data());
+    benchmark::DoNotOptimize(ct_equal(a, b));
+  }
+}
+BENCHMARK(BM_CtEqualFamily);
+
+/// The masked submissions of lppa_bench's city_sparse world: n = 6400
+/// SUs placed uniformly (coord_width 20, λ = 1000), 8 channels of bids
+/// uniform in [0, 15] under the default bid config.
+struct CityWorld {
+  static constexpr std::size_t kUsers = 6400;
+  static constexpr std::size_t kChannels = 8;
+  std::vector<core::LocationSubmission> locations;
+  std::vector<core::BidSubmission> bids;
+
+  static const CityWorld& get() {
+    static const CityWorld world;
+    return world;
+  }
+
+ private:
+  CityWorld() {
+    Rng rng(19);
+    const auto g0 = crypto::SecretKey::generate(rng);
+    const auto gb = crypto::SecretKey::generate(rng);
+    const auto gc = crypto::SecretKey::generate(rng);
+    const int width = 20;
+    const std::uint64_t lambda = 1000;
+    const core::PpbsLocation protocol(g0, width, lambda);
+    const core::BidSubmitter submitter(core::PpbsBidConfig{}, gb, gc);
+    const std::uint64_t span = (std::uint64_t{1} << width) - 2 * lambda;
+    for (std::size_t i = 0; i < kUsers; ++i) {
+      locations.push_back(
+          protocol.submit({rng.below(span), rng.below(span)}, rng));
+      auction::BidVector bv(kChannels);
+      for (auto& b : bv) b = rng.below(16);
+      bids.push_back(submitter.submit(bv, rng));
+    }
+  }
+};
+
+void BM_DigestIndexBuildCity(benchmark::State& state) {
+  const auto& world = CityWorld::get();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::build_index_pair(
+        world.locations, &core::LocationSubmission::x_range,
+        &core::LocationSubmission::y_range, 1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(CityWorld::kUsers));
+}
+BENCHMARK(BM_DigestIndexBuildCity)->Unit(benchmark::kMillisecond);
+
+void BM_DigestIndexProbeCity(benchmark::State& state) {
+  const auto& world = CityWorld::get();
+  const core::IndexPair ranges = core::build_index_pair(
+      world.locations, &core::LocationSubmission::x_range,
+      &core::LocationSubmission::y_range, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::probe_index_pair(world.locations, ranges, 1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(CityWorld::kUsers));
+}
+BENCHMARK(BM_DigestIndexProbeCity)->Unit(benchmark::kMillisecond);
+
+void BM_BidTableBuildCity(benchmark::State& state) {
+  const auto& world = CityWorld::get();
+  for (auto _ : state) {
+    const core::EncryptedBidTable table(world.bids, CityWorld::kChannels);
+    benchmark::DoNotOptimize(table.order_tests());
+  }
+}
+BENCHMARK(BM_BidTableBuildCity)->Unit(benchmark::kMillisecond);
 
 void BM_EncryptBidVector(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));

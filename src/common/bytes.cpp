@@ -91,13 +91,7 @@ void ByteReader::expect_items(std::size_t items,
 bool ct_equal(std::span<const std::uint8_t> a,
               std::span<const std::uint8_t> b) noexcept {
   if (a.size() != b.size()) return false;
-  // volatile keeps the compiler from collapsing the loop into memcmp
-  // (which short-circuits) once it proves `diff` is only read at the end.
-  volatile std::uint8_t diff = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    diff = diff | static_cast<std::uint8_t>(a[i] ^ b[i]);
-  }
-  return diff == 0;
+  return detail::ct_diff(a.data(), b.data(), a.size()) == 0;
 }
 
 std::string to_hex(std::span<const std::uint8_t> data) {

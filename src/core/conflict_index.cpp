@@ -10,16 +10,14 @@ namespace lppa::core {
 
 namespace {
 
-/// Records `set` of every submission into `index`, pre-sized to that
-/// exact occupancy so the build never pays rehash churn.
+/// Records `set` of every submission into `index` in one bulk build:
+/// exact occupancy, no rehash, each digest's owners one contiguous run.
 void index_axis(const std::vector<LocationSubmission>& submissions,
                 AxisSet set, prefix::DigestIndex& index) {
-  std::size_t expected = 0;
-  for (const auto& sub : submissions) expected += (sub.*set).size();
-  index.reserve(expected);
-  for (std::size_t j = 0; j < submissions.size(); ++j) {
-    index.insert_all(submissions[j].*set, static_cast<std::uint32_t>(j));
-  }
+  std::vector<const prefix::HashedPrefixSet*> sets;
+  sets.reserve(submissions.size());
+  for (const auto& sub : submissions) sets.push_back(&(sub.*set));
+  index.build(sets);
 }
 
 /// The distinct owners of `query`'s digests in `index` on the `cut` side
@@ -59,8 +57,12 @@ JoinResult join_partners(const prefix::HashedPrefixSet& x_query,
                          const prefix::HashedPrefixSet& y_query,
                          const IndexPair& index, std::uint32_t i,
                          JoinCut cut) {
-  std::vector<std::uint32_t> x_hits;
-  std::vector<std::uint32_t> y_hits;
+  // Per-thread scratch: the hit lists are rebuilt for every SU, so their
+  // buffers are reused rather than allocated per join.
+  thread_local std::vector<std::uint32_t> x_hits;
+  thread_local std::vector<std::uint32_t> y_hits;
+  x_hits.clear();
+  y_hits.clear();
   axis_hits(x_query, index.x, i, cut, x_hits);
   axis_hits(y_query, index.y, i, cut, y_hits);
   JoinResult result;

@@ -51,7 +51,8 @@ struct IndexPair {
 using AxisSet = prefix::HashedPrefixSet LocationSubmission::*;
 
 /// The one index builder: `x_set` of every submission into the x index
-/// and `y_set` into the y index, each pre-sized to its exact occupancy.
+/// and `y_set` into the y index, each by one DigestIndex::build (exact
+/// occupancy, each digest's owners one contiguous run).
 /// The two axes build as two parallel tasks under one
 /// "conflict.index_build" span (under `parent`).  Empty submissions (the
 /// churn roster's dead slots) contribute nothing.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -47,23 +46,34 @@ void stable_merge_sort(std::vector<std::uint32_t>& items,
   }
 }
 
-/// A strict total order on equal-type sequences: shorter first, then
-/// bytewise.  It only ever orders (sorting and searching the scratch
-/// arrays below); equality of digests is confirmed with ct_equal, as in
-/// HashedPrefixSet::intersects.
-template <typename T>
-bool bytes_less(std::span<const T> a, std::span<const T> b) noexcept {
-  if (a.size() != b.size()) return a.size() < b.size();
-  return std::memcmp(a.data(), b.data(), a.size_bytes()) < 0;
-}
-
-bool digest_less(const crypto::Digest& a, const crypto::Digest& b) noexcept {
-  return bytes_less<std::uint8_t>(a.bytes, b.bytes);
-}
+/// An empty hash bucket; also DigestPositions' answer for an absent digest.
+constexpr std::uint32_t kEmpty = 0xffffffffu;
 
 std::span<const std::uint8_t> raw_bytes(
     std::span<const crypto::Digest> s) noexcept {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size_bytes()};
+}
+
+/// Folds one 64-bit word into a running hash: the state XOR the word,
+/// through splitmix64's bijective finalizer.  Each step mixes fully, so
+/// structured words (a list's length, small positions) cannot cancel
+/// one another.  Hashes start as fold(kHashSeed, length).  A hash only
+/// picks a bucket and every bucket hit is confirmed exactly, so a
+/// collision — even a forged one — costs time, never a wrong class.
+constexpr std::uint64_t kHashSeed = 0x9e3779b97f4a7c15ull;
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) noexcept {
+  std::uint64_t x = h ^ word;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Open-addressing slot count for `items` entries at load factor ≤ 0.5.
+std::size_t table_capacity(std::size_t items) {
+  std::size_t cap = 16;
+  while (cap < 2 * items) cap <<= 1;
+  return cap;
 }
 
 /// Users of one column grouped by a per-user key: users with equal keys
@@ -71,6 +81,74 @@ std::span<const std::uint8_t> raw_bytes(
 struct Classes {
   std::vector<std::uint32_t> of;   ///< user -> class id
   std::vector<std::uint32_t> rep;  ///< class id -> one member
+};
+
+/// Groups users 0..users-1 by a hash of their key: user u joins the first
+/// class whose key hash equals hash(u) and whose representative r passes
+/// same(r, u), else opens a new class with u as its representative.
+/// Classes are numbered in order of first appearance.
+template <typename Hash, typename Same>
+Classes group_by_hash(std::size_t users, const Hash& hash, const Same& same) {
+  Classes c;
+  c.of.resize(users);
+  std::vector<std::uint64_t> class_hash;
+  std::vector<std::uint32_t> buckets(table_capacity(users), kEmpty);
+  const std::size_t mask = buckets.size() - 1;
+  for (std::uint32_t u = 0; u < users; ++u) {
+    const std::uint64_t h = hash(u);
+    std::size_t i = static_cast<std::size_t>(h) & mask;
+    while (buckets[i] != kEmpty &&
+           !(class_hash[buckets[i]] == h && same(c.rep[buckets[i]], u))) {
+      i = (i + 1) & mask;
+    }
+    if (buckets[i] == kEmpty) {
+      buckets[i] = static_cast<std::uint32_t>(c.rep.size());
+      c.rep.push_back(u);
+      class_hash.push_back(h);
+    }
+    c.of[u] = buckets[i];
+  }
+  return c;
+}
+
+/// A set of distinct digests with positions 0, 1, … in insertion order,
+/// hashed by fingerprint and confirmed with ct_equal on all 32 bytes.
+/// A prefix::DigestIndex holding each position as its digest's one owner
+/// would answer the same, but its chain walk and output vector made the
+/// city world's table build ~20 % slower.
+class DigestPositions {
+ public:
+  explicit DigestPositions(std::size_t expected)
+      : buckets_(table_capacity(expected), kEmpty) {
+    digests_.reserve(expected);
+  }
+
+  /// Adds `d` unless an equal digest is already present.
+  void add(const crypto::Digest& d) {
+    const std::size_t i = find(d);
+    if (buckets_[i] == kEmpty) {
+      buckets_[i] = static_cast<std::uint32_t>(digests_.size());
+      digests_.push_back(d);
+    }
+  }
+
+  /// Position of `d`, or kEmpty when absent.
+  std::uint32_t position(const crypto::Digest& d) const noexcept {
+    return buckets_[find(d)];
+  }
+
+ private:
+  std::size_t find(const crypto::Digest& d) const noexcept {
+    const std::size_t mask = buckets_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(d.fingerprint()) & mask;
+    while (buckets_[i] != kEmpty && !ct_equal(digests_[buckets_[i]], d)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  std::vector<std::uint32_t> buckets_;
+  std::vector<crypto::Digest> digests_;
 };
 
 /// Per-user lists in CSR form: user u's list is items[at[u] .. at[u + 1]).
@@ -83,35 +161,10 @@ struct FlatLists {
   explicit FlatLists(std::size_t users) { at.reserve(users + 1); }
 
   void close() { at.push_back(static_cast<std::uint32_t>(items.size())); }
-  void append(std::span<const T> list) {
-    items.insert(items.end(), list.begin(), list.end());
-    close();
-  }
   std::span<const T> operator[](std::uint32_t u) const {
     return {items.data() + at[u], at[u + 1] - at[u]};
   }
 };
-
-/// Sorts the users by key(u) under `less` (a strict total order) and
-/// opens a new class wherever `equal` tells neighbours apart.
-template <typename Key, typename Less, typename Equal>
-Classes group_users(std::size_t users, const Key& key, const Less& less,
-                    const Equal& equal) {
-  std::vector<std::uint32_t> by_key(users);
-  std::iota(by_key.begin(), by_key.end(), 0u);
-  std::sort(by_key.begin(), by_key.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return less(key(a), key(b));
-            });
-  Classes c;
-  c.of.resize(users);
-  for (std::size_t i = 0; i < users; ++i) {
-    const std::uint32_t u = by_key[i];
-    if (i == 0 || !equal(key(by_key[i - 1]), key(u))) c.rep.push_back(u);
-    c.of[u] = static_cast<std::uint32_t>(c.rep.size() - 1);
-  }
-  return c;
-}
 
 /// The HMAC order test is ge(a, b) = F(a) ∩ R(b) ≠ ∅, with F the value
 /// family and R the range set.  Let U be the union of the column's
@@ -125,49 +178,43 @@ template <typename Cell>
 std::optional<std::pair<Classes, Classes>> hmac_column_classes(
     std::size_t users, const Cell& cell, std::uint64_t max_pairs) {
   using Digests = std::span<const crypto::Digest>;
-  // One pass copies every family and range set into flat CSR arrays:
-  // the steps below read them several times, and the copies stay in
-  // cache where the submissions' scattered heap blocks do not.
-  FlatLists<crypto::Digest> families(users), ranges(users);
+  // One pass reads every cell's two digest spans and hashes the family's
+  // fingerprints; the passes below reuse the spans.
+  std::vector<Digests> families(users);
+  std::vector<Digests> ranges(users);
+  std::vector<std::uint64_t> family_hash(users);
   for (std::uint32_t u = 0; u < users; ++u) {
-    families.append(cell(u).value_family.digests());
-    ranges.append(cell(u).range_set.digests());
+    const ChannelBidSubmission& c = cell(u);
+    families[u] = c.value_family.digests();
+    ranges[u] = c.range_set.digests();
+    std::uint64_t h = fold(kHashSeed, families[u].size());
+    for (const auto& d : families[u]) h = fold(h, d.fingerprint());
+    family_hash[u] = h;
   }
   // Left classes: users with byte-identical families (the same digests
-  // in the same sorted order, so the same set).
-  Classes left = group_users(
-      users, [&](std::uint32_t u) { return families[u]; },
-      bytes_less<crypto::Digest>,
-      [](Digests a, Digests b) {
-        return ct_equal(raw_bytes(a), raw_bytes(b));
+  // in the same sorted order, so the same set), grouped by the hash and
+  // confirmed with ct_equal on every byte.
+  Classes left = group_by_hash(
+      users, [&](std::uint32_t u) { return family_hash[u]; },
+      [&](std::uint32_t a, std::uint32_t b) {
+        return ct_equal(raw_bytes(families[a]), raw_bytes(families[b]));
       });
   if (left.rep.size() > max_pairs) return std::nullopt;
-  // U, sorted and unique: one family per left class covers it.
-  std::vector<crypto::Digest> universe;
+  // U: one family per left class covers it.
+  std::size_t universe_size = 0;
+  for (const std::uint32_t u : left.rep) universe_size += families[u].size();
+  DigestPositions universe(universe_size);
   for (const std::uint32_t u : left.rep) {
-    const Digests family = families[u];
-    universe.insert(universe.end(), family.begin(), family.end());
+    for (const auto& d : families[u]) universe.add(d);
   }
-  std::sort(universe.begin(), universe.end(), digest_less);
-  universe.erase(std::unique(universe.begin(), universe.end(),
-                             [](const crypto::Digest& a,
-                                const crypto::Digest& b) {
-                               return ct_equal(a.bytes, b.bytes);
-                             }),
-                 universe.end());
-  // Right keys: R(u) ∩ U as ascending positions in U (R is sorted, so a
-  // repeated digest is a repeated position and is dropped) — equal
-  // position lists mean equal sets.
+  // Right keys: R(u) ∩ U as positions in U, in R's (sorted) digest
+  // order, so equal sets give equal position lists; a repeated digest is
+  // adjacent in R and its repeated position is dropped.
   FlatLists<std::uint32_t> traces(users);
   for (std::uint32_t u = 0; u < users; ++u) {
     for (const auto& d : ranges[u]) {
-      const auto it =
-          std::lower_bound(universe.begin(), universe.end(), d, digest_less);
-      if (it == universe.end() || digest_less(d, *it) ||
-          !ct_equal(it->bytes, d.bytes)) {
-        continue;
-      }
-      const auto pos = static_cast<std::uint32_t>(it - universe.begin());
+      const std::uint32_t pos = universe.position(d);
+      if (pos == kEmpty) continue;
       if (traces.items.size() == traces.at.back() ||
           traces.items.back() != pos) {
         traces.items.push_back(pos);
@@ -175,11 +222,16 @@ std::optional<std::pair<Classes, Classes>> hmac_column_classes(
     }
     traces.close();
   }
-  using Positions = std::span<const std::uint32_t>;
-  Classes right = group_users(
-      users, [&](std::uint32_t u) { return traces[u]; },
-      bytes_less<std::uint32_t>,
-      [](Positions a, Positions b) { return std::ranges::equal(a, b); });
+  Classes right = group_by_hash(
+      users,
+      [&](std::uint32_t u) {
+        std::uint64_t h = fold(kHashSeed, traces[u].size());
+        for (const std::uint32_t pos : traces[u]) h = fold(h, pos);
+        return h;
+      },
+      [&](std::uint32_t a, std::uint32_t b) {
+        return std::ranges::equal(traces[a], traces[b]);
+      });
   if (std::uint64_t{left.rep.size()} * right.rep.size() > max_pairs) {
     return std::nullopt;
   }

@@ -19,9 +19,14 @@
 // column's families) share a right class, and ge(a, b) = F(a) ∩ R(b) ≠ ∅
 // = F(a) ∩ (R(b) ∩ U) ≠ ∅ depends on nothing else — so one backend test
 // per (left, right) class pair answers every pair exactly, Byzantine
-// cells included.  That is O(n·w) digest lookups plus at most g_F·g_R
-// backend tests (≤ 2^w · 2^w for w-bit scaled bids) instead of
-// O(n log n).  Columns where g_F·g_R > n·(⌈log₂ n⌉ + 1), and every
+// cells included.  Classes are found by hashing, with no sort of cell
+// bytes: users are grouped by a hash of their family digests'
+// fingerprints, each confirmed against its class representative with
+// ct_equal; U is a fingerprint hash set whose hits are confirmed with
+// ct_equal; right classes are grouped by a hash of the position list.
+// Class numbering never reaches the sort's answers.  That is O(n·w)
+// expected digest lookups plus at most g_F·g_R backend tests
+// (≤ 2^w · 2^w for w-bit scaled bids) instead of O(n log n).  Columns where g_F·g_R > n·(⌈log₂ n⌉ + 1), and every
 // column of a non-HMAC backend (Paillier ciphertexts are randomised, so
 // there are no equal-value classes), keep the per-pair comparator.
 // It is the one bid table every production caller allocates on; the

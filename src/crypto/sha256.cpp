@@ -6,12 +6,6 @@
 
 namespace lppa::crypto {
 
-std::uint64_t Digest::fingerprint() const noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-  return v;
-}
-
 Sha256::Sha256() noexcept { reset(); }
 
 void Sha256::reset() noexcept {

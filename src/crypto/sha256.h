@@ -6,8 +6,10 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 
@@ -24,11 +26,30 @@ struct Digest {
   auto operator<=>(const Digest&) const = default;
 
   /// First 8 bytes as a little-endian integer — used as a fast hash for
-  /// unordered containers (the bytes are already uniform).
-  std::uint64_t fingerprint() const noexcept;
+  /// unordered containers (the bytes are already uniform).  Inline: the
+  /// digest index and the bid-table grouping hash every digest they see.
+  std::uint64_t fingerprint() const noexcept {
+    std::uint64_t v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, bytes.data(), sizeof v);
+    } else {
+      for (int i = 0; i < 8; ++i) {
+        v |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
+      }
+    }
+    return v;
+  }
 
   std::string hex() const { return to_hex(bytes); }
 };
+
+/// Constant-time digest equality: lppa::ct_equal's word kernel on the
+/// fixed 32 bytes, inline.  The using-declaration keeps the span and
+/// array overloads visible to unqualified calls inside lppa::crypto.
+using lppa::ct_equal;
+inline bool ct_equal(const Digest& a, const Digest& b) noexcept {
+  return lppa::ct_equal(a.bytes, b.bytes);
+}
 
 /// Incremental SHA-256.
 class Sha256 {

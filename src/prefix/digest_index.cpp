@@ -12,84 +12,137 @@ std::size_t next_pow2(std::size_t v) {
   return p;
 }
 
+/// Slot capacity for `expected` digests at load factor 0.5.
+std::size_t capacity_for(std::size_t expected) {
+  return next_pow2(expected * 2 + 1);
+}
+
 }  // namespace
 
 void DigestIndex::reserve(std::size_t expected) {
   entries_.reserve(expected);
-  grow(next_pow2(expected * 2 + 1));
-  // After grow: a rehash rebuilds keys_ at its old capacity.
+  if (slots_.size() < capacity_for(expected)) {
+    rehash_to(capacity_for(expected));
+  }
   keys_.reserve(expected);
 }
 
 std::size_t DigestIndex::find_slot(const crypto::Digest& d) const noexcept {
   // Probe confirmation goes through ct_equal for the same reason as
   // HashedPrefixSet::intersects: a short-circuiting key comparison would
-  // leak the matched byte count of an HMAC'd digest through timing.
-  // kDeadChain slots are still *occupied* for probing purposes: freeing
-  // them in place would sever the probe chains of digests inserted after
-  // them, so they persist until rehash_to drops them.
+  // leak the matched byte count of an HMAC'd digest through timing.  The
+  // tag only decides whether the key is worth reading (see the header).
+  // Dead keys are still *occupied* for probing purposes: freeing their
+  // slots in place would sever the probe chains of digests inserted
+  // after them, so they persist until rehash_to drops them.
+  const std::uint64_t fp = d.fingerprint();
+  const std::uint32_t tag = tag_of(fp);
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(d.fingerprint()) & mask;
-  while (slots_[i].head != kNil &&
-         !ct_equal(keys_[slots_[i].key].bytes, d.bytes)) {
+  std::size_t i = static_cast<std::size_t>(fp) & mask;
+  while (slots_[i].key != kNil &&
+         !(slots_[i].tag == tag && ct_equal(keys_[slots_[i].key].digest, d))) {
     i = (i + 1) & mask;
   }
   return i;
 }
 
 void DigestIndex::rehash_to(std::size_t capacity) {
-  const std::vector<Slot> old = std::move(slots_);
-  const std::vector<crypto::Digest> old_keys = std::move(keys_);
-  slots_.assign(capacity, Slot{});
-  keys_ = std::vector<crypto::Digest>();
-  keys_.reserve(old_keys.capacity());
+  // Drop the dead keys (in place, keeping key order and capacity), then
+  // re-place the survivors.  Surviving keys are distinct, so the first
+  // free slot is theirs.
+  std::erase_if(keys_, [](const Key& k) { return k.head == kNil; });
   dead_slots_ = 0;
+  slots_.assign(capacity, Slot{});
   const std::size_t mask = capacity - 1;
-  for (const Slot& s : old) {
-    if (s.head >= kDeadChain) continue;  // empty or fully-erased: drop
-    // Surviving keys are distinct, so the first free slot is theirs.
-    const crypto::Digest& key = old_keys[s.key];
-    std::size_t i = static_cast<std::size_t>(key.fingerprint()) & mask;
-    while (slots_[i].head != kNil) i = (i + 1) & mask;
-    slots_[i] = Slot{s.head, static_cast<std::uint32_t>(keys_.size())};
-    keys_.push_back(key);
+  for (std::uint32_t k = 0; k < keys_.size(); ++k) {
+    const std::uint64_t fp = keys_[k].digest.fingerprint();
+    std::size_t i = static_cast<std::size_t>(fp) & mask;
+    while (slots_[i].key != kNil) i = (i + 1) & mask;
+    slots_[i] = Slot{tag_of(fp), k};
   }
 }
 
-void DigestIndex::grow(std::size_t min_capacity) {
-  if (slots_.size() >= min_capacity) return;
-  rehash_to(min_capacity);
+void DigestIndex::build(std::span<const HashedPrefixSet* const> sets) {
+  std::size_t total = 0;
+  for (const HashedPrefixSet* set : sets) total += set->size();
+  slots_.clear();
+  keys_.clear();
+  entries_.clear();
+  free_head_ = kNil;
+  reserve(total);
+
+  // Count pass: find or open each digest's key, count its occurrences in
+  // the key's head field, and remember which key each occurrence hit.
+  std::vector<std::uint32_t> key_of;
+  key_of.reserve(total);
+  for (const HashedPrefixSet* set : sets) {
+    for (const crypto::Digest& d : set->digests()) {
+      Slot& slot = slots_[find_slot(d)];
+      if (slot.key == kNil) {
+        slot = Slot{tag_of(d.fingerprint()),
+                    static_cast<std::uint32_t>(keys_.size())};
+        keys_.push_back(Key{d, 0});
+      }
+      ++keys_[slot.key].head;
+      key_of.push_back(slot.key);
+    }
+  }
+  // Runs in key order: head = one past the end of the key's run, so the
+  // place pass can fill each run back to front.
+  std::uint32_t end = 0;
+  for (Key& k : keys_) {
+    end += k.head;
+    k.head = end;
+  }
+  // Place pass, owners descending and each run filled back to front: a
+  // run ends up ascending by owner with its head at the run's start.
+  // Every entry links to its right neighbour; the last of a run is
+  // terminated below.
+  entries_.resize(total);
+  std::size_t occurrence = total;
+  for (std::size_t j = sets.size(); j-- > 0;) {
+    for (std::size_t n = sets[j]->size(); n-- > 0;) {
+      const std::uint32_t e = --keys_[key_of[--occurrence]].head;
+      entries_[e] = Entry{static_cast<std::uint32_t>(j), e + 1};
+    }
+  }
+  for (std::size_t k = 0; k < keys_.size(); ++k) {
+    const std::uint32_t run_end =
+        k + 1 < keys_.size() ? keys_[k + 1].head
+                             : static_cast<std::uint32_t>(total);
+    entries_[run_end - 1].next = kNil;
+  }
+  live_entries_ = total;
 }
 
 void DigestIndex::insert(const crypto::Digest& d, std::uint32_t owner) {
   if (slots_.empty() || (keys_.size() + 1) * 2 > slots_.size()) {
-    // Rehash drops fully-erased slots, so under churn the table only
-    // doubles when the *live* digest population actually outgrew it.
+    // Rehash drops dead keys, so under churn the table only doubles when
+    // the *live* digest population actually outgrew it.
     const std::size_t live = keys_.size() - dead_slots_;
-    rehash_to(std::max(slots_.size(), next_pow2((live + 1) * 2 + 1)));
+    rehash_to(std::max(slots_.size(), capacity_for(live + 1)));
   }
-  const std::size_t i = find_slot(d);
-  Slot& slot = slots_[i];
-  const bool fresh = slot.head == kNil;
-  const bool revived = slot.head == kDeadChain;
-  if (fresh) {
-    slot.key = static_cast<std::uint32_t>(keys_.size());
-    keys_.push_back(d);
+  Slot& slot = slots_[find_slot(d)];
+  if (slot.key == kNil) {
+    slot = Slot{tag_of(d.fingerprint()),
+                static_cast<std::uint32_t>(keys_.size())};
+    keys_.push_back(Key{d, kNil});
+  } else if (keys_[slot.key].head == kNil) {
+    --dead_slots_;  // revived
   }
-  if (revived) --dead_slots_;
+  Key& key = keys_[slot.key];
   // Prepend to the owner chain (order is irrelevant: probers dedupe),
   // recycling an erased entry when one is available.
-  const std::uint32_t next = (fresh || revived) ? kNil : slot.head;
   std::uint32_t e;
   if (free_head_ != kNil) {
     e = free_head_;
     free_head_ = entries_[e].next;
-    entries_[e] = Entry{owner, next};
+    entries_[e] = Entry{owner, key.head};
   } else {
-    entries_.push_back(Entry{owner, next});
+    entries_.push_back(Entry{owner, key.head});
     e = static_cast<std::uint32_t>(entries_.size() - 1);
   }
-  slot.head = e;
+  key.head = e;
   ++live_entries_;
 }
 
@@ -99,9 +152,10 @@ void DigestIndex::insert_all(const HashedPrefixSet& set, std::uint32_t owner) {
 
 bool DigestIndex::erase(const crypto::Digest& d, std::uint32_t owner) {
   if (slots_.empty()) return false;
-  Slot& slot = slots_[find_slot(d)];
-  if (slot.head >= kDeadChain) return false;
-  std::uint32_t* link = &slot.head;
+  const Slot& slot = slots_[find_slot(d)];
+  if (slot.key == kNil) return false;
+  Key& key = keys_[slot.key];
+  std::uint32_t* link = &key.head;
   while (*link != kNil) {
     Entry& e = entries_[*link];
     if (e.owner == owner) {
@@ -111,10 +165,7 @@ bool DigestIndex::erase(const crypto::Digest& d, std::uint32_t owner) {
       e.next = free_head_;
       free_head_ = freed;
       --live_entries_;
-      if (slot.head == kNil) {
-        slot.head = kDeadChain;
-        ++dead_slots_;
-      }
+      if (key.head == kNil) ++dead_slots_;
       return true;
     }
     link = &e.next;
@@ -135,9 +186,10 @@ std::size_t DigestIndex::collect(const crypto::Digest& d,
                                  std::vector<std::uint32_t>& out) const {
   if (slots_.empty()) return 0;
   const Slot& slot = slots_[find_slot(d)];
-  if (slot.head >= kDeadChain) return 0;
+  if (slot.key == kNil) return 0;
   std::size_t appended = 0;
-  for (std::uint32_t e = slot.head; e != kNil; e = entries_[e].next) {
+  for (std::uint32_t e = keys_[slot.key].head; e != kNil;
+       e = entries_[e].next) {
     out.push_back(entries_[e].owner);
     ++appended;
   }

@@ -17,14 +17,32 @@
 //
 // The table is a flat open-addressing hash map (linear probing).  HMAC
 // outputs are uniform, so the first eight bytes (Digest::fingerprint)
-// are already a perfect hash seed.  A slot is 8 bytes: the head of its
-// owner chain and the position of its key in a dense array holding one
-// 32-byte digest per occupied slot, so the half-empty slot array costs
-// 8 bytes per free slot rather than 40.  Owners of duplicate digests are
-// chained through a side array.
+// are already a perfect hash seed: its low bits pick the home slot and
+// its high 32 bits are the slot's tag.  A slot is 8 bytes, {tag, key}:
+// the tag and the position of the slot's key in a dense array that
+// holds, per occupied slot, the 32-byte digest and the head of its owner
+// chain beside it — so the half-empty slot array costs 8 bytes per free
+// slot, and a probe reads a key only when the tag matches.  Most probes
+// of a conflict build miss (about three in four on city worlds), and a
+// miss never touches the key array.
+//
+// The tag does not weaken the constant-time contract.  It only filters
+// candidates: every match is still confirmed by ct_equal on all 32
+// bytes, so no answer rests on the tag, and a tag mismatch skips only a
+// slot whose digest differs anyway.  What the timing of the tag check
+// can reveal is that a probed digest is (or is not) in the index — which
+// the join's output, the partner list, reveals anyway.
+//
+// Owners of one digest form a chain through a side array.  build() lays
+// each digest's chain out as one contiguous run of that array (a count
+// pass, then a place pass), so a hit walks adjacent entries instead of
+// scattered ones.  insert() and erase() keep working on a built index —
+// a new owner is prepended, an erased one unlinked — so the conflict
+// build and churn maintenance (core::ChurnState) share this one type.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -38,6 +56,13 @@ class DigestIndex {
 
   /// Pre-sizes the table for `expected` insertions (load factor 0.5).
   void reserve(std::size_t expected);
+
+  /// Bulk build: replaces the contents with every digest of `sets[j]`
+  /// for owner j — the same (digest, owner) multiset as insert_all of
+  /// each set in turn on an empty index, sized as reserve(Σ sizes)
+  /// would size it — and lays each digest's owners out as one
+  /// contiguous run, ascending by owner.
+  void build(std::span<const HashedPrefixSet* const> sets);
 
   /// Records that `owner`'s set contains digest `d`.
   void insert(const crypto::Digest& d, std::uint32_t owner);
@@ -77,35 +102,41 @@ class DigestIndex {
   /// Bytes held by the slot array, the key array and the owner chains —
   /// the conflict.index_bytes figure of the conflict build.
   std::size_t memory_bytes() const noexcept {
-    return slots_.size() * sizeof(Slot) +
-           keys_.capacity() * sizeof(crypto::Digest) +
+    return slots_.size() * sizeof(Slot) + keys_.capacity() * sizeof(Key) +
            entries_.capacity() * sizeof(Entry);
   }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  /// A slot whose whole owner chain was erased.  It stays occupied (so
-  /// linear-probe chains that stepped over it remain intact) until a
-  /// rehash compacts it away or an insert of the same digest revives it.
-  static constexpr std::uint32_t kDeadChain = 0xfffffffeu;
 
   struct Slot {
-    std::uint32_t head = kNil;  ///< chain head into entries_, kNil = empty
-    std::uint32_t key = 0;      ///< index into keys_ while occupied
+    std::uint32_t tag = 0;      ///< high 32 bits of the key's fingerprint
+    std::uint32_t key = kNil;   ///< index into keys_, kNil = empty
+  };
+  /// One per occupied slot.  A key whose whole owner chain was erased
+  /// (head == kNil) stays (so linear-probe chains that stepped over its
+  /// slot remain intact) until a rehash compacts it away or an insert of
+  /// the same digest revives it.
+  struct Key {
+    crypto::Digest digest;
+    std::uint32_t head = kNil;  ///< chain head into entries_
   };
   struct Entry {
     std::uint32_t owner;
     std::uint32_t next;  ///< next entry for the same digest, kNil = end
   };
 
-  void grow(std::size_t min_capacity);
+  static std::uint32_t tag_of(std::uint64_t fingerprint) noexcept {
+    return static_cast<std::uint32_t>(fingerprint >> 32);
+  }
+
   void rehash_to(std::size_t capacity);
   std::size_t find_slot(const crypto::Digest& d) const noexcept;
 
   std::vector<Slot> slots_;     // capacity is always a power of two
-  std::vector<crypto::Digest> keys_;  // one per occupied slot (incl. dead)
-  std::vector<Entry> entries_;  // chained owner lists
-  std::size_t dead_slots_ = 0;  // occupied slots with an empty chain
+  std::vector<Key> keys_;       // one per occupied slot (incl. dead)
+  std::vector<Entry> entries_;  // owner chains
+  std::size_t dead_slots_ = 0;  // keys with an empty chain
   std::size_t live_entries_ = 0;   // entries not on the free list
   std::uint32_t free_head_ = kNil;  // recycled entries_ indices
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "crypto/sha256.h"
+
 namespace lppa {
 namespace {
 
@@ -136,6 +139,46 @@ TEST(CtEqual, SingleBitDifferencesAreDetectedEverywhere) {
       flipped[byte] ^= static_cast<std::uint8_t>(1 << bit);
       EXPECT_FALSE(ct_equal(base, flipped)) << byte << ":" << bit;
     }
+  }
+}
+
+TEST(CtEqual, FindsEveryDifferingBytePosition) {
+  // Lengths 0-70 cover the 8-byte word loop, the byte tail and both
+  // together; each position is flipped on its own, in both argument
+  // orders.  The spans start `len % 8` bytes into their buffers, so the
+  // word loads also run unaligned.
+  Rng rng(31);
+  for (std::size_t len = 0; len <= 70; ++len) {
+    const std::size_t off = len % 8;
+    Bytes base(off + len);
+    for (auto& b : base) b = static_cast<std::uint8_t>(rng.below(256));
+    const Bytes copy = base;
+    const auto view = [&](const Bytes& buf) {
+      return std::span<const std::uint8_t>(buf).subspan(off, len);
+    };
+    EXPECT_TRUE(ct_equal(view(base), view(copy))) << "len " << len;
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      Bytes flipped = base;
+      flipped[off + pos] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+      EXPECT_FALSE(ct_equal(view(base), view(flipped))) << len << ":" << pos;
+      EXPECT_FALSE(ct_equal(view(flipped), view(base))) << len << ":" << pos;
+    }
+  }
+  // The inline Digest overload is the span kernel on 32 bytes.
+  crypto::Digest a;
+  for (auto& b : a.bytes) b = static_cast<std::uint8_t>(rng.below(256));
+  const crypto::Digest same = a;
+  EXPECT_TRUE(crypto::ct_equal(a, same));
+  EXPECT_TRUE(ct_equal(a.bytes, same.bytes));
+  for (std::size_t pos = 0; pos < crypto::Digest::kSize; ++pos) {
+    crypto::Digest b = a;
+    b.bytes[pos] ^= 0x80;
+    const std::span<const std::uint8_t> sa(a.bytes);
+    const std::span<const std::uint8_t> sb(b.bytes);
+    EXPECT_EQ(crypto::ct_equal(a, b), ct_equal(sa, sb)) << pos;
+    EXPECT_EQ(crypto::ct_equal(b, a), ct_equal(sb, sa)) << pos;
+    EXPECT_FALSE(crypto::ct_equal(a, b)) << pos;
+    EXPECT_FALSE(ct_equal(a.bytes, b.bytes)) << pos;
   }
 }
 

@@ -225,6 +225,146 @@ TEST(DigestIndexTest, EraseIsMultisetSymmetricWithInsert) {
   EXPECT_EQ(index.entry_count(), 0u);
 }
 
+/// Builds `index` from `sets` (owner j holds sets[j]) by the bulk
+/// build or by insert_all of each set in turn.
+void fill_index(prefix::DigestIndex& index,
+                const std::vector<prefix::HashedPrefixSet>& sets, bool bulk) {
+  if (bulk) {
+    std::vector<const prefix::HashedPrefixSet*> ptrs;
+    for (const auto& set : sets) ptrs.push_back(&set);
+    index.build(ptrs);
+  } else {
+    for (std::uint32_t j = 0; j < sets.size(); ++j) {
+      index.insert_all(sets[j], j);
+    }
+  }
+}
+
+std::vector<std::uint32_t> sorted_owners(const prefix::DigestIndex& index,
+                                         const crypto::Digest& d) {
+  std::vector<std::uint32_t> owners;
+  index.collect(d, owners);
+  std::sort(owners.begin(), owners.end());
+  return owners;
+}
+
+TEST(DigestIndexTest, FingerprintTwinsStayDistinctKeys) {
+  // Forged digests that agree on their first 8 bytes share a home slot
+  // and a tag; only the ct_equal confirmation tells them apart.
+  Rng rng(41);
+  crypto::Digest base;
+  for (auto& b : base.bytes) b = static_cast<std::uint8_t>(rng.below(256));
+  std::vector<crypto::Digest> twins(6, base);
+  for (std::size_t i = 1; i < twins.size(); ++i) {
+    twins[i].bytes[8 + 5 * (i - 1)] ^= 0x01;  // bytes 8, 13, 18, 23, 28
+  }
+  crypto::Digest absent = base;
+  absent.bytes[31] ^= 0x40;
+  for (const auto& t : twins) ASSERT_EQ(t.fingerprint(), base.fingerprint());
+
+  for (const bool bulk : {true, false}) {
+    SCOPED_TRACE(bulk ? "bulk build" : "inserts");
+    // Owner i holds twin i; owner 6 also holds twins 1 and 2.
+    std::vector<prefix::HashedPrefixSet> sets;
+    for (const auto& t : twins) {
+      sets.push_back(prefix::HashedPrefixSet::from_digests({t}));
+    }
+    sets.push_back(prefix::HashedPrefixSet::from_digests({twins[1], twins[2]}));
+    prefix::DigestIndex index;
+    fill_index(index, sets, bulk);
+    EXPECT_EQ(index.distinct_digests(), twins.size());
+    EXPECT_EQ(index.entry_count(), twins.size() + 2);
+    for (std::uint32_t i = 0; i < twins.size(); ++i) {
+      const std::vector<std::uint32_t> expected =
+          i == 1 || i == 2 ? std::vector<std::uint32_t>{i, 6}
+                           : std::vector<std::uint32_t>{i};
+      EXPECT_EQ(sorted_owners(index, twins[i]), expected) << "twin " << i;
+    }
+    EXPECT_TRUE(sorted_owners(index, absent).empty());
+
+    // Erasing one twin's owners leaves every other twin untouched.
+    EXPECT_FALSE(index.erase(twins[1], 2));
+    EXPECT_TRUE(index.erase(twins[1], 1));
+    EXPECT_EQ(sorted_owners(index, twins[1]), std::vector<std::uint32_t>{6});
+    EXPECT_TRUE(index.erase(twins[1], 6));
+    EXPECT_TRUE(sorted_owners(index, twins[1]).empty());
+    EXPECT_FALSE(index.erase(twins[1], 1));
+    EXPECT_EQ(sorted_owners(index, twins[2]),
+              (std::vector<std::uint32_t>{2, 6}));
+    for (std::uint32_t i : {0u, 3u, 4u, 5u}) {
+      EXPECT_EQ(sorted_owners(index, twins[i]), std::vector<std::uint32_t>{i});
+    }
+    EXPECT_FALSE(index.erase(absent, 0));
+    EXPECT_EQ(index.entry_count(), twins.size());
+  }
+}
+
+TEST(DigestIndexTest, BulkBuildMatchesInsertsUnderChurn) {
+  // A bulk-built index (contiguous owner runs) and an insert-built one
+  // go through the same seeded erase/insert sequence; the pool of
+  // digests keeps growing, so dead keys pile up until rehashes compact
+  // them, and a final burst forces the slot array to grow.  Both must
+  // report the same owner multiset for every digest after every step.
+  Rng rng(2024);
+  std::vector<crypto::Digest> pool;
+  const auto add_fresh = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      crypto::Digest d;
+      for (auto& b : d.bytes) b = static_cast<std::uint8_t>(rng.below(256));
+      pool.push_back(d);
+    }
+  };
+  // Sets draw with replacement from the pool: digests shared across
+  // owners (long chains), repeated within one set, and empty sets.
+  const auto random_set = [&] {
+    std::vector<crypto::Digest> ds(rng.below(12));
+    for (auto& d : ds) d = pool[rng.below(pool.size())];
+    return prefix::HashedPrefixSet::from_digests(std::move(ds));
+  };
+  add_fresh(300);
+  constexpr std::uint32_t kOwners = 80;
+  std::vector<prefix::HashedPrefixSet> sets;
+  for (std::uint32_t j = 0; j < kOwners; ++j) sets.push_back(random_set());
+
+  prefix::DigestIndex bulk;
+  prefix::DigestIndex inserted;
+  fill_index(bulk, sets, true);
+  fill_index(inserted, sets, false);
+  const auto expect_same = [&](int step) {
+    ASSERT_EQ(bulk.entry_count(), inserted.entry_count()) << "step " << step;
+    for (const auto& d : pool) {
+      ASSERT_EQ(sorted_owners(bulk, d), sorted_owners(inserted, d))
+          << "step " << step;
+    }
+  };
+  expect_same(-1);
+
+  const std::size_t capacity = bulk.slot_capacity();
+  bool compacted = false;
+  for (int step = 0; step < 400; ++step) {
+    if (step % 40 == 0) add_fresh(150);
+    const auto o = static_cast<std::uint32_t>(rng.below(kOwners));
+    const std::size_t keys_before = bulk.distinct_digests();
+    ASSERT_EQ(bulk.erase_all(sets[o], o), inserted.erase_all(sets[o], o));
+    sets[o] = random_set();
+    bulk.insert_all(sets[o], o);
+    inserted.insert_all(sets[o], o);
+    compacted = compacted || bulk.distinct_digests() < keys_before;
+    expect_same(step);
+  }
+  EXPECT_TRUE(compacted) << "no rehash compacted the bulk-built index";
+
+  // Growth: one owner takes many fresh digests at once.
+  const std::size_t first_fresh = pool.size();
+  add_fresh(4 * capacity);
+  for (std::size_t k = first_fresh; k < pool.size(); ++k) {
+    bulk.insert(pool[k], 0);
+    inserted.insert(pool[k], 0);
+  }
+  EXPECT_GT(bulk.slot_capacity(), capacity);
+  expect_same(400);
+}
+
 TEST(ConflictIndexTest, IndexedMatchesPairwiseOver200RandomScenarios) {
   Rng rng(20130708);
   for (int scenario = 0; scenario < 220; ++scenario) {

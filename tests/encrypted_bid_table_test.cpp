@@ -846,6 +846,67 @@ TEST(EncryptedTableClassMemo, ByzantineCellsMatchPerPairSort) {
   expect_within_class_budget(subs, k);
 }
 
+TEST(EncryptedTableClassMemo, FingerprintTwinCellsSplitClasses) {
+  // The build groups cells by hashes of digest fingerprints (the first 8
+  // bytes) and finds range digests in the column universe by
+  // fingerprint.  Forged "twins" keep every fingerprint of an honest
+  // digest and change a later byte, so they land in the same hash
+  // buckets; only the ct_equal confirmation splits them into classes of
+  // their own.  A merged class would answer with the honest twin's
+  // order test and scramble the order against the per-pair reference.
+  constexpr std::size_t k = 3;
+  auto subs = submit_random(PpbsBidConfig{}, 240, k, 15, 1407);
+  std::vector<std::size_t> honest_pairs(k);
+  for (std::size_t r = 0; r < k; ++r) honest_pairs[r] = class_pairs(subs, r);
+  Rng forge(77);
+  const auto twin = [&](crypto::Digest d) {
+    d.bytes[8 + forge.below(24)] ^=
+        static_cast<std::uint8_t>(1 + forge.below(255));
+    return d;
+  };
+  // Twins every digest of `set`, or only its last one.
+  const auto twin_set = [&](const prefix::HashedPrefixSet& set, bool all) {
+    std::vector<crypto::Digest> ds(set.digests().begin(),
+                                   set.digests().end());
+    for (std::size_t i = all ? 0 : ds.size() - 1; i < ds.size(); ++i) {
+      ds[i] = twin(ds[i]);
+    }
+    return prefix::HashedPrefixSet::from_digests(std::move(ds));
+  };
+  for (std::size_t u = 0; u < subs.size(); u += 4) {
+    for (std::size_t r = 0; r < k; ++r) {
+      auto& cell = subs[u].channels[r];
+      const auto& other = subs[forge.below(subs.size())].channels[r];
+      switch ((u / 4 + r) % 4) {
+        case 0:  // another user's family, every digest twinned
+          cell.value_family = twin_set(other.value_family, true);
+          break;
+        case 1:  // this user's family with only its leaf twinned
+          cell.value_family = twin_set(cell.value_family, false);
+          break;
+        case 2:  // another user's range set, every digest twinned
+          cell.range_set = twin_set(other.range_set, true);
+          break;
+        default: {  // the range set plus twins of another family
+          std::vector<crypto::Digest> ds(cell.range_set.digests().begin(),
+                                         cell.range_set.digests().end());
+          for (const auto& d : other.value_family.digests()) {
+            ds.push_back(twin(d));
+          }
+          cell.range_set =
+              prefix::HashedPrefixSet::from_digests(std::move(ds));
+          break;
+        }
+      }
+    }
+  }
+  for (std::size_t r = 0; r < k; ++r) {
+    EXPECT_GT(class_pairs(subs, r), honest_pairs[r]) << "column " << r;
+  }
+  expect_matches_per_pair(subs, k);
+  expect_within_class_budget(subs, k);
+}
+
 TEST(EncryptedTableClassMemo, ManyClassesFallBackToPerPairTests) {
   // Column 0 holds 64 distinct scaled values, column 1 holds 48 distinct
   // values plus 16 copies of one more.  Either way g_F · g_R (64², 49²)
