@@ -13,15 +13,22 @@
 //      family-sized batches (5: one bid value family; 21: a range
 //      cover), plus the portable two-block kernel the CPUID dispatch
 //      falls back to.
+//   4. The submission-shaped paths: one multi-key batch of 8 keys × 7
+//      digests (a city bid's families and covers under gb_0..gb_7), the
+//      one-block MAC over a 28-byte message (a sealed-box tag over
+//      nonce‖ciphertext) and a whole seal of a 16-byte bid payload.
 //
 // Schema matches perf_scaling's conventions: a JSON array of flat
 // objects, one per (bench, iters) sample, throughput in ops/s (or MB/s
 // for the stream bench, flagged by the unit field).
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <fstream>
 
 #include "bench_util.h"
 #include "crypto/hmac.h"
+#include "crypto/sealed_box.h"
 #include "crypto/sha256_kernel.h"
 
 namespace {
@@ -188,6 +195,94 @@ int main(int argc, char** argv) {
        {midstate_acc, batch_acc, family_acc[0], family_acc[1], scalar_acc}) {
     if (acc != oneshot_acc) {
       std::cerr << "FATAL: one-shot / midstate / batch HMAC digests disagree\n";
+      return 1;
+    }
+  }
+
+  // --- 4. submission-shaped paths -----------------------------------------
+  {
+    // 8 keys × 7 digests per call: value i of a call goes under key i / 7.
+    constexpr std::size_t kKeys = 8, kPerKey = 7, kCall = kKeys * kPerKey;
+    std::vector<crypto::HmacKeyCtx> ctxs;
+    for (std::size_t k = 0; k < kKeys; ++k) ctxs.emplace_back(key.derive("gb", k));
+    std::array<const crypto::HmacKeyCtx*, kCall> keys;
+    for (std::size_t i = 0; i < kCall; ++i) keys[i] = &ctxs[i / kPerKey];
+    const std::size_t n = values.size() - values.size() % kCall;
+    std::vector<crypto::Digest> out(n);
+    std::vector<crypto::Digest*> slots(n);
+    for (std::size_t i = 0; i < n; ++i) slots[i] = &out[i];
+    const double ms = time_ms([&] {
+      for (std::size_t i = 0; i < n; i += kCall) {
+        crypto::HmacKeyCtx::mac_u64_batch(
+            keys, std::span<const std::uint64_t>(values).subspan(i, kCall),
+            std::span<crypto::Digest* const>(slots).subspan(i, kCall));
+      }
+    });
+    samples.push_back({"hmac_u64_multikey", n, ms,
+                       bench::rate_per_sec(static_cast<double>(n), ms),
+                       "ops/s"});
+    for (std::size_t i = 0; i < n; i += 97) {
+      if (out[i] != keys[i % kCall]->mac_u64(values[i])) {
+        std::cerr << "FATAL: multi-key batch disagrees with per-key MACs\n";
+        return 1;
+      }
+    }
+  }
+  {
+    // A sealed-box tag's input: 12-byte nonce plus 16-byte ciphertext.
+    constexpr std::size_t kLen = 28;
+    const std::size_t n = values.size() / 4;
+    std::vector<std::uint8_t> msgs(n * kLen);
+    for (auto& b : msgs) b = static_cast<std::uint8_t>(rng.below(256));
+    std::uint64_t acc = 0;
+    const double ms = time_ms([&] {
+      for (std::size_t i = 0; i < n; ++i) {
+        acc ^= ctx.mac(std::span<const std::uint8_t>(msgs).subspan(i * kLen, kLen))
+                   .fingerprint();
+      }
+    });
+    samples.push_back({"mac_short28", n, ms,
+                       bench::rate_per_sec(static_cast<double>(n), ms),
+                       "ops/s"});
+    // Reference: RFC 2104 on the streaming Sha256.
+    std::array<std::uint8_t, 64> ipad{}, opad{};
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::uint8_t k = i < key.bytes().size() ? key.bytes()[i] : 0;
+      ipad[i] = k ^ 0x36;
+      opad[i] = k ^ 0x5c;
+    }
+    std::uint64_t streamed = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      crypto::Sha256 inner;
+      inner.update(ipad);
+      inner.update(std::span<const std::uint8_t>(msgs).subspan(i * kLen, kLen));
+      const crypto::Digest inner_digest = inner.finalize();
+      crypto::Sha256 outer;
+      outer.update(opad);
+      outer.update(inner_digest.bytes);
+      streamed ^= outer.finalize().fingerprint();
+    }
+    if (acc != streamed) {
+      std::cerr << "FATAL: one-block MAC disagrees with the streaming MAC\n";
+      return 1;
+    }
+  }
+  {
+    // One bid payload (two u64s) sealed: nonce, ChaCha20, tag.
+    const crypto::SealedBox box(key);
+    const std::size_t n = values.size() / 4;
+    const std::array<std::uint8_t, 16> payload{1, 2, 3, 4, 5, 6, 7, 8};
+    crypto::SealedMessage last;
+    Rng seal_rng(7);
+    const double ms = time_ms([&] {
+      for (std::size_t i = 0; i < n; ++i) last = box.seal(payload, seal_rng);
+    });
+    samples.push_back({"seal16", n, ms,
+                       bench::rate_per_sec(static_cast<double>(n), ms),
+                       "ops/s"});
+    const auto opened = box.open(last);
+    if (!opened || !std::equal(opened->begin(), opened->end(), payload.begin())) {
+      std::cerr << "FATAL: sealed payload does not open to itself\n";
       return 1;
     }
   }

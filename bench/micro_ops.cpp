@@ -1,15 +1,17 @@
 // Micro-benchmarks backing the paper's §IV-C.4 claim that the scheme's
 // hash-based machinery is cheap: HMAC, prefix conversion, masked
 // comparisons, conflict-graph construction and full auction rounds,
-// scaling in N and k.  The commit-phase rows (ct_equal, the digest-index
-// bulk build and probe, the bid-table build) run on the n = 6400 city
-// world of lppa_bench's city_sparse workload.
+// scaling in N and k.  The submit-phase rows (one SU's location submit,
+// bid submit and validation) and the commit-phase rows (ct_equal, the
+// digest-index bulk build and probe, the bid-table build) run on the
+// n = 6400 city world of lppa_bench's city_sparse workload.
 #include <benchmark/benchmark.h>
 
 #include "core/conflict_index.h"
 #include "core/encrypted_bid_table.h"
 #include "core/lppa_auction.h"
 #include "core/ppbs_location.h"
+#include "core/submission_validator.h"
 #include "crypto/hmac.h"
 #include "oracles.h"
 #include "prefix/hashed_set.h"
@@ -111,34 +113,88 @@ BENCHMARK(BM_CtEqualFamily);
 struct CityWorld {
   static constexpr std::size_t kUsers = 6400;
   static constexpr std::size_t kChannels = 8;
+  static constexpr int kWidth = 20;
+  static constexpr std::uint64_t kLambda = 1000;
+  std::vector<auction::SuLocation> plain_locations;
+  std::vector<auction::BidVector> plain_bids;
   std::vector<core::LocationSubmission> locations;
   std::vector<core::BidSubmission> bids;
+  Rng key_rng{19};
+  crypto::SecretKey g0 = crypto::SecretKey::generate(key_rng);
+  crypto::SecretKey gb = crypto::SecretKey::generate(key_rng);
+  crypto::SecretKey gc = crypto::SecretKey::generate(key_rng);
+  core::PpbsLocation protocol{g0, kWidth, kLambda};
+  core::BidSubmitter submitter{core::PpbsBidConfig{}, gb, gc};
 
   static const CityWorld& get() {
     static const CityWorld world;
     return world;
   }
 
+  /// The auction config the world's submissions validate under.
+  static core::LppaConfig config() {
+    core::LppaConfig config;
+    config.num_channels = kChannels;
+    config.lambda = kLambda;
+    config.coord_width = kWidth;
+    return config;
+  }
+
  private:
   CityWorld() {
-    Rng rng(19);
-    const auto g0 = crypto::SecretKey::generate(rng);
-    const auto gb = crypto::SecretKey::generate(rng);
-    const auto gc = crypto::SecretKey::generate(rng);
-    const int width = 20;
-    const std::uint64_t lambda = 1000;
-    const core::PpbsLocation protocol(g0, width, lambda);
-    const core::BidSubmitter submitter(core::PpbsBidConfig{}, gb, gc);
-    const std::uint64_t span = (std::uint64_t{1} << width) - 2 * lambda;
+    Rng& rng = key_rng;
+    const std::uint64_t span = (std::uint64_t{1} << kWidth) - 2 * kLambda;
     for (std::size_t i = 0; i < kUsers; ++i) {
-      locations.push_back(
-          protocol.submit({rng.below(span), rng.below(span)}, rng));
+      plain_locations.push_back({rng.below(span), rng.below(span)});
+      locations.push_back(protocol.submit(plain_locations.back(), rng));
       auction::BidVector bv(kChannels);
       for (auto& b : bv) b = rng.below(16);
+      plain_bids.push_back(bv);
       bids.push_back(submitter.submit(bv, rng));
     }
   }
 };
+
+// The submit phase per SU: each iteration masks the next SU of the city
+// world (items = SUs, so the rate reads SUs/s and the time µs/SU).
+void BM_LocationSubmitCity(benchmark::State& state) {
+  const auto& world = CityWorld::get();
+  Rng rng(23);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        world.protocol.submit(world.plain_locations[i], rng));
+    i = (i + 1) % CityWorld::kUsers;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LocationSubmitCity)->Unit(benchmark::kMicrosecond);
+
+void BM_BidSubmitCity(benchmark::State& state) {
+  const auto& world = CityWorld::get();
+  Rng rng(29);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(world.submitter.submit(world.plain_bids[i], rng));
+    i = (i + 1) % CityWorld::kUsers;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BidSubmitCity)->Unit(benchmark::kMicrosecond);
+
+// The auctioneer's structural check of one SU's two submissions.
+void BM_ValidateCity(benchmark::State& state) {
+  const auto& world = CityWorld::get();
+  const core::SubmissionValidator validator(CityWorld::config());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    validator.check_location(world.locations[i]);
+    validator.check_bid(world.bids[i]);
+    i = (i + 1) % CityWorld::kUsers;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ValidateCity)->Unit(benchmark::kMicrosecond);
 
 void BM_DigestIndexBuildCity(benchmark::State& state) {
   const auto& world = CityWorld::get();

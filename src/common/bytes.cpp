@@ -74,6 +74,20 @@ Bytes ByteReader::raw(std::size_t n) {
   return out;
 }
 
+std::span<const std::uint8_t> ByteReader::bytes_view() {
+  const std::uint32_t n = u32();
+  need(n);
+  const auto view = data_.subspan(pos_, n);
+  pos_ += n;
+  return view;
+}
+
+void ByteReader::raw_into(std::span<std::uint8_t> out) {
+  need(out.size());
+  if (!out.empty()) std::memcpy(out.data(), data_.data() + pos_, out.size());
+  pos_ += out.size();
+}
+
 std::uint32_t ByteReader::count(std::size_t min_item_bytes) {
   const std::uint32_t n = u32();
   expect_items(n, min_item_bytes);

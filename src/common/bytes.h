@@ -62,6 +62,13 @@ class ByteReader {
   /// Exactly n raw bytes (mirrors ByteWriter::raw).
   Bytes raw(std::size_t n);
 
+  /// Length-prefixed bytes as a view into the input: no copy, valid as
+  /// long as the input is.
+  std::span<const std::uint8_t> bytes_view();
+
+  /// Exactly out.size() raw bytes, read straight into `out`.
+  void raw_into(std::span<std::uint8_t> out);
+
   /// A u32 element count for a sequence whose every element encodes to
   /// at least `min_item_bytes` bytes.  Throws LppaError(kProtocol) when
   /// the remaining input cannot hold that many elements, so a decoder may

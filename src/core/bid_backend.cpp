@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "core/ppbs_bid.h"
+#include "prefix/hashed_set.h"
 #include "prefix/prefix.h"
 
 namespace lppa::crypto {
@@ -9,10 +10,10 @@ namespace lppa::crypto {
 namespace {
 
 /// id 0: the seed scheme, verbatim.  encode_cell reproduces the exact
-/// RNG draw order of the pre-backend BidSubmitter (of_value and of_range
-/// draw nothing; pad_to draws iff padding is on), which is what keeps
-/// the refactor byte-identical — the differential test pins it against
-/// pre-refactor golden digests.
+/// RNG draw order of the pre-backend BidSubmitter (hashing draws
+/// nothing; the range padding draws iff padding is on), which is what
+/// keeps the refactor byte-identical — the differential test pins it
+/// against pre-refactor golden digests.
 class HmacPrefixBackend final : public BidBackend {
  public:
   BidBackendId id() const noexcept override {
@@ -22,15 +23,12 @@ class HmacPrefixBackend final : public BidBackend {
 
   void encode_cell(core::ChannelBidSubmission& cell, const BidEncodeCtx& ctx,
                    std::uint64_t scaled, Rng& rng) const override {
-    LPPA_REQUIRE(ctx.key_ctx != nullptr,
-                 "HMAC backend needs a channel key context");
-    cell.value_family =
-        prefix::HashedPrefixSet::of_value(*ctx.key_ctx, scaled, ctx.width);
-    cell.range_set = prefix::HashedPrefixSet::of_range(
-        *ctx.key_ctx, scaled, ctx.scaled_max, ctx.width);
-    if (ctx.pad_range_sets) {
-      cell.range_set.pad_to(prefix::max_range_prefixes(ctx.width), rng);
-    }
+    LPPA_REQUIRE(ctx.key_ctx != nullptr && ctx.batch != nullptr,
+                 "HMAC backend needs a channel key context and a set batch");
+    ctx.batch->add_value(cell.value_family, *ctx.key_ctx, scaled, ctx.width);
+    ctx.batch->add_range(
+        cell.range_set, *ctx.key_ctx, scaled, ctx.scaled_max, ctx.width,
+        ctx.pad_range_sets ? prefix::max_range_prefixes(ctx.width) : 0, &rng);
   }
 
   bool ge(const core::ChannelBidSubmission& a,

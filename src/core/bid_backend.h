@@ -43,6 +43,10 @@ namespace lppa::core {
 struct ChannelBidSubmission;
 }  // namespace lppa::core
 
+namespace lppa::prefix {
+class HashedSetBatch;
+}  // namespace lppa::prefix
+
 namespace lppa::crypto {
 
 class HmacKeyCtx;
@@ -62,13 +66,16 @@ inline constexpr std::uint32_t kImageMagic = 0xB1DBAC00u;
 inline constexpr std::uint32_t kImageMagicMask = 0xFFFFFF00u;
 
 /// Everything encode_cell / validate_cell need beyond the cell itself:
-/// the per-channel HMAC context (HMAC backend only) and the shared
-/// scaled-encoding parameters.
+/// the per-channel HMAC context and the submission's set batch (HMAC
+/// backend only) and the shared scaled-encoding parameters.
 struct BidEncodeCtx {
   const HmacKeyCtx* key_ctx = nullptr;  ///< HMAC backend only
   std::uint64_t scaled_max = 0;
   int width = 0;
   bool pad_range_sets = false;
+  /// HMAC backend only: the cell's two sets join this batch, which the
+  /// caller runs once for the whole submission.
+  prefix::HashedSetBatch* batch = nullptr;
 };
 
 /// The vtable.  Implementations are stateless or immutable after
@@ -83,7 +90,9 @@ class BidBackend {
 
   /// Fills the masked representation of one cell from the scaled value.
   /// The caller (BidSubmitter) owns the zero-disguise / offset / scale
-  /// steps before this hook and the sealed TTP payload after it.
+  /// steps before this hook and the sealed TTP payload after it.  The
+  /// HMAC backend draws the cell's padding here and queues its sets on
+  /// ctx.batch; their digests exist once the caller runs the batch.
   virtual void encode_cell(core::ChannelBidSubmission& cell,
                            const BidEncodeCtx& ctx, std::uint64_t scaled,
                            Rng& rng) const = 0;

@@ -1,10 +1,12 @@
 #include "core/ppbs_bid.h"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 #include <numeric>
 
 #include "common/math_util.h"
+#include "prefix/hashed_set.h"
 #include "prefix/prefix.h"
 
 namespace lppa::core {
@@ -106,11 +108,19 @@ PpbsBidConfig PpbsBidConfig::advanced(Money bmax, Money rd, std::uint64_t cr,
 
 // --------------------------------------------------------------- payload
 
+std::array<std::uint8_t, SealedBidPayload::kWireSize> SealedBidPayload::wire()
+    const noexcept {
+  std::array<std::uint8_t, kWireSize> out;
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(true_bid >> (8 * i));
+    out[8 + i] = static_cast<std::uint8_t>(scaled >> (8 * i));
+  }
+  return out;
+}
+
 Bytes SealedBidPayload::serialize() const {
-  ByteWriter w;
-  w.u64(true_bid);
-  w.u64(scaled);
-  return w.take();
+  const auto bytes = wire();
+  return Bytes(bytes.begin(), bytes.end());
 }
 
 SealedBidPayload SealedBidPayload::deserialize(
@@ -140,8 +150,7 @@ ChannelBidSubmission ChannelBidSubmission::deserialize(ByteReader& r) {
   ChannelBidSubmission out;
   out.value_family = prefix::HashedPrefixSet::deserialize(r);
   out.range_set = prefix::HashedPrefixSet::deserialize(r);
-  const Bytes sealed_wire = r.bytes();
-  out.sealed = crypto::SealedMessage::deserialize(sealed_wire);
+  out.sealed = crypto::SealedMessage::deserialize(r.bytes_view());
   if (out.value_family.size() == 0) out.paillier_ct = r.u64();
   return out;
 }
@@ -230,11 +239,20 @@ crypto::SecretKey BidSubmitter::channel_key(ChannelId r) const {
 ChannelBidSubmission BidSubmitter::encode_bid(ChannelId r, Money true_bid,
                                               Rng& rng) const {
   const auto ctxs = key_ctxs_.covering(r + 1);
-  return encode_bid_with((*ctxs)[key_ctxs_.slot(r)], true_bid, rng);
+  ChannelBidSubmission out;
+  prefix::HashedSetBatch batch;
+  encode_untagged(out, (*ctxs)[key_ctxs_.slot(r)], true_bid, batch, rng);
+  batch.run();
+  crypto::SealedMessage* sealed = &out.sealed;
+  box_.tag(std::span<crypto::SealedMessage* const>(&sealed, 1));
+  return out;
 }
 
-ChannelBidSubmission BidSubmitter::encode_bid_with(
-    const crypto::HmacKeyCtx& key_ctx, Money true_bid, Rng& rng) const {
+void BidSubmitter::encode_untagged(ChannelBidSubmission& out,
+                                   const crypto::HmacKeyCtx& key_ctx,
+                                   Money true_bid,
+                                   prefix::HashedSetBatch& batch,
+                                   Rng& rng) const {
   const auto& enc = config_.enc;
   LPPA_REQUIRE(true_bid <= enc.bmax, "bid exceeds bmax");
 
@@ -257,26 +275,34 @@ ChannelBidSubmission BidSubmitter::encode_bid_with(
   // The masked representation itself is the backend's business; the
   // disguise/offset/scale pipeline above and the sealed payload below
   // are backend-agnostic.
-  ChannelBidSubmission out;
   const crypto::BidEncodeCtx ctx{&key_ctx, enc.scaled_max(),
-                                 enc.scaled_width(), config_.pad_range_sets};
+                                 enc.scaled_width(), config_.pad_range_sets,
+                                 &batch};
   backend_->encode_cell(out, ctx, scaled, rng);
 
-  const SealedBidPayload payload{true_bid, scaled};
-  const Bytes plain = payload.serialize();
-  out.sealed = box_.seal(std::span<const std::uint8_t>(plain), rng);
-  return out;
+  const auto plain = SealedBidPayload{true_bid, scaled}.wire();
+  out.sealed = box_.encrypt(std::span<const std::uint8_t>(plain), rng);
 }
 
 BidSubmission BidSubmitter::submit(const BidVector& bids, Rng& rng) const {
   // One cache lookup for the whole vector; the snapshot keeps every
-  // channel context alive for the duration of the encode loop.
+  // channel context alive until the batch has run.
   const auto ctxs = key_ctxs_.covering(bids.size());
   BidSubmission out;
-  out.channels.reserve(bids.size());
+  out.channels.resize(bids.size());
+  prefix::HashedSetBatch batch;
   for (ChannelId r = 0; r < bids.size(); ++r) {
-    out.channels.push_back(
-        encode_bid_with((*ctxs)[key_ctxs_.slot(r)], bids[r], rng));
+    encode_untagged(out.channels[r], (*ctxs)[key_ctxs_.slot(r)], bids[r],
+                    batch, rng);
+  }
+  batch.run();
+  // Every tag is under gc's MAC key: a few channels per lane batch.
+  constexpr std::size_t kTagChunk = 16;
+  crypto::SealedMessage* untagged[kTagChunk];
+  for (std::size_t r = 0; r < bids.size(); r += kTagChunk) {
+    const std::size_t m = std::min(kTagChunk, bids.size() - r);
+    for (std::size_t j = 0; j < m; ++j) untagged[j] = &out.channels[r + j].sealed;
+    box_.tag(std::span<crypto::SealedMessage* const>(untagged, m));
   }
   return out;
 }

@@ -21,6 +21,7 @@
 // ablation bench isolates each fix.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -120,9 +121,13 @@ struct PpbsBidConfig {
 /// encoding s whose prefix sets were submitted, so the TTP can verify
 /// non-manipulation and invalidate disguised-zero wins (DESIGN.md §2).
 struct SealedBidPayload {
+  static constexpr std::size_t kWireSize = 16;
+
   Money true_bid = 0;
   std::uint64_t scaled = 0;
 
+  /// The wire bytes in a fixed buffer: two little-endian u64s.
+  std::array<std::uint8_t, kWireSize> wire() const noexcept;
   Bytes serialize() const;
   static SealedBidPayload deserialize(std::span<const std::uint8_t> wire);
   bool operator==(const SealedBidPayload&) const = default;
@@ -209,7 +214,10 @@ class BidSubmitter {
                std::optional<crypto::PaillierPublicKey> paillier =
                    std::nullopt);
 
-  /// Encodes a full bid vector (bids[r] <= bmax required).
+  /// Encodes a full bid vector (bids[r] <= bmax required).  One pass:
+  /// each channel draws its disguise, scale, padding and nonce in channel
+  /// order; then every channel's prefix sets hash as one multi-key HMAC
+  /// batch and every sealed payload is tagged in one MAC batch.
   BidSubmission submit(const BidVector& bids, Rng& rng) const;
 
   /// Encodes one bid — exposed so tests can pin down each transformation.
@@ -222,8 +230,11 @@ class BidSubmitter {
   const PpbsBidConfig& config() const noexcept { return config_; }
 
  private:
-  ChannelBidSubmission encode_bid_with(const crypto::HmacKeyCtx& key_ctx,
-                                       Money true_bid, Rng& rng) const;
+  /// One channel's RNG-ordered steps: its prefix sets join `batch` and
+  /// its payload is encrypted; the caller runs the batch and the tags.
+  void encode_untagged(ChannelBidSubmission& out,
+                       const crypto::HmacKeyCtx& key_ctx, Money true_bid,
+                       prefix::HashedSetBatch& batch, Rng& rng) const;
 
   PpbsBidConfig config_;
   crypto::SecretKey gb_master_;

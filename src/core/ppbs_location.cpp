@@ -49,18 +49,19 @@ LocationSubmission PpbsLocation::submit(const auction::SuLocation& loc,
     return v >= 2 * lambda_ ? v - 2 * lambda_ : 0;
   };
 
+  // One pass: the four sets are sized and the x padding is drawn before
+  // the y padding, then all of them hash as one batch under g0.
+  const std::size_t pad_target =
+      pad_ranges_ ? prefix::max_range_prefixes(coord_width_) : 0;
   LocationSubmission s;
-  s.x_family = prefix::HashedPrefixSet::of_value(g0_ctx_, loc.x, coord_width_);
-  s.y_family = prefix::HashedPrefixSet::of_value(g0_ctx_, loc.y, coord_width_);
-  s.x_range = prefix::HashedPrefixSet::of_range(
-      g0_ctx_, clamp_lo(loc.x), loc.x + 2 * lambda_, coord_width_);
-  s.y_range = prefix::HashedPrefixSet::of_range(
-      g0_ctx_, clamp_lo(loc.y), loc.y + 2 * lambda_, coord_width_);
-  if (pad_ranges_) {
-    const std::size_t target = prefix::max_range_prefixes(coord_width_);
-    s.x_range.pad_to(target, rng);
-    s.y_range.pad_to(target, rng);
-  }
+  prefix::HashedSetBatch batch;
+  batch.add_value(s.x_family, g0_ctx_, loc.x, coord_width_);
+  batch.add_value(s.y_family, g0_ctx_, loc.y, coord_width_);
+  batch.add_range(s.x_range, g0_ctx_, clamp_lo(loc.x), loc.x + 2 * lambda_,
+                  coord_width_, pad_target, &rng);
+  batch.add_range(s.y_range, g0_ctx_, clamp_lo(loc.y), loc.y + 2 * lambda_,
+                  coord_width_, pad_target, &rng);
+  batch.run();
   return s;
 }
 

@@ -10,12 +10,21 @@ namespace {
 /// malformed (or replayed-within-itself) submission.
 bool has_duplicate(std::span<const crypto::Digest> digests) {
   for (std::size_t i = 1; i < digests.size(); ++i) {
-    if (digests[i - 1] == digests[i]) return true;
+    if (!(digests[i - 1] < digests[i])) return true;
   }
   return false;
 }
 
+std::string channel_name(std::size_t r) {
+  return "channel " + std::to_string(r);
+}
+
 }  // namespace
+
+std::string SubmissionValidator::SetName::str() const {
+  if (!channel) return what;
+  return channel_name(*channel) + " " + what;
+}
 
 SubmissionValidator::SubmissionValidator(const LppaConfig& config)
     : coord_width_(config.coord_width),
@@ -34,52 +43,56 @@ SubmissionValidator::SubmissionValidator(const LppaConfig& config)
 }
 
 std::optional<std::string> SubmissionValidator::validate_family(
-    const prefix::HashedPrefixSet& set, int width, const char* what) const {
+    const prefix::HashedPrefixSet& set, int width, const SetName& name) const {
   const std::size_t expected = family_size(width);
   if (set.size() != expected) {
-    return std::string(what) + ": prefix family has " +
+    return name.str() + ": prefix family has " +
            std::to_string(set.size()) + " digests, expected " +
            std::to_string(expected) + " for width " + std::to_string(width);
   }
   if (has_duplicate(set.digests())) {
-    return std::string(what) + ": duplicate digest in prefix family";
+    return name.str() + ": duplicate digest in prefix family";
   }
   return std::nullopt;
 }
 
 std::optional<std::string> SubmissionValidator::validate_range(
     const prefix::HashedPrefixSet& set, int width, bool padded,
-    const char* what) const {
+    const SetName& name) const {
   const std::size_t max = prefix::max_range_prefixes(width);
   if (padded) {
     if (set.size() != max) {
-      return std::string(what) + ": padded range cover has " +
+      return name.str() + ": padded range cover has " +
              std::to_string(set.size()) + " digests, expected exactly " +
              std::to_string(max);
     }
   } else {
     if (set.size() < 1 || set.size() > max) {
-      return std::string(what) + ": range cover has " +
+      return name.str() + ": range cover has " +
              std::to_string(set.size()) + " digests, expected 1.." +
              std::to_string(max);
     }
   }
   if (has_duplicate(set.digests())) {
-    return std::string(what) + ": duplicate digest in range cover";
+    return name.str() + ": duplicate digest in range cover";
   }
   return std::nullopt;
 }
 
 std::optional<std::string> SubmissionValidator::validate_location(
     const LocationSubmission& s) const {
-  if (auto e = validate_family(s.x_family, coord_width_, "x_family")) return e;
-  if (auto e = validate_family(s.y_family, coord_width_, "y_family")) return e;
+  if (auto e = validate_family(s.x_family, coord_width_, {"x_family", {}})) {
+    return e;
+  }
+  if (auto e = validate_family(s.y_family, coord_width_, {"y_family", {}})) {
+    return e;
+  }
   if (auto e = validate_range(s.x_range, coord_width_, pad_location_ranges_,
-                              "x_range")) {
+                              {"x_range", {}})) {
     return e;
   }
   if (auto e = validate_range(s.y_range, coord_width_, pad_location_ranges_,
-                              "y_range")) {
+                              {"y_range", {}})) {
     return e;
   }
   return std::nullopt;
@@ -93,28 +106,29 @@ std::optional<std::string> SubmissionValidator::validate_bid(
   }
   for (std::size_t r = 0; r < s.channels.size(); ++r) {
     const ChannelBidSubmission& c = s.channels[r];
-    const std::string where = "channel " + std::to_string(r);
     if (backend_->id() != crypto::BidBackendId::kHmacPrefix) {
       // Non-HMAC cells carry no prefix structure; the backend owns the
       // per-cell shape test (empty families, ciphertext range).
-      if (auto e = backend_->validate_cell(c)) return where + ": " + *e;
+      if (auto e = backend_->validate_cell(c)) {
+        return channel_name(r) + ": " + *e;
+      }
     } else {
       // Digest counts bound the encoded value to the [0, bmax] scaled
       // encoding: a family over any wider width (i.e. a value beyond
       // scaled_max) has more than bid_width_+1 digests and is rejected.
       if (auto e = validate_family(c.value_family, bid_width_,
-                                   (where + " value_family").c_str())) {
+                                   {"value_family", r})) {
         return e;
       }
       if (auto e = validate_range(c.range_set, bid_width_, pad_bid_ranges_,
-                                  (where + " range_set").c_str())) {
+                                  {"range_set", r})) {
         return e;
       }
     }
     // The stream cipher preserves length, so a well-formed sealed payload
     // has exactly the SealedBidPayload wire size as ciphertext.
     if (c.sealed.ciphertext.size() != sealed_payload_size_) {
-      return where + " sealed payload has " +
+      return channel_name(r) + " sealed payload has " +
              std::to_string(c.sealed.ciphertext.size()) +
              " ciphertext bytes, expected " +
              std::to_string(sealed_payload_size_);

@@ -43,11 +43,20 @@ class SubmissionValidator {
   }
 
  private:
+  /// Names the set a rejection is about: "x_range", or "channel 3
+  /// range_set" for a bid channel.  The name is only built for a
+  /// rejection, so accepting a submission allocates no string.
+  struct SetName {
+    const char* what;
+    std::optional<std::size_t> channel;
+    std::string str() const;
+  };
+
   std::optional<std::string> validate_family(
-      const prefix::HashedPrefixSet& set, int width, const char* what) const;
+      const prefix::HashedPrefixSet& set, int width, const SetName& name) const;
   std::optional<std::string> validate_range(const prefix::HashedPrefixSet& set,
                                             int width, bool padded,
-                                            const char* what) const;
+                                            const SetName& name) const;
 
   int coord_width_;
   bool pad_location_ranges_;

@@ -1,5 +1,6 @@
 #include "crypto/chacha20.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -29,23 +30,21 @@ inline void store32(std::uint8_t* p, std::uint32_t v) noexcept {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
-}  // namespace
-
-std::array<std::uint8_t, 64> chacha20_block(const SecretKey& key,
-                                            const Nonce& nonce,
-                                            std::uint32_t counter) {
-  std::array<std::uint32_t, 16> state;
+// One keystream block's sixteen words.
+void block_words(const ChaChaKey& key, const Nonce& nonce,
+                 std::uint32_t counter, std::uint32_t (&out)[16]) noexcept {
+  std::uint32_t state[16];
   // "expand 32-byte k"
   state[0] = 0x61707865;
   state[1] = 0x3320646e;
   state[2] = 0x79622d32;
   state[3] = 0x6b206574;
-  const auto kb = key.bytes();
-  for (int i = 0; i < 8; ++i) state[4 + i] = load32(kb.data() + 4 * i);
+  for (int i = 0; i < 8; ++i) state[4 + i] = key[i];
   state[12] = counter;
   for (int i = 0; i < 3; ++i) state[13 + i] = load32(nonce.data() + 4 * i);
 
-  std::array<std::uint32_t, 16> x = state;
+  std::uint32_t x[16];
+  for (int i = 0; i < 16; ++i) x[i] = state[i];
   for (int round = 0; round < 10; ++round) {
     quarter_round(x[0], x[4], x[8], x[12]);
     quarter_round(x[1], x[5], x[9], x[13]);
@@ -56,23 +55,50 @@ std::array<std::uint8_t, 64> chacha20_block(const SecretKey& key,
     quarter_round(x[2], x[7], x[8], x[13]);
     quarter_round(x[3], x[4], x[9], x[14]);
   }
+  for (int i = 0; i < 16; ++i) out[i] = x[i] + state[i];
+}
+
+}  // namespace
+
+ChaChaKey chacha20_key(const SecretKey& key) noexcept {
+  ChaChaKey words;
+  const auto kb = key.bytes();
+  for (int i = 0; i < 8; ++i) words[i] = load32(kb.data() + 4 * i);
+  return words;
+}
+
+std::array<std::uint8_t, 64> chacha20_block(const SecretKey& key,
+                                            const Nonce& nonce,
+                                            std::uint32_t counter) {
+  std::uint32_t words[16];
+  block_words(chacha20_key(key), nonce, counter, words);
   std::array<std::uint8_t, 64> out;
-  for (int i = 0; i < 16; ++i) store32(out.data() + 4 * i, x[i] + state[i]);
+  for (int i = 0; i < 16; ++i) store32(out.data() + 4 * i, words[i]);
   return out;
+}
+
+void chacha20_xor(const ChaChaKey& key, const Nonce& nonce,
+                  std::uint32_t initial_counter, const std::uint8_t* in,
+                  std::uint8_t* out, std::size_t n) noexcept {
+  std::uint32_t counter = initial_counter;
+  for (std::size_t offset = 0; offset < n; offset += 64) {
+    std::uint32_t words[16];
+    block_words(key, nonce, counter++, words);
+    std::uint8_t block[64];
+    for (int i = 0; i < 16; ++i) store32(block + 4 * i, words[i]);
+    const std::size_t take = std::min<std::size_t>(64, n - offset);
+    for (std::size_t i = 0; i < take; ++i) {
+      out[offset + i] = in[offset + i] ^ block[i];
+    }
+  }
 }
 
 Bytes chacha20_xor(const SecretKey& key, const Nonce& nonce,
                    std::uint32_t initial_counter,
                    std::span<const std::uint8_t> data) {
-  Bytes out(data.begin(), data.end());
-  std::uint32_t counter = initial_counter;
-  std::size_t offset = 0;
-  while (offset < out.size()) {
-    const auto block = chacha20_block(key, nonce, counter++);
-    const std::size_t take = std::min<std::size_t>(64, out.size() - offset);
-    for (std::size_t i = 0; i < take; ++i) out[offset + i] ^= block[i];
-    offset += take;
-  }
+  Bytes out(data.size());
+  chacha20_xor(chacha20_key(key), nonce, initial_counter, data.data(),
+               out.data(), data.size());
   return out;
 }
 

@@ -19,8 +19,20 @@ namespace lppa::crypto {
 /// derives nonces from a per-key counter plus RNG salt.
 using Nonce = std::array<std::uint8_t, 12>;
 
-/// XORs `data` with the ChaCha20 keystream for (key, nonce, counter).
-/// Encryption and decryption are the same operation.
+/// A ChaCha20 key as the eight little-endian words its block function
+/// reads: a holder of a long-lived key (SealedBox) loads them once.
+using ChaChaKey = std::array<std::uint32_t, 8>;
+
+ChaChaKey chacha20_key(const SecretKey& key) noexcept;
+
+/// Writes out[i] = in[i] ^ keystream[i] for i < n, keystream for (key,
+/// nonce, counter).  `out` may equal `in`.  Encryption and decryption are
+/// the same operation.
+void chacha20_xor(const ChaChaKey& key, const Nonce& nonce,
+                  std::uint32_t initial_counter, const std::uint8_t* in,
+                  std::uint8_t* out, std::size_t n) noexcept;
+
+/// The same into a new buffer.
 Bytes chacha20_xor(const SecretKey& key, const Nonce& nonce,
                    std::uint32_t initial_counter,
                    std::span<const std::uint8_t> data);

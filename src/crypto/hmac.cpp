@@ -1,5 +1,6 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
@@ -14,11 +15,11 @@ constexpr std::size_t kBlockSize = 64;
 void HmacKeyCtx::init(std::span<const std::uint8_t> padded_key) noexcept {
   std::array<std::uint8_t, kBlockSize> pad;
   for (std::size_t i = 0; i < kBlockSize; ++i) pad[i] = padded_key[i] ^ 0x36;
-  inner_ = kernel::kInitialState;
-  kernel::compress(inner_, pad.data(), 1);
+  key_.inner = kernel::kInitialState;
+  kernel::compress(key_.inner, pad.data(), 1);
   for (std::size_t i = 0; i < kBlockSize; ++i) pad[i] = padded_key[i] ^ 0x5c;
-  outer_ = kernel::kInitialState;
-  kernel::compress(outer_, pad.data(), 1);
+  key_.outer = kernel::kInitialState;
+  kernel::compress(key_.outer, pad.data(), 1);
 }
 
 HmacKeyCtx::HmacKeyCtx(const SecretKey& key) noexcept {
@@ -44,20 +45,59 @@ HmacKeyCtx HmacKeyCtx::from_raw_key(
 }
 
 Digest HmacKeyCtx::finish_outer(const Digest& inner_digest) const noexcept {
-  Sha256 outer = Sha256::resume(outer_, 1);
+  Sha256 outer = Sha256::resume(key_.outer, 1);
   outer.update(std::span<const std::uint8_t>(inner_digest.bytes));
   return outer.finalize();
 }
 
-Digest HmacKeyCtx::mac(std::span<const std::uint8_t> message) const noexcept {
-  Sha256 inner = Sha256::resume(inner_, 1);
-  inner.update(message);
+Digest HmacKeyCtx::mac_streaming(
+    std::span<const std::uint8_t> head,
+    std::span<const std::uint8_t> tail) const noexcept {
+  Sha256 inner = Sha256::resume(key_.inner, 1);
+  inner.update(head);
+  inner.update(tail);
   return finish_outer(inner.finalize());
+}
+
+Digest HmacKeyCtx::mac(std::span<const std::uint8_t> message) const noexcept {
+  const Message one{message, {}};
+  Digest out;
+  Digest* const slot = &out;
+  mac_batch(std::span<const Message>(&one, 1),
+            std::span<Digest* const>(&slot, 1));
+  return out;
+}
+
+void HmacKeyCtx::mac_batch(std::span<const Message> messages,
+                           std::span<Digest* const> out) const {
+  LPPA_REQUIRE(messages.size() == out.size(),
+               "hmac batch output span must match input size");
+  // Short messages gather into a stack batch of formatted blocks, one
+  // lane group at a time; each digest goes straight to its slot.
+  constexpr std::size_t kChunk = kernel::kHmacLanes;
+  kernel::Block blocks[kChunk];
+  Digest* slots[kChunk];
+  std::size_t pending = 0;
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const Message& m = messages[i];
+    if (m.head.size() + m.tail.size() > kernel::kMaxOneBlockMessage) {
+      *out[i] = mac_streaming(m.head, m.tail);
+      continue;
+    }
+    kernel::format_block(m.head.data(), m.head.size(), m.tail.data(),
+                         m.tail.size(), blocks[pending]);
+    slots[pending++] = out[i];
+    if (pending == kChunk) {
+      kernel::hmac_block(key_, blocks, slots, pending);
+      pending = 0;
+    }
+  }
+  if (pending != 0) kernel::hmac_block(key_, blocks, slots, pending);
 }
 
 Digest HmacKeyCtx::mac_u64(std::uint64_t value) const noexcept {
   Digest out;
-  kernel::hmac_u64(inner_, outer_, &value, &out, 1);
+  kernel::hmac_u64(key_.inner, key_.outer, &value, &out, 1);
   return out;
 }
 
@@ -65,17 +105,24 @@ void HmacKeyCtx::mac_u64_batch(std::span<const std::uint64_t> values,
                                std::span<Digest> out) const {
   LPPA_REQUIRE(values.size() == out.size(),
                "hmac batch output span must match input size");
-  kernel::hmac_u64(inner_, outer_, values.data(), out.data(), values.size());
+  kernel::hmac_u64(key_.inner, key_.outer, values.data(), out.data(),
+                   values.size());
 }
 
-HmacSha256::HmacSha256(const SecretKey& key) noexcept
-    : HmacSha256(HmacKeyCtx(key)) {}
-
-HmacSha256::HmacSha256(const HmacKeyCtx& ctx) noexcept
-    : ctx_(ctx), inner_(Sha256::resume(ctx.inner_, 1)) {}
-
-Digest HmacSha256::finalize() noexcept {
-  return ctx_.finish_outer(inner_.finalize());
+void HmacKeyCtx::mac_u64_batch(std::span<const HmacKeyCtx* const> keys,
+                               std::span<const std::uint64_t> values,
+                               std::span<Digest* const> out) {
+  LPPA_REQUIRE(keys.size() == values.size() && values.size() == out.size(),
+               "hmac batch key, value and output spans must match");
+  // The kernel takes key states, not contexts: map them a chunk at a
+  // time (a multiple of the lane count, so chunks keep full lanes).
+  constexpr std::size_t kChunk = 16 * kernel::kHmacLanes;
+  const kernel::KeyState* states[kChunk];
+  for (std::size_t i = 0; i < values.size(); i += kChunk) {
+    const std::size_t m = std::min(kChunk, values.size() - i);
+    for (std::size_t j = 0; j < m; ++j) states[j] = &keys[i + j]->key_;
+    kernel::hmac_u64(states, values.data() + i, out.data() + i, m);
+  }
 }
 
 Digest hmac_sha256(const SecretKey& key, std::span<const std::uint8_t> message) {

@@ -14,15 +14,18 @@
 // RFC-vector raw-key path) are built on the midstate cache, so the RFC
 // 4231 suite exercises it directly.
 //
-// mac_u64 / mac_u64_batch go one step further: an 8-byte message makes
-// the inner and outer blocks fixed-format (value | 0x80 | zeros | 576,
-// then inner digest | 0x80 | zeros | 768), so both are built in
-// registers and compressed straight from the midstates
-// (crypto/sha256_kernel.h) — no Sha256 copy, no update()/finalize().
-// On CPUs with the x86 SHA extensions the batch runs four MACs side by
-// side and its remainder one at a time.  On a 4-vCPU Xeon with SHA-NI
-// that takes a batched digest from ~200 ns (two Sha256 copies plus the
-// generic padding) to ~49 ns; see docs/performance.md, "Submit phase".
+// Messages of at most 55 bytes go one step further: their inner and
+// outer blocks are fixed-format (message | 0x80 | zeros | bit length,
+// then inner digest | 0x80 | zeros | 768), so both are compressed
+// straight from the midstates (crypto/sha256_kernel.h) — no Sha256
+// copy, no update()/finalize().  mac_u64 builds an 8-byte value's block
+// in registers; mac() and mac_batch() format short messages the same
+// way.  On CPUs with the x86 SHA extensions a batch runs four MACs side
+// by side and its remainder one at a time; the multi-key batch lets one
+// call mix keys, so a whole submission fills the lanes.  On a 4-vCPU
+// Xeon with SHA-NI that takes a batched digest from ~200 ns (two Sha256
+// copies plus the generic padding) to ~49 ns; see docs/performance.md,
+// "Submit phase".
 #pragma once
 
 #include <array>
@@ -32,6 +35,7 @@
 
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernel.h"
 
 namespace lppa::crypto {
 
@@ -51,8 +55,24 @@ class HmacKeyCtx {
   /// midstate-cached path.
   static HmacKeyCtx from_raw_key(std::span<const std::uint8_t> key) noexcept;
 
-  /// HMAC over a full message, from the cached midstates.
+  /// HMAC over a full message, from the cached midstates.  Messages of
+  /// up to kernel::kMaxOneBlockMessage (55) bytes take the fixed
+  /// two-block kernel; longer ones stream.
   Digest mac(std::span<const std::uint8_t> message) const noexcept;
+
+  /// One message as two parts MACed as their concatenation head‖tail
+  /// (a sealed box's nonce and ciphertext), so callers need not copy
+  /// them together.
+  struct Message {
+    std::span<const std::uint8_t> head;
+    std::span<const std::uint8_t> tail;
+  };
+
+  /// *out[i] = HMAC(messages[i].head ‖ messages[i].tail).  Requires
+  /// out.size() == messages.size().  The messages of up to 55 bytes run
+  /// through the lane kernel together; longer ones stream.
+  void mac_batch(std::span<const Message> messages,
+                 std::span<Digest* const> out) const;
 
   /// HMAC over a single little-endian 64-bit integer — the numericalised
   /// prefix hot path; the fixed two-block kernel, one lane.
@@ -66,16 +86,26 @@ class HmacKeyCtx {
   void mac_u64_batch(std::span<const std::uint64_t> values,
                      std::span<Digest> out) const;
 
- private:
-  friend class HmacSha256;
+  /// Multi-key form: *out[i] = HMAC(*keys[i], values[i]).  Requires all
+  /// three spans to have one size.  One call hashes every set of a
+  /// submission, whatever keys they use and wherever their digests go,
+  /// so the lanes run full instead of ending each key's run with one to
+  /// three single lanes.
+  static void mac_u64_batch(std::span<const HmacKeyCtx* const> keys,
+                            std::span<const std::uint64_t> values,
+                            std::span<Digest* const> out);
 
+ private:
   HmacKeyCtx() = default;
   void init(std::span<const std::uint8_t> padded_key) noexcept;
+  /// HMAC over head‖tail through the streaming hash (any length).
+  Digest mac_streaming(std::span<const std::uint8_t> head,
+                       std::span<const std::uint8_t> tail) const noexcept;
   /// Finishes the outer hash over an inner digest.
   Digest finish_outer(const Digest& inner_digest) const noexcept;
 
-  std::array<std::uint32_t, 8> inner_{};  ///< after absorbing key ^ ipad
-  std::array<std::uint32_t, 8> outer_{};  ///< after absorbing key ^ opad
+  /// The chaining values after absorbing key ^ ipad and key ^ opad.
+  kernel::KeyState key_{};
 };
 
 /// One-shot HMAC-SHA-256 over a byte message.
@@ -101,22 +131,5 @@ Digest hmac_sha256_u64(const SecretKey& key, std::uint64_t value);
 void hmac_sha256_u64_batch(const SecretKey& key,
                            std::span<const std::uint64_t> values,
                            std::span<Digest> out);
-
-/// Incremental HMAC, for the SealedBox MAC over header+ciphertext.
-class HmacSha256 {
- public:
-  explicit HmacSha256(const SecretKey& key) noexcept;
-  /// Starts from a held context: no key schedule.
-  explicit HmacSha256(const HmacKeyCtx& ctx) noexcept;
-
-  void update(std::span<const std::uint8_t> data) noexcept {
-    inner_.update(data);
-  }
-  Digest finalize() noexcept;
-
- private:
-  HmacKeyCtx ctx_;
-  Sha256 inner_;
-};
 
 }  // namespace lppa::crypto

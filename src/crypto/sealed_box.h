@@ -38,15 +38,26 @@ class SealedBox {
   explicit SealedBox(const SecretKey& gc);
 
   /// Seals a plaintext; the nonce is drawn from `rng` (the caller owns
-  /// nonce-uniqueness by owning the RNG stream).
+  /// nonce-uniqueness by owning the RNG stream).  encrypt() then tag().
   SealedMessage seal(std::span<const std::uint8_t> plaintext, Rng& rng) const;
+
+  /// The first half of seal(): draws the nonce from `rng` and encrypts.
+  /// The tag stays zero until tag() fills it.  A caller sealing several
+  /// plaintexts encrypts each where its nonce belongs in the RNG stream,
+  /// then tags them all in one batch.
+  SealedMessage encrypt(std::span<const std::uint8_t> plaintext,
+                        Rng& rng) const;
+
+  /// The second half: fills every message's tag, HMAC over
+  /// nonce‖ciphertext, as one MAC batch (a bid's tags share the lanes).
+  void tag(std::span<SealedMessage* const> messages) const;
 
   /// Opens a sealed message; returns nullopt when the tag does not verify
   /// (tampering, or a relayed box sealed under another key).
   std::optional<Bytes> open(const SealedMessage& message) const;
 
  private:
-  SecretKey enc_key_;
+  ChaChaKey enc_key_;   ///< the encryption key's words, loaded once
   HmacKeyCtx mac_ctx_;  ///< the MAC key's schedule, built once
 };
 

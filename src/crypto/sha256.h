@@ -23,7 +23,32 @@ struct Digest {
   static constexpr std::size_t kSize = 32;
   std::array<std::uint8_t, kSize> bytes{};
 
-  auto operator<=>(const Digest&) const = default;
+  /// Byte-lexicographic order, compared as four big-endian 64-bit words
+  /// (byte-swapped little-endian loads): the same order as a byte-array
+  /// compare, at a quarter of the steps.  Every sorted digest vector, the
+  /// wire and the intersects() merge depend on it being exactly that
+  /// order.  It only orders digests; membership is confirmed with
+  /// ct_equal.
+  std::strong_ordering operator<=>(const Digest& other) const noexcept {
+    for (std::size_t i = 0; i < kSize; i += 8) {
+      const std::uint64_t a = word_be(i);
+      const std::uint64_t b = other.word_be(i);
+      if (a != b) return a < b ? std::strong_ordering::less
+                               : std::strong_ordering::greater;
+    }
+    return std::strong_ordering::equal;
+  }
+  bool operator==(const Digest&) const = default;
+
+  /// Bytes [i, i+8) as a big-endian integer.
+  std::uint64_t word_be(std::size_t i) const noexcept {
+    std::uint64_t v;
+    std::memcpy(&v, bytes.data() + i, sizeof v);
+    if constexpr (std::endian::native == std::endian::little) {
+      v = __builtin_bswap64(v);
+    }
+    return v;
+  }
 
   /// First 8 bytes as a little-endian integer — used as a fast hash for
   /// unordered containers (the bytes are already uniform).  Inline: the

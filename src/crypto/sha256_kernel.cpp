@@ -1,6 +1,7 @@
 #include "crypto/sha256_kernel.h"
 
 #include <bit>
+#include <cstring>
 
 #ifdef LPPA_SHA_NI_DISPATCH
 #include <cpuid.h>
@@ -69,6 +70,33 @@ void compress_words(State& state, const std::uint32_t (&block)[16]) noexcept {
   }
   state[0] += a; state[1] += b; state[2] += c; state[3] += d;
   state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+}
+
+// The inner block of an 8-byte value as its sixteen big-endian words.
+void u64_block_words(std::uint64_t v, std::uint32_t (&w)[16]) noexcept {
+  for (std::uint32_t& word : w) word = 0;
+  w[0] = __builtin_bswap32(static_cast<std::uint32_t>(v));
+  w[1] = __builtin_bswap32(static_cast<std::uint32_t>(v >> 32));
+  w[2] = kPadWord;
+  w[15] = kInnerBits;
+}
+
+// One HMAC from its key's midstates and its inner block's words.
+void hmac_words(const KeyState& key, const std::uint32_t (&inner_block)[16],
+                Digest& out) noexcept {
+  State s = key.inner;
+  compress_words(s, inner_block);
+  const std::uint32_t outer_block[16] = {
+      s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
+      kPadWord, 0, 0, 0, 0, 0, 0, kOuterBits};
+  s = key.outer;
+  compress_words(s, outer_block);
+  for (int j = 0; j < 8; ++j) {
+    out.bytes[4 * j] = static_cast<std::uint8_t>(s[j] >> 24);
+    out.bytes[4 * j + 1] = static_cast<std::uint8_t>(s[j] >> 16);
+    out.bytes[4 * j + 2] = static_cast<std::uint8_t>(s[j] >> 8);
+    out.bytes[4 * j + 3] = static_cast<std::uint8_t>(s[j]);
+  }
 }
 
 #ifdef LPPA_SHA_NI_DISPATCH
@@ -155,60 +183,142 @@ LPPA_SHANI_INLINE __m128i words_efgh(__m128i abef, __m128i cdgh) noexcept {
   return _mm_shuffle_epi32(_mm_unpacklo_epi64(cdgh, abef), 0x1B);
 }
 
-// The key's two midstates in register layout, loaded once per batch.
+// One key's two midstates in register layout.
 struct Midstates {
   __m128i inner_abef, inner_cdgh, outer_abef, outer_cdgh;
 };
 
-// L MACs of values[0..L) into out[0..L).
+LPPA_SHANI_INLINE Midstates load_midstates(const KeyState& key) noexcept {
+  Midstates mid;
+  load_state(key.inner, mid.inner_abef, mid.inner_cdgh);
+  load_state(key.outer, mid.outer_abef, mid.outer_cdgh);
+  return mid;
+}
+
+// L MACs: lane l starts from mid[l] with its inner block in w[l] and
+// writes *out[l].
 template <int L>
-LPPA_SHANI_INLINE void hmac_lanes(const Midstates& mid,
-                                  const std::uint64_t* values,
-                                  Digest* out) noexcept {
-  // Byte-swaps each 32-bit word (little-endian load -> big-endian words).
-  const __m128i bswap32 =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+LPPA_SHANI_INLINE void hmac_lanes(const Midstates (&mid)[L],
+                                  __m128i (&w)[L][4],
+                                  Digest* const (&out)[L]) noexcept {
   // Reverses all 16 bytes: {D,C,B,A} words -> A..D as big-endian bytes.
   const __m128i reverse =
       _mm_set_epi64x(0x0001020304050607ULL, 0x08090a0b0c0d0e0fULL);
-  const __m128i zero = _mm_setzero_si128();
 
-  __m128i abef[L], cdgh[L], w[L][4];
+  __m128i abef[L], cdgh[L];
 #pragma GCC unroll 4
   for (int l = 0; l < L; ++l) {
-    // Inner block: W0,W1 = the value's bytes, W2 = 0x80 pad, W15 = 576.
-    const __m128i value = _mm_shuffle_epi8(
-        _mm_cvtsi64_si128(static_cast<long long>(values[l])), bswap32);
-    w[l][0] = _mm_or_si128(value, _mm_set_epi32(0, static_cast<int>(kPadWord), 0, 0));
-    w[l][1] = zero;
-    w[l][2] = zero;
-    w[l][3] = _mm_set_epi32(kInnerBits, 0, 0, 0);
-    abef[l] = mid.inner_abef;
-    cdgh[l] = mid.inner_cdgh;
+    abef[l] = mid[l].inner_abef;
+    cdgh[l] = mid[l].inner_cdgh;
   }
   rounds<L>(abef, cdgh, w);
 #pragma GCC unroll 4
   for (int l = 0; l < L; ++l) {
     // Outer block: W0..W7 = the inner digest, W8 = 0x80 pad, W15 = 768.
-    const __m128i a = _mm_add_epi32(abef[l], mid.inner_abef);
-    const __m128i c = _mm_add_epi32(cdgh[l], mid.inner_cdgh);
+    const __m128i a = _mm_add_epi32(abef[l], mid[l].inner_abef);
+    const __m128i c = _mm_add_epi32(cdgh[l], mid[l].inner_cdgh);
     w[l][0] = words_abcd(a, c);
     w[l][1] = words_efgh(a, c);
     w[l][2] = _mm_set_epi32(0, 0, 0, static_cast<int>(kPadWord));
     w[l][3] = _mm_set_epi32(kOuterBits, 0, 0, 0);
-    abef[l] = mid.outer_abef;
-    cdgh[l] = mid.outer_cdgh;
+    abef[l] = mid[l].outer_abef;
+    cdgh[l] = mid[l].outer_cdgh;
   }
   rounds<L>(abef, cdgh, w);
 #pragma GCC unroll 4
   for (int l = 0; l < L; ++l) {
-    const __m128i a = _mm_add_epi32(abef[l], mid.outer_abef);
-    const __m128i c = _mm_add_epi32(cdgh[l], mid.outer_cdgh);
-    auto* bytes = reinterpret_cast<__m128i*>(out[l].bytes.data());
+    const __m128i a = _mm_add_epi32(abef[l], mid[l].outer_abef);
+    const __m128i c = _mm_add_epi32(cdgh[l], mid[l].outer_cdgh);
+    auto* bytes = reinterpret_cast<__m128i*>(out[l]->bytes.data());
     _mm_storeu_si128(bytes,
                      _mm_shuffle_epi8(_mm_unpackhi_epi64(c, a), reverse));
     _mm_storeu_si128(bytes + 1,
                      _mm_shuffle_epi8(_mm_unpacklo_epi64(c, a), reverse));
+  }
+}
+
+// Key sources for hmac_batch: one key for every MAC, or one per MAC.
+struct OneKey {
+  Midstates mid;
+  LPPA_SHANI_INLINE Midstates operator()(std::size_t) const noexcept {
+    return mid;
+  }
+};
+struct KeyPerMac {
+  const KeyState* const* keys;
+  LPPA_SHANI_INLINE Midstates operator()(std::size_t i) const noexcept {
+    return load_midstates(*keys[i]);
+  }
+};
+
+// Inner-block sources for hmac_batch, as four registers of big-endian
+// words.  Byte-swapping each 32-bit word of a little-endian load gives
+// the big-endian words.
+struct U64Blocks {
+  const std::uint64_t* values;
+  LPPA_SHANI_INLINE void operator()(std::size_t i,
+                                    __m128i (&w)[4]) const noexcept {
+    // W0,W1 = the value's bytes, W2 = 0x80 pad, W15 = 576.
+    const __m128i bswap32 =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+    const __m128i value = _mm_shuffle_epi8(
+        _mm_cvtsi64_si128(static_cast<long long>(values[i])), bswap32);
+    w[0] = _mm_or_si128(
+        value, _mm_set_epi32(0, static_cast<int>(kPadWord), 0, 0));
+    w[1] = _mm_setzero_si128();
+    w[2] = _mm_setzero_si128();
+    w[3] = _mm_set_epi32(kInnerBits, 0, 0, 0);
+  }
+};
+struct FormattedBlocks {
+  const Block* blocks;
+  LPPA_SHANI_INLINE void operator()(std::size_t i,
+                                    __m128i (&w)[4]) const noexcept {
+    const __m128i bswap32 =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+    for (int j = 0; j < 4; ++j) {
+      w[j] = _mm_shuffle_epi8(
+          _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(blocks[i].data() + 16 * j)),
+          bswap32);
+    }
+  }
+};
+
+// Destinations for hmac_batch: one array, or one pointer per MAC.
+struct Contiguous {
+  Digest* out;
+  Digest* operator()(std::size_t i) const noexcept { return out + i; }
+};
+struct Scattered {
+  Digest* const* out;
+  Digest* operator()(std::size_t i) const noexcept { return out[i]; }
+};
+
+// n MACs, kHmacLanes at a time, then the remainder one lane at a time.
+template <class KeyAt, class BlockAt, class OutAt>
+LPPA_SHANI_INLINE void hmac_batch(const KeyAt& key_at, const BlockAt& block_at,
+                                  const OutAt& out_at, std::size_t n) noexcept {
+  constexpr int kLanes = static_cast<int>(kHmacLanes);
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    Midstates mid[kLanes];
+    __m128i w[kLanes][4];
+    Digest* out[kLanes];
+#pragma GCC unroll 4
+    for (int l = 0; l < kLanes; ++l) {
+      mid[l] = key_at(i + l);
+      block_at(i + l, w[l]);
+      out[l] = out_at(i + l);
+    }
+    hmac_lanes<kLanes>(mid, w, out);
+  }
+  for (; i < n; ++i) {
+    Midstates mid[1] = {key_at(i)};
+    __m128i w[1][4];
+    block_at(i, w[0]);
+    Digest* out[1] = {out_at(i)};
+    hmac_lanes<1>(mid, w, out);
   }
 }
 
@@ -235,6 +345,17 @@ void compress(State& state, const std::uint8_t* data,
   compress_scalar(state, data, blocks);
 }
 
+void hmac_u64(const KeyState* const* keys, const std::uint64_t* values,
+              Digest* const* out, std::size_t n) noexcept {
+#ifdef LPPA_SHA_NI_DISPATCH
+  if (kHasShaNi) {
+    hmac_u64_shani(keys, values, out, n);
+    return;
+  }
+#endif
+  hmac_u64_scalar(keys, values, out, n);
+}
+
 void hmac_u64(const State& inner, const State& outer,
               const std::uint64_t* values, Digest* out,
               std::size_t n) noexcept {
@@ -247,6 +368,31 @@ void hmac_u64(const State& inner, const State& outer,
   hmac_u64_scalar(inner, outer, values, out, n);
 }
 
+void hmac_block(const KeyState& key, const Block* blocks, Digest* const* out,
+                std::size_t n) noexcept {
+#ifdef LPPA_SHA_NI_DISPATCH
+  if (kHasShaNi) {
+    hmac_block_shani(key, blocks, out, n);
+    return;
+  }
+#endif
+  hmac_block_scalar(key, blocks, out, n);
+}
+
+void format_block(const std::uint8_t* head, std::size_t head_len,
+                  const std::uint8_t* tail, std::size_t tail_len,
+                  Block& block) noexcept {
+  const std::size_t len = head_len + tail_len;
+  block.fill(0);
+  if (head_len != 0) std::memcpy(block.data(), head, head_len);
+  if (tail_len != 0) std::memcpy(block.data() + head_len, tail, tail_len);
+  block[len] = 0x80;
+  const std::uint64_t bits = (64 + len) * 8;
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<std::uint8_t>(bits >> (8 * (7 - i)));
+  }
+}
+
 void compress_scalar(State& state, const std::uint8_t* data,
                      std::size_t blocks) noexcept {
   for (std::size_t b = 0; b < blocks; ++b, data += 64) {
@@ -256,28 +402,32 @@ void compress_scalar(State& state, const std::uint8_t* data,
   }
 }
 
+void hmac_u64_scalar(const KeyState* const* keys, const std::uint64_t* values,
+                     Digest* const* out, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t w[16];
+    u64_block_words(values[i], w);
+    hmac_words(*keys[i], w, *out[i]);
+  }
+}
+
 void hmac_u64_scalar(const State& inner, const State& outer,
                      const std::uint64_t* values, Digest* out,
                      std::size_t n) noexcept {
+  const KeyState key{inner, outer};
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t v = values[i];
-    const std::uint32_t inner_block[16] = {
-        __builtin_bswap32(static_cast<std::uint32_t>(v)),
-        __builtin_bswap32(static_cast<std::uint32_t>(v >> 32)),
-        kPadWord, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, kInnerBits};
-    State s = inner;
-    compress_words(s, inner_block);
-    const std::uint32_t outer_block[16] = {
-        s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        kPadWord, 0, 0, 0, 0, 0, 0, kOuterBits};
-    s = outer;
-    compress_words(s, outer_block);
-    for (int j = 0; j < 8; ++j) {
-      out[i].bytes[4 * j] = static_cast<std::uint8_t>(s[j] >> 24);
-      out[i].bytes[4 * j + 1] = static_cast<std::uint8_t>(s[j] >> 16);
-      out[i].bytes[4 * j + 2] = static_cast<std::uint8_t>(s[j] >> 8);
-      out[i].bytes[4 * j + 3] = static_cast<std::uint8_t>(s[j]);
-    }
+    std::uint32_t w[16];
+    u64_block_words(values[i], w);
+    hmac_words(key, w, out[i]);
+  }
+}
+
+void hmac_block_scalar(const KeyState& key, const Block* blocks,
+                       Digest* const* out, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t w[16];
+    for (int j = 0; j < 16; ++j) w[j] = load_be32(blocks[i].data() + 4 * j);
+    hmac_words(key, w, *out[i]);
   }
 }
 
@@ -305,18 +455,26 @@ LPPA_SHA_NI_TARGET void compress_shani(State& state, const std::uint8_t* data,
   store_state(abef[0], cdgh[0], state);
 }
 
+LPPA_SHA_NI_TARGET void hmac_u64_shani(const KeyState* const* keys,
+                                       const std::uint64_t* values,
+                                       Digest* const* out,
+                                       std::size_t n) noexcept {
+  hmac_batch(KeyPerMac{keys}, U64Blocks{values}, Scattered{out}, n);
+}
+
 LPPA_SHA_NI_TARGET void hmac_u64_shani(const State& inner, const State& outer,
                                        const std::uint64_t* values, Digest* out,
                                        std::size_t n) noexcept {
-  Midstates mid;
-  load_state(inner, mid.inner_abef, mid.inner_cdgh);
-  load_state(outer, mid.outer_abef, mid.outer_cdgh);
-  constexpr int kLanes = static_cast<int>(kHmacLanes);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    hmac_lanes<kLanes>(mid, values + i, out + i);
-  }
-  for (; i < n; ++i) hmac_lanes<1>(mid, values + i, out + i);
+  hmac_batch(OneKey{load_midstates(KeyState{inner, outer})}, U64Blocks{values},
+             Contiguous{out}, n);
+}
+
+LPPA_SHA_NI_TARGET void hmac_block_shani(const KeyState& key,
+                                         const Block* blocks,
+                                         Digest* const* out,
+                                         std::size_t n) noexcept {
+  hmac_batch(OneKey{load_midstates(key)}, FormattedBlocks{blocks},
+             Scattered{out}, n);
 }
 
 #endif  // LPPA_SHA_NI_DISPATCH

@@ -1,23 +1,76 @@
 #include "prefix/hashed_set.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace lppa::prefix {
 
 namespace {
 
-std::vector<crypto::Digest> hash_prefixes(const crypto::HmacKeyCtx& ctx,
-                                          const std::vector<Prefix>& prefixes) {
-  std::vector<std::uint64_t> nums;
-  nums.reserve(prefixes.size());
-  for (const auto& p : prefixes) nums.push_back(numericalize(p));
-  std::vector<crypto::Digest> out(nums.size());
-  ctx.mac_u64_batch(nums, out);
-  std::sort(out.begin(), out.end());
-  return out;
+/// Appends uniform random digests until `digests` holds `target`; each
+/// byte is one below(256) draw.  The one padding helper: pad_to and a
+/// padded add_range draw identical bytes.  The bytes go to a local
+/// buffer first: a store through the digest's uint8_t* may alias the
+/// generator's state, which would then round-trip memory every draw.
+void append_padding(std::vector<crypto::Digest>& digests, std::size_t target,
+                    Rng& rng) {
+  while (digests.size() < target) {
+    std::uint8_t bytes[crypto::Digest::kSize];
+    for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng.below(256));
+    std::memcpy(digests.emplace_back().bytes.data(), bytes, sizeof bytes);
+  }
 }
 
 }  // namespace
+
+void HashedSetBatch::add_value(HashedPrefixSet& out,
+                               const crypto::HmacKeyCtx& key, std::uint64_t x,
+                               int width) {
+  add(out, key, family_numbers(x, width), 0, nullptr);
+}
+
+void HashedSetBatch::add_range(HashedPrefixSet& out,
+                               const crypto::HmacKeyCtx& key, std::uint64_t a,
+                               std::uint64_t b, int width,
+                               std::size_t pad_target, Rng* rng) {
+  add(out, key, cover_numbers(a, b, width), pad_target, rng);
+}
+
+void HashedSetBatch::add(HashedPrefixSet& out, const crypto::HmacKeyCtx& key,
+                         const PrefixNumbers& numbers, std::size_t pad_target,
+                         Rng* rng) {
+  if (num_digests_ + numbers.size > kMaxDigests || num_sets_ == kMaxSets) {
+    run();
+  }
+  std::vector<crypto::Digest>& digests = out.digests_;
+  digests.clear();
+  digests.reserve(std::max(numbers.size, pad_target));
+  digests.resize(numbers.size);
+  if (pad_target > numbers.size) {
+    LPPA_REQUIRE(rng != nullptr, "padding a hashed set needs an rng");
+    append_padding(digests, pad_target, *rng);
+  }
+  for (std::size_t i = 0; i < numbers.size; ++i) {
+    keys_[num_digests_] = &key;
+    values_[num_digests_] = numbers.values[i];
+    slots_[num_digests_] = &digests[i];
+    ++num_digests_;
+  }
+  sets_[num_sets_++] = &out;
+}
+
+void HashedSetBatch::run() {
+  crypto::HmacKeyCtx::mac_u64_batch(
+      std::span<const crypto::HmacKeyCtx* const>(keys_.data(), num_digests_),
+      std::span<const std::uint64_t>(values_.data(), num_digests_),
+      std::span<crypto::Digest* const>(slots_.data(), num_digests_));
+  for (std::size_t i = 0; i < num_sets_; ++i) {
+    std::vector<crypto::Digest>& digests = sets_[i]->digests_;
+    std::sort(digests.begin(), digests.end());
+  }
+  num_digests_ = 0;
+  num_sets_ = 0;
+}
 
 HashedPrefixSet HashedPrefixSet::of_value(const crypto::SecretKey& key,
                                           std::uint64_t x, int width) {
@@ -33,7 +86,9 @@ HashedPrefixSet HashedPrefixSet::of_range(const crypto::SecretKey& key,
 HashedPrefixSet HashedPrefixSet::of_value(const crypto::HmacKeyCtx& ctx,
                                           std::uint64_t x, int width) {
   HashedPrefixSet s;
-  s.digests_ = hash_prefixes(ctx, prefix_family(x, width));
+  HashedSetBatch batch;
+  batch.add_value(s, ctx, x, width);
+  batch.run();
   return s;
 }
 
@@ -41,7 +96,9 @@ HashedPrefixSet HashedPrefixSet::of_range(const crypto::HmacKeyCtx& ctx,
                                           std::uint64_t a, std::uint64_t b,
                                           int width) {
   HashedPrefixSet s;
-  s.digests_ = hash_prefixes(ctx, range_prefixes(a, b, width));
+  HashedSetBatch batch;
+  batch.add_range(s, ctx, a, b, width);
+  batch.run();
   return s;
 }
 
@@ -49,7 +106,9 @@ HashedPrefixSet HashedPrefixSet::from_digests(
     std::vector<crypto::Digest> digests) {
   HashedPrefixSet s;
   s.digests_ = std::move(digests);
-  std::sort(s.digests_.begin(), s.digests_.end());
+  if (!std::is_sorted(s.digests_.begin(), s.digests_.end())) {
+    std::sort(s.digests_.begin(), s.digests_.end());
+  }
   return s;
 }
 
@@ -73,11 +132,9 @@ bool HashedPrefixSet::intersects(const HashedPrefixSet& other) const noexcept {
 }
 
 void HashedPrefixSet::pad_to(std::size_t target, Rng& rng) {
-  while (digests_.size() < target) {
-    crypto::Digest d;
-    for (auto& byte : d.bytes) byte = static_cast<std::uint8_t>(rng.below(256));
-    digests_.push_back(d);
-  }
+  if (digests_.size() >= target) return;
+  digests_.reserve(target);
+  append_padding(digests_, target, rng);
   std::sort(digests_.begin(), digests_.end());
 }
 
@@ -88,10 +145,7 @@ void HashedPrefixSet::serialize(ByteWriter& w) const {
 
 HashedPrefixSet HashedPrefixSet::deserialize(ByteReader& r) {
   std::vector<crypto::Digest> digests(r.count(crypto::Digest::kSize));
-  for (auto& d : digests) {
-    const Bytes raw = r.raw(crypto::Digest::kSize);
-    std::copy(raw.begin(), raw.end(), d.bytes.begin());
-  }
+  for (auto& d : digests) r.raw_into(d.bytes);
   return from_digests(std::move(digests));
 }
 

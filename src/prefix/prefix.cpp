@@ -1,6 +1,7 @@
 #include "prefix/prefix.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace lppa::prefix {
 
@@ -33,22 +34,25 @@ std::vector<Prefix> prefix_family(std::uint64_t x, int width) {
 
 namespace {
 
-// Recursive minimal cover: the prefix {bits,len} spans [lo,hi]; emit it if
-// fully inside [a,b], recurse into halves if it straddles the boundary.
-void cover(std::uint64_t a, std::uint64_t b, std::uint64_t bits, int len,
-           int width, std::vector<Prefix>& out) {
-  const Prefix p{bits, len, width};
-  const std::uint64_t lo = p.range_lo();
-  const std::uint64_t hi = p.range_hi();
-  if (lo > b || hi < a) return;  // disjoint
-  if (lo >= a && hi <= b) {      // contained: emit
-    out.push_back(p);
-    return;
+// The one cover walker, behind range_prefixes and cover_numbers: calls
+// visit(p) for each prefix of Q([a,b]) in ascending range order.  From
+// each start point it emits the largest aligned block that fits, which
+// is the cover's prefix there.  Callers check a <= b and the widths.
+template <class Visit>
+void for_each_cover_prefix(std::uint64_t a, std::uint64_t b, int width,
+                           Visit&& visit) {
+  std::uint64_t lo = a;
+  for (;;) {
+    // A block of 2^k values starting at lo: lo must be a multiple of 2^k
+    // and the block must end by b.  b - lo + 1 <= 2^62, no overflow.
+    const int aligned = lo == 0 ? width : std::countr_zero(lo);
+    const int fits = 63 - std::countl_zero(b - lo + 1);
+    const int k = aligned < fits ? aligned : fits;
+    visit(Prefix{lo >> k, width - k, width});
+    const std::uint64_t hi = lo + ((std::uint64_t{1} << k) - 1);
+    if (hi >= b) return;
+    lo = hi + 1;
   }
-  // len == width implies lo == hi, which is either disjoint or contained,
-  // so reaching here guarantees room to split.
-  cover(a, b, bits << 1, len + 1, width, out);
-  cover(a, b, (bits << 1) | 1, len + 1, width, out);
 }
 
 }  // namespace
@@ -58,7 +62,7 @@ std::vector<Prefix> range_prefixes(std::uint64_t a, std::uint64_t b, int width) 
   check_value_width(b, width);
   LPPA_REQUIRE(a <= b, "range_prefixes requires a <= b");
   std::vector<Prefix> out;
-  cover(a, b, 0, 0, width, out);
+  for_each_cover_prefix(a, b, width, [&](const Prefix& p) { out.push_back(p); });
   return out;
 }
 
@@ -66,6 +70,26 @@ std::uint64_t numericalize(const Prefix& p) {
   // t1..ts followed by wildcards -> (w+1)-bit t1..ts 1 0..0.
   const int tail = p.width - p.len;
   return (p.bits << (tail + 1)) | (std::uint64_t{1} << tail);
+}
+
+PrefixNumbers family_numbers(std::uint64_t x, int width) {
+  check_value_width(x, width);
+  PrefixNumbers out;
+  for (int len = width; len >= 0; --len) {
+    out.values[out.size++] = numericalize(Prefix{x >> (width - len), len, width});
+  }
+  return out;
+}
+
+PrefixNumbers cover_numbers(std::uint64_t a, std::uint64_t b, int width) {
+  check_value_width(a, width);
+  check_value_width(b, width);
+  LPPA_REQUIRE(a <= b, "range_prefixes requires a <= b");
+  PrefixNumbers out;
+  for_each_cover_prefix(a, b, width, [&](const Prefix& p) {
+    out.values[out.size++] = numericalize(p);
+  });
+  return out;
 }
 
 bool member_of_range(std::uint64_t x, std::uint64_t a, std::uint64_t b,

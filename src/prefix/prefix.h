@@ -13,6 +13,7 @@
 // wildcard bits.  E.g. 110* over w=4 is {bits=0b110, len=3, width=4}.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,6 +66,23 @@ std::vector<Prefix> range_prefixes(std::uint64_t a, std::uint64_t b, int width);
 /// Prefix numericalisation O(U): the w-bit pattern t1..ts*..* becomes the
 /// unique (w+1)-bit integer t1..ts 1 0..0.
 std::uint64_t numericalize(const Prefix& p);
+
+/// Most prefixes one set can hold: a cover has at most 2w-2 (<= 122), a
+/// family w+1 (<= 63).
+inline constexpr std::size_t kMaxSetPrefixes = 2 * kMaxWidth - 2;
+
+/// The numericalised prefixes of one family or cover, in a fixed buffer
+/// bounded by kMaxWidth: building a set allocates nothing for them.
+struct PrefixNumbers {
+  std::array<std::uint64_t, kMaxSetPrefixes> values;
+  std::size_t size = 0;
+};
+
+/// O(G(x)), prefix lengths w down to 0 like prefix_family.
+PrefixNumbers family_numbers(std::uint64_t x, int width);
+
+/// O(Q([a,b])), in range_prefixes' order and with its requirements.
+PrefixNumbers cover_numbers(std::uint64_t a, std::uint64_t b, int width);
 
 /// Plaintext membership check: x in [a,b] iff O(G(x)) ∩ O(Q([a,b])) != ∅.
 /// Used by tests as the reference semantics for the hashed scheme.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rng.h"
 
 namespace lppa::prefix {
@@ -112,6 +114,37 @@ TEST_F(HashedSetTest, FromDigestsSortsInput) {
   d2.bytes[0] = 1;
   const auto s = HashedPrefixSet::from_digests({d1, d2});
   EXPECT_LT(s.digests()[0], s.digests()[1]);
+}
+
+// The one-pass padded range (size, pad, hash, sort once) against the
+// two-step of_range then pad_to, from the same RNG state: the same
+// digests in the same order, and the same RNG state afterwards.
+TEST_F(HashedSetTest, PaddedRangeMatchesRangeThenPadTo) {
+  const crypto::HmacKeyCtx ctx(key);
+  for (int w = 1; w <= kMaxWidth; ++w) {
+    const std::uint64_t top =
+        w == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << w) - 1;
+    for (int trial = 0; trial < 3; ++trial) {
+      std::uint64_t a = rng.next() & top;
+      std::uint64_t b = rng.next() & top;
+      if (a > b) std::swap(a, b);
+      const std::size_t target = max_range_prefixes(w);
+      Rng one_pass_rng(static_cast<std::uint64_t>(1000 * w + trial));
+      Rng two_step_rng = one_pass_rng;
+
+      HashedPrefixSet one_pass;
+      HashedSetBatch batch;
+      batch.add_range(one_pass, ctx, a, b, w, target, &one_pass_rng);
+      batch.run();
+
+      HashedPrefixSet two_step = HashedPrefixSet::of_range(ctx, a, b, w);
+      two_step.pad_to(target, two_step_rng);
+
+      EXPECT_EQ(one_pass, two_step) << "w=" << w << " [" << a << ", " << b << "]";
+      EXPECT_EQ(one_pass.size(), target);
+      EXPECT_EQ(one_pass_rng.next(), two_step_rng.next()) << "w=" << w;
+    }
+  }
 }
 
 TEST_F(HashedSetTest, EmptySetIntersectsNothing) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "crypto/sha256_kernel.h"
@@ -113,21 +117,25 @@ TEST(HmacU64, DistinctValuesDistinctDigests) {
   }
 }
 
+// A message MACed as two parts (HmacKeyCtx::Message, a sealed box's
+// nonce‖ciphertext) equals the MAC of the whole.
 TEST(HmacIncremental, ChunkSizeNeverMatters) {
-  // Property: any partition of the message into update() calls yields
-  // the same MAC.
+  // Property: any split of the message into head and tail yields the
+  // same MAC, on the streaming path (257 bytes) as on the one-block path.
   lppa::Rng rng(8);
   const SecretKey key = SecretKey::generate(rng);
+  const HmacKeyCtx ctx(key);
   Bytes msg(257);
   for (auto& b : msg) b = static_cast<std::uint8_t>(rng.below(256));
+  const std::span<const std::uint8_t> whole(msg);
   const Digest expected = hmac_sha256(key, msg);
-  for (std::size_t chunk : {1u, 3u, 16u, 63u, 64u, 65u, 256u}) {
-    HmacSha256 mac(key);
-    for (std::size_t off = 0; off < msg.size(); off += chunk) {
-      const std::size_t take = std::min(chunk, msg.size() - off);
-      mac.update(std::span<const std::uint8_t>(msg.data() + off, take));
-    }
-    EXPECT_EQ(mac.finalize(), expected) << "chunk " << chunk;
+  for (std::size_t split : {0u, 1u, 3u, 16u, 63u, 64u, 65u, 256u, 257u}) {
+    const HmacKeyCtx::Message parts{whole.first(split), whole.subspan(split)};
+    Digest out;
+    Digest* const slot = &out;
+    ctx.mac_batch(std::span<const HmacKeyCtx::Message>(&parts, 1),
+                  std::span<Digest* const>(&slot, 1));
+    EXPECT_EQ(out, expected) << "split " << split;
   }
 }
 
@@ -135,10 +143,13 @@ TEST(HmacIncremental, MatchesOneShot) {
   lppa::Rng rng(7);
   const SecretKey key = SecretKey::generate(rng);
   const Bytes msg = str_bytes("split me into pieces");
-  HmacSha256 mac(key);
-  mac.update(std::span<const std::uint8_t>(msg.data(), 6));
-  mac.update(std::span<const std::uint8_t>(msg.data() + 6, msg.size() - 6));
-  EXPECT_EQ(mac.finalize(), hmac_sha256(key, msg));
+  const std::span<const std::uint8_t> whole(msg);
+  const HmacKeyCtx::Message parts{whole.first(6), whole.subspan(6)};
+  Digest out;
+  Digest* const slot = &out;
+  HmacKeyCtx(key).mac_batch(std::span<const HmacKeyCtx::Message>(&parts, 1),
+                            std::span<Digest* const>(&slot, 1));
+  EXPECT_EQ(out, hmac_sha256(key, msg));
 }
 
 TEST(HmacIncremental, HeldContextMatchesKeyConstructor) {
@@ -146,11 +157,13 @@ TEST(HmacIncremental, HeldContextMatchesKeyConstructor) {
   const SecretKey key = SecretKey::generate(rng);
   const HmacKeyCtx ctx(key);
   const Bytes msg = str_bytes("nonce||ciphertext");
-  HmacSha256 from_key(key);
-  HmacSha256 from_ctx(ctx);
-  from_key.update(msg);
-  from_ctx.update(msg);
-  EXPECT_EQ(from_ctx.finalize(), from_key.finalize());
+  const HmacKeyCtx::Message parts{std::span<const std::uint8_t>(msg).first(5),
+                                  std::span<const std::uint8_t>(msg).subspan(5)};
+  Digest from_ctx;
+  Digest* const slot = &from_ctx;
+  ctx.mac_batch(std::span<const HmacKeyCtx::Message>(&parts, 1),
+                std::span<Digest* const>(&slot, 1));
+  EXPECT_EQ(from_ctx, hmac_sha256(key, msg));
 }
 
 // ------------------------------------------------------------------ ctx
@@ -315,6 +328,146 @@ TEST(HmacKernel, ScalarAndShaNiTwoBlockKernelsMatchGenericMac) {
         EXPECT_EQ(shani[i], expect);
       }
 #endif
+    }
+  }
+}
+
+// The key's midstates built here the way HmacKeyCtx builds them.
+kernel::KeyState key_state(const SecretKey& key) {
+  std::array<std::uint8_t, 64> ipad{}, opad{};
+  for (std::size_t i = 0; i < 64; ++i) {
+    const std::uint8_t b = i < key.bytes().size() ? key.bytes()[i] : 0;
+    ipad[i] = b ^ 0x36;
+    opad[i] = b ^ 0x5c;
+  }
+  kernel::KeyState st{kernel::kInitialState, kernel::kInitialState};
+  kernel::compress_scalar(st.inner, ipad.data(), 1);
+  kernel::compress_scalar(st.outer, opad.data(), 1);
+  return st;
+}
+
+// RFC 2104 spelled out on the streaming Sha256: H(K^opad ‖ H(K^ipad ‖ m)).
+Digest textbook_hmac(const SecretKey& key, std::span<const std::uint8_t> msg) {
+  std::array<std::uint8_t, 64> ipad{}, opad{};
+  for (std::size_t i = 0; i < 64; ++i) {
+    const std::uint8_t k = i < key.bytes().size() ? key.bytes()[i] : 0;
+    ipad[i] = k ^ 0x36;
+    opad[i] = k ^ 0x5c;
+  }
+  Sha256 inner;
+  inner.update(ipad);
+  inner.update(msg);
+  const Digest inner_digest = inner.finalize();
+  Sha256 outer;
+  outer.update(opad);
+  outer.update(inner_digest.bytes);
+  return outer.finalize();
+}
+
+// mac() takes the fixed two-block kernel up to 55 bytes and streams
+// beyond; mac_batch() splits a message into head and tail.  Every
+// length across the 55/56 boundary, every split, against the
+// streaming HMAC; the one-block kernels, scalar and SHA-NI, directly.
+TEST(HmacKeyCtx, ShortMessagePathMatchesStreaming) {
+  lppa::Rng rng(41);
+  for (int trial = 0; trial < 4; ++trial) {
+    const SecretKey key = SecretKey::generate(rng);
+    const HmacKeyCtx ctx(key);
+    const kernel::KeyState state = key_state(key);
+    for (std::size_t len = 0; len <= 64; ++len) {
+      Bytes msg(len);
+      for (auto& b : msg) b = static_cast<std::uint8_t>(rng.below(256));
+      const Digest expect = textbook_hmac(key, msg);
+      EXPECT_EQ(ctx.mac(msg), expect) << "length " << len;
+      if (len <= kernel::kMaxOneBlockMessage) {
+        kernel::Block block;
+        kernel::format_block(msg.data(), len, nullptr, 0, block);
+        Digest scalar;
+        Digest* const scalar_slot = &scalar;
+        kernel::hmac_block_scalar(state, &block, &scalar_slot, 1);
+        EXPECT_EQ(scalar, expect) << "scalar, length " << len;
+#ifdef LPPA_SHA_NI_DISPATCH
+        if (kernel::sha_ni()) {
+          Digest shani;
+          Digest* const shani_slot = &shani;
+          kernel::hmac_block_shani(state, &block, &shani_slot, 1);
+          EXPECT_EQ(shani, expect) << "SHA-NI, length " << len;
+        }
+#endif
+      }
+
+      std::vector<HmacKeyCtx::Message> parts;
+      for (std::size_t split = 0; split <= len; ++split) {
+        const std::span<const std::uint8_t> whole(msg);
+        parts.push_back({whole.first(split), whole.subspan(split)});
+      }
+      std::vector<Digest> out(parts.size());
+      std::vector<Digest*> slots;
+      for (auto& d : out) slots.push_back(&d);
+      ctx.mac_batch(parts, slots);
+      for (std::size_t split = 0; split < out.size(); ++split) {
+        EXPECT_EQ(out[split], expect) << "length " << len << " split " << split;
+      }
+    }
+  }
+}
+
+// One multi-key batch: lane l under its own key, lane counts 0..9 so the
+// 4-lane groups and the single-lane tail both mix keys; the scalar and
+// SHA-NI kernels against one mac_u64 per key.
+TEST(HmacKernel, PerLaneKeysMatchPerKeyMacs) {
+  lppa::Rng rng(43);
+  std::vector<HmacKeyCtx> ctxs;
+  std::vector<kernel::KeyState> states;
+  for (int k = 0; k < 3; ++k) {
+    const SecretKey key = SecretKey::generate(rng);
+    ctxs.emplace_back(key);
+    states.push_back(key_state(key));
+  }
+  // Key mixes: all one key, alternating, runs of two, random.
+  const std::vector<std::function<std::size_t(std::size_t)>> mixes = {
+      [](std::size_t) { return std::size_t{0}; },
+      [](std::size_t i) { return i % 2; },
+      [](std::size_t i) { return (i / 2) % 3; },
+      [&](std::size_t) { return static_cast<std::size_t>(rng.below(3)); }};
+  for (const auto& mix : mixes) {
+    for (std::size_t n = 0; n <= 9; ++n) {
+      std::vector<std::size_t> which(n);
+      std::vector<std::uint64_t> values(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        which[i] = mix(i);
+        values[i] = rng.next();
+      }
+      std::vector<const kernel::KeyState*> keys(n);
+      std::vector<const HmacKeyCtx*> key_ctxs(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        keys[i] = &states[which[i]];
+        key_ctxs[i] = &ctxs[which[i]];
+      }
+      std::vector<Digest> scalar(n), shani(n), api(n);
+      std::vector<Digest*> scalar_out(n), shani_out(n), api_out(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        scalar_out[i] = &scalar[i];
+        shani_out[i] = &shani[i];
+        api_out[i] = &api[i];
+      }
+      kernel::hmac_u64_scalar(keys.data(), values.data(), scalar_out.data(), n);
+      HmacKeyCtx::mac_u64_batch(key_ctxs, values, api_out);
+#ifdef LPPA_SHA_NI_DISPATCH
+      if (kernel::sha_ni()) {
+        kernel::hmac_u64_shani(keys.data(), values.data(), shani_out.data(), n);
+      }
+#endif
+      for (std::size_t i = 0; i < n; ++i) {
+        const Digest expect = ctxs[which[i]].mac_u64(values[i]);
+        EXPECT_EQ(scalar[i], expect) << "n " << n << " lane " << i;
+        EXPECT_EQ(api[i], expect) << "n " << n << " lane " << i;
+#ifdef LPPA_SHA_NI_DISPATCH
+        if (kernel::sha_ni()) {
+          EXPECT_EQ(shani[i], expect) << "n " << n << " lane " << i;
+        }
+#endif
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace lppa::crypto {
 namespace {
 
@@ -17,6 +19,26 @@ TEST_F(SealedBoxTest, SealOpenRoundTrip) {
   const auto opened = box.open(sealed);
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(*opened, msg);
+}
+
+// encrypt() for each payload, then one tag() batch over all of them,
+// seals the same bytes as one seal() per payload from the same RNG state
+// (the bid submitter tags a whole submission this way).
+TEST_F(SealedBoxTest, BatchedTagsMatchSeal) {
+  for (std::size_t count : {1u, 3u, 8u, 17u}) {
+    lppa::Rng seal_rng(77 + count);
+    lppa::Rng batch_rng = seal_rng;
+    std::vector<SealedMessage> sealed, batched;
+    for (std::size_t i = 0; i < count; ++i) {
+      const Bytes plain(i % 60, static_cast<std::uint8_t>(i));
+      sealed.push_back(box.seal(plain, seal_rng));
+      batched.push_back(box.encrypt(plain, batch_rng));
+    }
+    std::vector<SealedMessage*> untagged;
+    for (auto& m : batched) untagged.push_back(&m);
+    box.tag(untagged);
+    EXPECT_EQ(batched, sealed) << count << " messages";
+  }
 }
 
 TEST_F(SealedBoxTest, CiphertextDiffersFromPlaintext) {

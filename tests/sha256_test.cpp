@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "crypto/sha256_kernel.h"
@@ -105,6 +107,47 @@ TEST(Digest, OrderingIsLexicographic) {
   EXPECT_EQ(a, b);
   b.bytes[31] = 1;
   EXPECT_LT(a, b);
+}
+
+// operator<=> compares four big-endian words; it must be exactly the
+// byte-lexicographic order every sorted set and the wire rely on.
+TEST(Digest, WordOrderMatchesByteLexicographic) {
+  auto byte_less = [](const Digest& a, const Digest& b) {
+    return std::lexicographical_compare(a.bytes.begin(), a.bytes.end(),
+                                        b.bytes.begin(), b.bytes.end());
+  };
+  auto expect_order = [&](const Digest& a, const Digest& b) {
+    EXPECT_EQ(a < b, byte_less(a, b)) << a.hex() << " vs " << b.hex();
+    EXPECT_EQ(b < a, byte_less(b, a)) << a.hex() << " vs " << b.hex();
+    EXPECT_EQ(a == b, !byte_less(a, b) && !byte_less(b, a));
+  };
+  lppa::Rng rng(21);
+  auto random_digest = [&] {
+    Digest d;
+    for (auto& byte : d.bytes) byte = static_cast<std::uint8_t>(rng.below(256));
+    return d;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    expect_order(random_digest(), random_digest());
+  }
+  // One differing byte at each position, both ways round, with bytes
+  // whose top bit differs (a signed compare would get these wrong).
+  for (std::size_t pos = 0; pos < Digest::kSize; ++pos) {
+    for (const auto& [lo, hi] : {std::pair<int, int>{0x00, 0x01},
+                                 {0x7f, 0x80}, {0x01, 0xff}}) {
+      Digest a = random_digest();
+      Digest b = a;
+      a.bytes[pos] = static_cast<std::uint8_t>(lo);
+      b.bytes[pos] = static_cast<std::uint8_t>(hi);
+      expect_order(a, b);
+      EXPECT_LT(a, b) << "position " << pos;
+      expect_order(b, a);
+    }
+  }
+  const Digest d = random_digest();
+  Digest same = d;
+  expect_order(d, same);
+  EXPECT_EQ(d <=> same, std::strong_ordering::equal);
 }
 
 TEST(Digest, FingerprintUsesLeadingBytes) {

@@ -157,6 +157,34 @@ TEST(SubmissionValidator, RejectsWrongSealedPayloadSize) {
   EXPECT_NE(error->find("sealed payload"), std::string::npos);
 }
 
+// A rejection's text names the channel and the set; the validator only
+// builds that text when it rejects, so pin it byte for byte.
+TEST(SubmissionValidator, ChannelRangeSetErrorTextIsExact) {
+  LppaConfig config = make_config();
+  config.num_channels = 4;
+  const TrustedThirdParty ttp(config.bid, 7);
+  const SubmissionValidator validator(config);
+  const BidSubmitter submitter(config.bid, ttp.su_keys().gb_master,
+                               ttp.su_keys().gc);
+  Rng rng(13);
+  auto s = submitter.submit({3, 0, 9, 15}, rng);
+  ASSERT_EQ(validator.validate_bid(s), std::nullopt);
+  const std::size_t padded = s.channels[3].range_set.size();
+  s.channels[3].range_set = truncated(s.channels[3].range_set, 1);
+  const auto error = validator.validate_bid(s);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(*error, "channel 3 range_set: padded range cover has " +
+                        std::to_string(padded - 1) +
+                        " digests, expected exactly " +
+                        std::to_string(padded));
+  try {
+    validator.check_bid(s);
+    FAIL() << "expected LppaError";
+  } catch (const LppaError& e) {
+    EXPECT_EQ(std::string(e.what()), "invalid bid submission: " + *error);
+  }
+}
+
 TEST(SubmissionValidator, InProcessEngineRunsWithValidationOn) {
   // The validator is wired into LppaAuction::run (defence in depth: the
   // in-process SUs are honest by construction).  Validation must accept
