@@ -7,12 +7,11 @@
 //      inner finalise, opad, outer finalise) vs the midstate-cached
 //      HmacKeyCtx path (2 compressions) — the per-digest win behind the
 //      submit-phase speedup.
-//   3. The batched API (hmac_sha256_u64_batch semantics through a held
-//      context), which is what prefix/hashed_set actually calls: the
-//      fixed two-block kernel on its lanes, over one long batch and over
-//      family-sized batches (5: one bid value family; 21: a range
-//      cover), plus the portable two-block kernel the CPUID dispatch
-//      falls back to.
+//   3. The batched API (HmacKeyCtx::mac_u64_batch with one key for
+//      every value): the fixed two-block kernel on its lanes, over one
+//      long batch and over family-sized batches (5: one bid value
+//      family; 21: a range cover), plus the portable two-block kernel
+//      the CPUID dispatch falls back to.
 //   4. The submission-shaped paths: one multi-key batch of 8 keys × 7
 //      digests (a city bid's families and covers under gb_0..gb_7), the
 //      one-block MAC over a 28-byte message (a sealed-box tag over
@@ -135,17 +134,19 @@ int main(int argc, char** argv) {
                        "ops/s"});
   }
 
-  // --- 3. the batch API (what hashed_set calls) ---------------------------
+  // --- 3. the batch API, one key for every value --------------------------
+  // Each row runs `run(i, m)` over values[i, i + m) into slots[i, i + m);
+  // the key and destination pointer arrays are built before timing.
   const crypto::HmacKeyCtx ctx(key);
+  const std::vector<const crypto::HmacKeyCtx*> ctx_keys(values.size(), &ctx);
   const auto batch_sample = [&](const char* name, std::size_t batch,
                                 const auto& run) {
     std::vector<crypto::Digest> out(values.size());
+    std::vector<crypto::Digest*> slots(out.size());
+    for (std::size_t i = 0; i < out.size(); ++i) slots[i] = &out[i];
     const std::size_t n = values.size();
     const double ms = time_ms([&] {
-      for (std::size_t i = 0; i < n; i += batch) {
-        run(std::span<const std::uint64_t>(values).subspan(i, batch),
-            std::span<crypto::Digest>(out).subspan(i, batch));
-      }
+      for (std::size_t i = 0; i < n; i += batch) run(i, batch, slots);
     });
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < n; ++i) acc ^= out[i].fingerprint();
@@ -154,14 +155,14 @@ int main(int argc, char** argv) {
                        "ops/s"});
     return acc;
   };
-  const auto batched = [&](std::span<const std::uint64_t> v,
-                           std::span<crypto::Digest> out) {
-    ctx.mac_u64_batch(v, out);
+  const auto batched = [&](std::size_t i, std::size_t m,
+                           const std::vector<crypto::Digest*>& slots) {
+    crypto::HmacKeyCtx::mac_u64_batch(
+        std::span<const crypto::HmacKeyCtx* const>(ctx_keys).subspan(i, m),
+        std::span<const std::uint64_t>(values).subspan(i, m),
+        std::span<crypto::Digest* const>(slots).subspan(i, m));
   };
-  batch_acc = batch_sample("hmac_u64_batch", values.size(),
-                           [&](auto v, auto out) {
-                             crypto::hmac_sha256_u64_batch(key, v, out);
-                           });
+  batch_acc = batch_sample("hmac_u64_batch", values.size(), batched);
   const std::uint64_t family_acc[2] = {
       batch_sample("hmac_u64_batch5", 5, batched),
       batch_sample("hmac_u64_batch21", 21, batched)};
@@ -182,10 +183,15 @@ int main(int argc, char** argv) {
     }
     crypto::kernel::compress_scalar(outer, pad.data(), 1);
   }
+  const crypto::kernel::KeyState state{inner, outer};
+  const std::vector<const crypto::kernel::KeyState*> states(values.size(),
+                                                            &state);
   const std::uint64_t scalar_acc = batch_sample(
-      "hmac_u64_batch_scalar", values.size(), [&](auto v, auto out) {
-        crypto::kernel::hmac_u64_scalar(inner, outer, v.data(), out.data(),
-                                        v.size());
+      "hmac_u64_batch_scalar", values.size(),
+      [&](std::size_t i, std::size_t m,
+          const std::vector<crypto::Digest*>& slots) {
+        crypto::kernel::hmac_u64_scalar(states.data() + i, values.data() + i,
+                                        slots.data() + i, m);
       });
 
   // Every path must be digest-identical — this is the property the hmac

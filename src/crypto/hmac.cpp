@@ -97,16 +97,10 @@ void HmacKeyCtx::mac_batch(std::span<const Message> messages,
 
 Digest HmacKeyCtx::mac_u64(std::uint64_t value) const noexcept {
   Digest out;
-  kernel::hmac_u64(key_.inner, key_.outer, &value, &out, 1);
+  const kernel::KeyState* const key = &key_;
+  Digest* const slot = &out;
+  kernel::hmac_u64(&key, &value, &slot, 1);
   return out;
-}
-
-void HmacKeyCtx::mac_u64_batch(std::span<const std::uint64_t> values,
-                               std::span<Digest> out) const {
-  LPPA_REQUIRE(values.size() == out.size(),
-               "hmac batch output span must match input size");
-  kernel::hmac_u64(key_.inner, key_.outer, values.data(), out.data(),
-                   values.size());
 }
 
 void HmacKeyCtx::mac_u64_batch(std::span<const HmacKeyCtx* const> keys,
@@ -143,12 +137,6 @@ Digest hmac_sha256(const SecretKey& key, std::string_view message) {
 
 Digest hmac_sha256_u64(const SecretKey& key, std::uint64_t value) {
   return HmacKeyCtx(key).mac_u64(value);
-}
-
-void hmac_sha256_u64_batch(const SecretKey& key,
-                           std::span<const std::uint64_t> values,
-                           std::span<Digest> out) {
-  HmacKeyCtx(key).mac_u64_batch(values, out);
 }
 
 }  // namespace lppa::crypto

@@ -21,11 +21,10 @@
 // copy, no update()/finalize().  mac_u64 builds an 8-byte value's block
 // in registers; mac() and mac_batch() format short messages the same
 // way.  On CPUs with the x86 SHA extensions a batch runs four MACs side
-// by side and its remainder one at a time; the multi-key batch lets one
-// call mix keys, so a whole submission fills the lanes.  On a 4-vCPU
-// Xeon with SHA-NI that takes a batched digest from ~200 ns (two Sha256
-// copies plus the generic padding) to ~49 ns; see docs/performance.md,
-// "Submit phase".
+// by side and its remainder one at a time; every lane carries its own
+// key, so one call mixes keys and a whole submission fills the lanes.
+// For the per-digest costs (and how they spread from run to run) see
+// docs/performance.md, "Submit phase".
 #pragma once
 
 #include <array>
@@ -78,19 +77,13 @@ class HmacKeyCtx {
   /// prefix hot path; the fixed two-block kernel, one lane.
   Digest mac_u64(std::uint64_t value) const noexcept;
 
-  /// Batched form of mac_u64: out[i] = HMAC(key, values[i]).  Requires
-  /// out.size() == values.size().  Equivalent digest-for-digest to mac()
-  /// over the 8 little-endian bytes (pinned by a property test); callers
-  /// hashing a whole prefix family make one call so the kernel can run
-  /// its lanes.
-  void mac_u64_batch(std::span<const std::uint64_t> values,
-                     std::span<Digest> out) const;
-
-  /// Multi-key form: *out[i] = HMAC(*keys[i], values[i]).  Requires all
-  /// three spans to have one size.  One call hashes every set of a
-  /// submission, whatever keys they use and wherever their digests go,
-  /// so the lanes run full instead of ending each key's run with one to
-  /// three single lanes.
+  /// Batched form of mac_u64: *out[i] = HMAC(*keys[i], values[i]).
+  /// Requires all three spans to have one size.  Equivalent
+  /// digest-for-digest to mac() over the 8 little-endian bytes (pinned
+  /// by a property test).  One call hashes every set of a submission,
+  /// whatever keys they use and wherever their digests go, so the lanes
+  /// run full instead of ending each key's run with one to three single
+  /// lanes.
   static void mac_u64_batch(std::span<const HmacKeyCtx* const> keys,
                             std::span<const std::uint64_t> values,
                             std::span<Digest* const> out);
@@ -126,10 +119,5 @@ Digest hmac_sha256(const SecretKey& key, std::string_view message);
 /// hashing numericalised prefixes.  One-shot; callers with more than one
 /// value per key should hold an HmacKeyCtx or use the batch API.
 Digest hmac_sha256_u64(const SecretKey& key, std::uint64_t value);
-
-/// out[i] = HMAC(key, values[i]); requires out.size() == values.size().
-void hmac_sha256_u64_batch(const SecretKey& key,
-                           std::span<const std::uint64_t> values,
-                           std::span<Digest> out);
 
 }  // namespace lppa::crypto

@@ -200,7 +200,7 @@ LPPA_SHANI_INLINE Midstates load_midstates(const KeyState& key) noexcept {
 template <int L>
 LPPA_SHANI_INLINE void hmac_lanes(const Midstates (&mid)[L],
                                   __m128i (&w)[L][4],
-                                  Digest* const (&out)[L]) noexcept {
+                                  Digest* const* out) noexcept {
   // Reverses all 16 bytes: {D,C,B,A} words -> A..D as big-endian bytes.
   const __m128i reverse =
       _mm_set_epi64x(0x0001020304050607ULL, 0x08090a0b0c0d0e0fULL);
@@ -285,40 +285,28 @@ struct FormattedBlocks {
   }
 };
 
-// Destinations for hmac_batch: one array, or one pointer per MAC.
-struct Contiguous {
-  Digest* out;
-  Digest* operator()(std::size_t i) const noexcept { return out + i; }
-};
-struct Scattered {
-  Digest* const* out;
-  Digest* operator()(std::size_t i) const noexcept { return out[i]; }
-};
-
-// n MACs, kHmacLanes at a time, then the remainder one lane at a time.
-template <class KeyAt, class BlockAt, class OutAt>
+// n MACs, kHmacLanes at a time, then the remainder one lane at a time;
+// MAC i goes to *out[i].
+template <class KeyAt, class BlockAt>
 LPPA_SHANI_INLINE void hmac_batch(const KeyAt& key_at, const BlockAt& block_at,
-                                  const OutAt& out_at, std::size_t n) noexcept {
+                                  Digest* const* out, std::size_t n) noexcept {
   constexpr int kLanes = static_cast<int>(kHmacLanes);
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     Midstates mid[kLanes];
     __m128i w[kLanes][4];
-    Digest* out[kLanes];
 #pragma GCC unroll 4
     for (int l = 0; l < kLanes; ++l) {
       mid[l] = key_at(i + l);
       block_at(i + l, w[l]);
-      out[l] = out_at(i + l);
     }
-    hmac_lanes<kLanes>(mid, w, out);
+    hmac_lanes<kLanes>(mid, w, out + i);
   }
   for (; i < n; ++i) {
     Midstates mid[1] = {key_at(i)};
     __m128i w[1][4];
     block_at(i, w[0]);
-    Digest* out[1] = {out_at(i)};
-    hmac_lanes<1>(mid, w, out);
+    hmac_lanes<1>(mid, w, out + i);
   }
 }
 
@@ -354,18 +342,6 @@ void hmac_u64(const KeyState* const* keys, const std::uint64_t* values,
   }
 #endif
   hmac_u64_scalar(keys, values, out, n);
-}
-
-void hmac_u64(const State& inner, const State& outer,
-              const std::uint64_t* values, Digest* out,
-              std::size_t n) noexcept {
-#ifdef LPPA_SHA_NI_DISPATCH
-  if (kHasShaNi) {
-    hmac_u64_shani(inner, outer, values, out, n);
-    return;
-  }
-#endif
-  hmac_u64_scalar(inner, outer, values, out, n);
 }
 
 void hmac_block(const KeyState& key, const Block* blocks, Digest* const* out,
@@ -411,17 +387,6 @@ void hmac_u64_scalar(const KeyState* const* keys, const std::uint64_t* values,
   }
 }
 
-void hmac_u64_scalar(const State& inner, const State& outer,
-                     const std::uint64_t* values, Digest* out,
-                     std::size_t n) noexcept {
-  const KeyState key{inner, outer};
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t w[16];
-    u64_block_words(values[i], w);
-    hmac_words(key, w, out[i]);
-  }
-}
-
 void hmac_block_scalar(const KeyState& key, const Block* blocks,
                        Digest* const* out, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
@@ -459,22 +424,14 @@ LPPA_SHA_NI_TARGET void hmac_u64_shani(const KeyState* const* keys,
                                        const std::uint64_t* values,
                                        Digest* const* out,
                                        std::size_t n) noexcept {
-  hmac_batch(KeyPerMac{keys}, U64Blocks{values}, Scattered{out}, n);
-}
-
-LPPA_SHA_NI_TARGET void hmac_u64_shani(const State& inner, const State& outer,
-                                       const std::uint64_t* values, Digest* out,
-                                       std::size_t n) noexcept {
-  hmac_batch(OneKey{load_midstates(KeyState{inner, outer})}, U64Blocks{values},
-             Contiguous{out}, n);
+  hmac_batch(KeyPerMac{keys}, U64Blocks{values}, out, n);
 }
 
 LPPA_SHA_NI_TARGET void hmac_block_shani(const KeyState& key,
                                          const Block* blocks,
                                          Digest* const* out,
                                          std::size_t n) noexcept {
-  hmac_batch(OneKey{load_midstates(key)}, FormattedBlocks{blocks},
-             Scattered{out}, n);
+  hmac_batch(OneKey{load_midstates(key)}, FormattedBlocks{blocks}, out, n);
 }
 
 #endif  // LPPA_SHA_NI_DISPATCH

@@ -80,12 +80,6 @@ void compress(State& state, const std::uint8_t* data,
 void hmac_u64(const KeyState* const* keys, const std::uint64_t* values,
               Digest* const* out, std::size_t n) noexcept;
 
-/// The same with one key for every value, given as the key's midstates
-/// after its ipad and opad blocks.
-void hmac_u64(const State& inner, const State& outer,
-              const std::uint64_t* values, Digest* out,
-              std::size_t n) noexcept;
-
 /// *out[i] = HMAC-SHA-256 under `key` of the message formatted in
 /// blocks[i]; dispatched like compress().
 void hmac_block(const KeyState& key, const Block* blocks, Digest* const* out,
@@ -96,9 +90,6 @@ void compress_scalar(State& state, const std::uint8_t* data,
                      std::size_t blocks) noexcept;
 void hmac_u64_scalar(const KeyState* const* keys, const std::uint64_t* values,
                      Digest* const* out, std::size_t n) noexcept;
-void hmac_u64_scalar(const State& inner, const State& outer,
-                     const std::uint64_t* values, Digest* out,
-                     std::size_t n) noexcept;
 void hmac_block_scalar(const KeyState& key, const Block* blocks,
                        Digest* const* out, std::size_t n) noexcept;
 
@@ -109,9 +100,6 @@ LPPA_SHA_NI_TARGET void compress_shani(State& state, const std::uint8_t* data,
 LPPA_SHA_NI_TARGET void hmac_u64_shani(const KeyState* const* keys,
                                        const std::uint64_t* values,
                                        Digest* const* out,
-                                       std::size_t n) noexcept;
-LPPA_SHA_NI_TARGET void hmac_u64_shani(const State& inner, const State& outer,
-                                       const std::uint64_t* values, Digest* out,
                                        std::size_t n) noexcept;
 LPPA_SHA_NI_TARGET void hmac_block_shani(const KeyState& key,
                                          const Block* blocks,

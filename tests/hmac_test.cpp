@@ -17,6 +17,16 @@ Bytes str_bytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }
 
+// The batch API with one key for every value: out[i] = HMAC(ctx, values[i]).
+void mac_u64_batch_one_key(const HmacKeyCtx& ctx,
+                           std::span<const std::uint64_t> values,
+                           std::span<Digest> out) {
+  const std::vector<const HmacKeyCtx*> keys(values.size(), &ctx);
+  std::vector<Digest*> slots(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) slots[i] = &out[i];
+  HmacKeyCtx::mac_u64_batch(keys, values, slots);
+}
+
 // RFC 4231 test case 1: 20-byte 0x0b key, "Hi There".
 TEST(HmacRawKey, Rfc4231Case1) {
   const Bytes key(20, 0x0b);
@@ -241,7 +251,7 @@ TEST(HmacBatch, EquivalentToPerCallForRandomKeysAndValues) {
     std::vector<std::uint64_t> values(count);
     for (auto& v : values) v = rng.next();
     std::vector<Digest> batch(count);
-    hmac_sha256_u64_batch(key, values, batch);
+    mac_u64_batch_one_key(HmacKeyCtx(key), values, batch);
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_EQ(batch[i], hmac_sha256_u64(key, values[i]))
           << "trial " << trial << " index " << i;
@@ -274,7 +284,7 @@ TEST(HmacBatch, FixedTwoBlockKernelMatchesGenericMac) {
         std::vector<std::uint64_t> values(n);
         for (auto& v : values) v = rng.next();
         std::vector<Digest> batch(n);
-        ctx.mac_u64_batch(values, batch);
+        mac_u64_batch_one_key(ctx, values, batch);
         for (std::size_t i = 0; i < n; ++i) {
           const Digest expect = generic(ctx, values[i]);
           EXPECT_EQ(batch[i], expect) << "raw key " << raw_len << " batch "
@@ -307,12 +317,18 @@ TEST(HmacKernel, ScalarAndShaNiTwoBlockKernelsMatchGenericMac) {
     const std::size_t n = 1 + rng.below(11);
     std::vector<std::uint64_t> values(n);
     for (auto& v : values) v = rng.next();
+    const kernel::KeyState state{inner, outer};
+    const std::vector<const kernel::KeyState*> keys(n, &state);
     std::vector<Digest> scalar(n);
-    kernel::hmac_u64_scalar(inner, outer, values.data(), scalar.data(), n);
+    std::vector<Digest*> scalar_out(n);
+    for (std::size_t i = 0; i < n; ++i) scalar_out[i] = &scalar[i];
+    kernel::hmac_u64_scalar(keys.data(), values.data(), scalar_out.data(), n);
 #ifdef LPPA_SHA_NI_DISPATCH
     std::vector<Digest> shani(n);
+    std::vector<Digest*> shani_out(n);
+    for (std::size_t i = 0; i < n; ++i) shani_out[i] = &shani[i];
     if (kernel::sha_ni()) {
-      kernel::hmac_u64_shani(inner, outer, values.data(), shani.data(), n);
+      kernel::hmac_u64_shani(keys.data(), values.data(), shani_out.data(), n);
     }
 #endif
     for (std::size_t i = 0; i < n; ++i) {
@@ -475,7 +491,7 @@ TEST(HmacKernel, PerLaneKeysMatchPerKeyMacs) {
 TEST(HmacBatch, EmptyBatchIsANoop) {
   lppa::Rng rng(12);
   const SecretKey key = SecretKey::generate(rng);
-  hmac_sha256_u64_batch(key, {}, {});
+  mac_u64_batch_one_key(HmacKeyCtx(key), {}, {});
 }
 
 TEST(HmacBatch, MismatchedSpansThrow) {
@@ -484,7 +500,8 @@ TEST(HmacBatch, MismatchedSpansThrow) {
   const std::uint64_t v = 7;
   std::vector<Digest> out(2);
   EXPECT_THROW(
-      hmac_sha256_u64_batch(key, std::span<const std::uint64_t>(&v, 1), out),
+      mac_u64_batch_one_key(HmacKeyCtx(key),
+                            std::span<const std::uint64_t>(&v, 1), out),
       lppa::LppaError);
 }
 
